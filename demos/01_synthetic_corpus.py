@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from posehar.io import read_sample, write_sample
-from posehar.pose import sample_arrays
 from posehar.synth import ARCHETYPES, MotionSpec, generate, generate_corpus
 
 # %% a balanced corpus: every (archetype, viewpoint, actor) exactly once
@@ -27,14 +26,12 @@ for action, count in sorted(per_action.items()):
 # %% actor jitter: same archetype, different bodies
 a = generate(MotionSpec("squat", actor_seed=1))
 b = generate(MotionSpec("squat", actor_seed=2))
-xy_a, _ = sample_arrays(a)
-xy_b, _ = sample_arrays(b)
 print(f"\nmean landmark gap between two actors doing the same squat: "
-      f"{np.abs(xy_a - xy_b).mean():.1f} px")
+      f"{np.abs(a.xy - b.xy).mean():.1f} px")
 
 # %% occlusion windows mark landmarks absent, inclusive on both ends
 spec = MotionSpec("wave-one-arm", frames=12, occlusions=((5, 3, 7),))
-_, present = sample_arrays(generate(spec))
+present = generate(spec).present
 print(f"right wrist present per frame: {present[:, 4].astype(int)}")
 
 # %% records survive a write/read round trip byte for byte

@@ -9,19 +9,18 @@ appeared.
 
 import numpy as np
 
-from posehar.pose import sample_arrays
+from posehar.pose import Sample
 from posehar.preprocess import normalize, preprocess_sample, treat_missing
 from posehar.synth import MotionSpec, generate
-from posehar.pose import Pose, Sample
 
 # %% damage a clean clip: a root dropout, a wrist gap, one side never seen
 spec = MotionSpec("march", frames=10, actor_seed=3)
-xy, present = sample_arrays(generate(spec))
+clip = generate(spec)
+xy, present = clip.xy, clip.present.copy()   # sample arrays are read-only
 present[4, 1] = False        # frame 4 loses its root -> frame dropped
 present[2:5, 7 - 1] = False  # left elbow gap -> filled from neighbours
 present[:, 14 - 1] = False   # left ankle never seen -> mirror copy
-damaged = Sample(tuple(Pose(xy[t], present[t]) for t in range(10)),
-                 "march", "front", "a3", "demo")
+damaged = Sample(xy, present, "march", "front", "a3", "demo")
 
 clean = treat_missing(damaged)
 print(f"frames kept: {len(clean)} of 10")
@@ -36,8 +35,7 @@ torso = np.hypot(seq.xy[:, 9 - 1, 0], seq.xy[:, 9 - 1, 1])
 print(f"root-to-right-hip length per frame: {torso.round(12)}")
 
 # %% the whole point: position and scale stop mattering
-moved = Sample(tuple(Pose(xy[t] + [250.0, -80.0], present[t]) for t in range(10)),
-               "march", "front", "a3", "demo")
+moved = Sample(xy + [250.0, -80.0], present, "march", "front", "a3", "demo")
 seq_moved, _ = preprocess_sample(moved)
 seq_ref, report = preprocess_sample(damaged)
 print(f"\nmax difference after a 250 px shift: "

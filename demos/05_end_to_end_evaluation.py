@@ -12,7 +12,7 @@ import numpy as np
 
 from posehar.augment import AugmentConfig
 from posehar.evaluate import PipelineConfig, Protocol, run_experiment
-from posehar.pose import Pose, Sample, sample_arrays
+from posehar.pose import Sample
 from posehar.som import SomConfig
 from posehar.synth import generate_corpus
 
@@ -41,12 +41,8 @@ print(f"advanced: absolute {report.absolute_accuracy:.3f}, "
 rng = np.random.default_rng(70)
 offsets = {actor: rng.uniform(-500.0, 500.0, 2)
            for actor in sorted({s.actor for s in corpus})}
-moved = []
-for s in corpus:
-    xy, present = sample_arrays(s)
-    xy = xy + offsets[s.actor]
-    moved.append(Sample(tuple(Pose(xy[t], present[t]) for t in range(len(xy))),
-                        s.action, s.viewpoint, s.actor, s.dataset))
+moved = [Sample(s.xy + offsets[s.actor], s.present, s.action, s.viewpoint,
+                s.actor, s.dataset) for s in corpus]
 
 baseline = PipelineConfig(mode="baseline", augment=pipeline.augment,
                           som=pipeline.som, pca_components=3,

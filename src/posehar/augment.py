@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pose import FLIP_VIEWPOINT, MIRROR, N_LANDMARKS, ROOT, Pose, Sample
+from .pose import FLIP_VIEWPOINT, MIRROR, N_LANDMARKS, ROOT, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
 
 log = logging.getLogger(__name__)
@@ -100,13 +100,10 @@ def noise_sample(sample: Sample, config: AugmentConfig,
     out: list[Sample] = []
     for copy_index in range(config.z):
         rng = np.random.default_rng([config.rng_seed, sample_index, copy_index])
-        poses = []
-        for pose in sample.poses:
-            delta = rng.normal(0.0, config.sigma, pose.xy.shape)
-            delta[~pose.present] = 0.0
-            poses.append(Pose(pose.xy + delta, pose.present))
-        out.append(Sample(tuple(poses), sample.action, sample.viewpoint,
-                          sample.actor, sample.dataset))
+        delta = rng.normal(0.0, config.sigma, sample.xy.shape)
+        delta[~sample.present] = 0.0
+        out.append(Sample(sample.xy + delta, sample.present, sample.action,
+                          sample.viewpoint, sample.actor, sample.dataset))
     return out
 
 

@@ -222,15 +222,21 @@ def cmd_build_libraries(args, config: dict) -> int:
     return 0
 
 
+def _libraries(mode: str, bundle_path: str | None) -> tuple[dict | None, dict | None]:
+    """The bundle's (spatial, temporal) libraries in advanced mode; (None,
+    None) in the modes that embed without libraries."""
+    if mode != "advanced":
+        return None, None
+    if not bundle_path:
+        raise ConfigError("advanced mode needs --bundle")
+    bundle = som_mod.load_bundle(bundle_path)
+    return bundle.spatial, bundle.temporal
+
+
 def cmd_embed(args, config: dict) -> int:
     items, _ = io_mod.load_normalized_dataset(args.manifest)
     mode = args.mode or config.get("mode", "advanced")
-    spatial = temporal = None
-    if mode == "advanced":
-        if not args.bundle:
-            raise ConfigError("advanced mode needs --bundle")
-        bundle = som_mod.load_bundle(args.bundle)
-        spatial, temporal = bundle.spatial, bundle.temporal
+    spatial, temporal = _libraries(mode, args.bundle)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -259,25 +265,13 @@ def cmd_train(args, config: dict) -> int:
     class_of = {a: i for i, a in enumerate(actions)}
     pairs = [(values, class_of[action]) for values, action in records]
     seed = _seed(args, config)
-    rng = np.random.default_rng([seed, 5])
-    by_class: dict[int, list[int]] = {}
-    for i, (_, y) in enumerate(pairs):
-        by_class.setdefault(y, []).append(i)
-    val_idx: list[int] = []
-    for y in sorted(by_class):
-        members = by_class[y]
-        if len(members) < 2:
-            continue
-        take = max(1, int(round(args.val_fraction * len(members))))
-        picked = rng.permutation(len(members))[:min(take, len(members) - 1)]
-        val_idx.extend(members[i] for i in picked)
-    held_out = set(val_idx)
+    train_idx, val_idx = eval_mod._carve_validation(
+        list(range(len(pairs))), [action for _, action in records],
+        args.val_fraction, np.random.default_rng([seed, 5]))
+    train_set = [pairs[i] for i in train_idx]
     val_set = [pairs[i] for i in val_idx]
-    train_set = [p for i, p in enumerate(pairs) if i not in held_out]
 
     section = dict(config.get("classifier", {}))
-    if "conv_blocks" in section:
-        section["conv_blocks"] = tuple(tuple(b) for b in section["conv_blocks"])
     section.setdefault("rng_seed", seed)
     try:
         model_config = clf.ClassifierConfig(
@@ -299,8 +293,8 @@ def _channels_for_input(path: Path, mode: str, bundle_path: str | None,
         channels, _ = io_mod.read_embedding(path)
         return channels.values
     if path.is_dir():
-        poses = io_mod.read_detector_clip(path, threshold)
-        record = Sample(tuple(poses), "unknown", "front", "unknown", "")
+        xy, present = io_mod.read_detector_clip(path, threshold)
+        record = Sample(xy, present, "unknown", "front", "unknown", "")
     else:
         record = io_mod.read_record(path)
     if isinstance(record, Sample):
@@ -311,12 +305,7 @@ def _channels_for_input(path: Path, mode: str, bundle_path: str | None,
         if mode == "baseline":
             raise ConfigError("baseline mode needs a raw record, not a normalized one")
         labeled = record
-    spatial = temporal = None
-    if mode == "advanced":
-        if not bundle_path:
-            raise ConfigError("advanced mode needs --bundle")
-        bundle = som_mod.load_bundle(bundle_path)
-        spatial, temporal = bundle.spatial, bundle.temporal
+    spatial, temporal = _libraries(mode, bundle_path)
     return embed_mod.embed_sequence(labeled.seq, spatial, temporal, mode).values
 
 

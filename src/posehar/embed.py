@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptySubset, MissingLibrary
 from .pca import reroll
-from .pose import N_LANDMARKS, SUBSET_NAMES, SUBSETS, Sample, sample_arrays
+from .pose import N_LANDMARKS, SUBSET_NAMES, SUBSETS, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
 from .som import PoseLibrary, Prototype
 
@@ -226,8 +226,7 @@ def embed_sequence(seq: NormalizedSequence,
 
 def baseline_channels(sample: Sample) -> EmbeddingChannels:
     """Raw global coordinates as channels; absent entries become -1."""
-    xy, present = sample_arrays(sample)
-    filled = xy.copy()
-    filled[~present] = MISSING_SENTINEL
+    filled = sample.xy.copy()
+    filled[~sample.present] = MISSING_SENTINEL
     channels = filled.transpose(1, 2, 0).reshape(2 * N_LANDMARKS, -1)
     return EmbeddingChannels(channels, channel_names("baseline"))

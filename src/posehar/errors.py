@@ -25,10 +25,6 @@ class NumericError(PoseHarError):
     exit_code = 4
 
 
-class AbsentLandmark(DataError):
-    """Coordinates of an absent landmark were requested."""
-
-
 class MalformedFrame(DataError):
     """Detector frame does not hold exactly 18 keypoint triples."""
 
@@ -53,16 +49,8 @@ class AbsentHip(DataError):
     """Neither hip is available as the scale reference."""
 
 
-class DegenerateTorso(DataError):
-    pass
-
-
 class InsufficientData(DataError):
     """Too few vectors to fit the requested model."""
-
-
-class EmptyActionViewpoint(DataError):
-    """No training frames for an (action, viewpoint) cell."""
 
 
 class EmptySubset(DataError):

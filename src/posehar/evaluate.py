@@ -75,16 +75,17 @@ class Fold:
     test: tuple[int, ...]
 
 
-def _carve_validation(pool: list[int], samples: Sequence[Sample], fraction: float,
+def _carve_validation(pool: list[int], actions: Sequence[str], fraction: float,
                       rng: np.random.Generator) -> tuple[list[int], list[int]]:
     """Split a training pool into train and validation, stratified by action.
 
-    Every action keeps at least one training sample; actions with a single
-    sample contribute nothing to validation.
+    ``actions[i]`` is the action label of record ``i``. Every action keeps at
+    least one training sample; actions with a single sample contribute
+    nothing to validation.
     """
     by_action: dict[str, list[int]] = {}
     for i in pool:
-        by_action.setdefault(samples[i].action, []).append(i)
+        by_action.setdefault(actions[i], []).append(i)
     train: list[int] = []
     val: list[int] = []
     for action in sorted(by_action):
@@ -125,7 +126,8 @@ def _split_fold(samples: Sequence[Sample], protocol: Protocol, seed: int) -> Fol
         raise TooFewSamples("split protocol left train or test empty")
     if not val:
         rng = np.random.default_rng([seed, 3, 0])
-        train, val = _carve_validation(train, samples, protocol.val_fraction, rng)
+        train, val = _carve_validation(train, [s.action for s in samples],
+                                       protocol.val_fraction, rng)
     return Fold(tuple(train), tuple(val), tuple(test))
 
 
@@ -134,12 +136,13 @@ def _loao_folds(samples: Sequence[Sample], protocol: Protocol,
     actors = sorted({s.actor for s in samples})
     if len(actors) < 2:
         raise TooFewSamples("leave-one-actor-out needs at least two actors")
+    actions = [s.action for s in samples]
     folds = []
     for f, actor in enumerate(actors):
         test = [i for i, s in enumerate(samples) if s.actor == actor]
         pool = [i for i, s in enumerate(samples) if s.actor != actor]
         rng = np.random.default_rng([seed, 3, f])
-        train, val = _carve_validation(pool, samples, protocol.val_fraction, rng)
+        train, val = _carve_validation(pool, actions, protocol.val_fraction, rng)
         folds.append(Fold(tuple(train), tuple(val), tuple(test)))
     return folds
 
@@ -159,13 +162,14 @@ def _kfold_folds(samples: Sequence[Sample], protocol: Protocol,
                 f"fewer than {protocol.folds} folds")
         shuffled = indices[rng.permutation(indices.size)]
         parts[action] = np.array_split(shuffled, protocol.folds)
+    actions = [s.action for s in samples]
     folds = []
     for f in range(protocol.folds):
         test = sorted(int(i) for action in parts for i in parts[action][f])
         test_set = set(test)
         pool = [i for i in range(len(samples)) if i not in test_set]
         carve_rng = np.random.default_rng([seed, 3, f])
-        train, val = _carve_validation(pool, samples, protocol.val_fraction,
+        train, val = _carve_validation(pool, actions, protocol.val_fraction,
                                        carve_rng)
         folds.append(Fold(tuple(train), tuple(val), tuple(test)))
     return folds
@@ -262,8 +266,6 @@ def _classifier_config(pipeline: PipelineConfig, channels: int, classes: int,
                        fold: int) -> ClassifierConfig:
     overrides = dict(pipeline.classifier)
     overrides.setdefault("rng_seed", _derived_seed(pipeline.seed, 7, fold))
-    if "conv_blocks" in overrides:
-        overrides["conv_blocks"] = tuple(tuple(b) for b in overrides["conv_blocks"])
     return ClassifierConfig(channels=channels, classes=classes, **overrides)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .embed import EmbeddingChannels
 from .errors import MalformedFrame, ParseError, UnknownLabel
-from .pose import N_LANDMARKS, VIEWPOINTS, Pose, Sample
+from .pose import N_LANDMARKS, VIEWPOINTS, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
 
 log = logging.getLogger(__name__)
@@ -62,8 +62,9 @@ class RawDetectionFrame:
         object.__setattr__(self, "keypoints", kp)
 
 
-def merge_head(frame: RawDetectionFrame, threshold: float = 0.0) -> Pose:
-    """Convert one detector frame to a pose.
+def merge_head(frame: RawDetectionFrame,
+               threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Convert one detector frame to (14, 2) coordinates and (14,) presence.
 
     A keypoint counts as detected when its confidence exceeds ``threshold``.
     The head landmark is the mean of the detected facial keypoints and is
@@ -82,7 +83,7 @@ def merge_head(frame: RawDetectionFrame, threshold: float = 0.0) -> Pose:
         if detected[i]:
             xy[row] = kp[i, :2]
             present[row] = True
-    return Pose(xy, present)
+    return xy, present
 
 
 def _frame_people(path: Path, payload: object) -> list[np.ndarray]:
@@ -92,9 +93,12 @@ def _frame_people(path: Path, payload: object) -> list[np.ndarray]:
         for person in people:
             flat = np.asarray(person["pose_keypoints_2d"], dtype=np.float64)
             out.append(flat.reshape(N_KEYPOINTS, 3))
-        return out
     except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"{path}: not a recognizable keypoint export ({exc})") from exc
+    for n, keypoints in enumerate(out):
+        if not np.isfinite(keypoints).all():
+            raise ParseError(f"{path}: person {n} has a non-finite keypoint value")
+    return out
 
 
 def _select_person(people: list[np.ndarray], last_root: np.ndarray | None,
@@ -114,18 +118,21 @@ def _select_person(people: list[np.ndarray], last_root: np.ndarray | None,
     return people[int(np.argmax(totals))]
 
 
-def read_detector_clip(directory: str | os.PathLike, threshold: float = 0.0) -> list[Pose]:
-    """Read a directory of per-frame keypoint JSON files into poses.
+def read_detector_clip(directory: str | os.PathLike,
+                       threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Read a directory of per-frame keypoint JSON files into (T, 14, 2)
+    coordinates and (T, 14) presence flags.
 
     Files are processed in sorted name order. Frames with no people at all
-    become all-absent poses so the timeline stays aligned with the source
+    are left all-absent so the timeline stays aligned with the source
     video; the preprocessing stage drops them later.
     """
     directory = Path(directory)
     files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
     if not files:
         raise ParseError(f"{directory}: no frame files found")
-    poses: list[Pose] = []
+    xy = np.zeros((len(files), N_LANDMARKS, 2))
+    present = np.zeros((len(files), N_LANDMARKS), dtype=bool)
     last_root: np.ndarray | None = None
     for index, path in enumerate(files):
         try:
@@ -134,13 +141,12 @@ def read_detector_clip(directory: str | os.PathLike, threshold: float = 0.0) -> 
             raise ParseError(f"{path}: {exc}") from exc
         people = _frame_people(path, payload)
         if not people:
-            poses.append(Pose(np.zeros((N_LANDMARKS, 2)), np.zeros(N_LANDMARKS, dtype=bool)))
             continue
         chosen = _select_person(people, last_root, threshold)
         if chosen[NECK_KEYPOINT, 2] > threshold:
             last_root = chosen[NECK_KEYPOINT, :2].copy()
-        poses.append(merge_head(RawDetectionFrame(chosen, index), threshold))
-    return poses
+        xy[index], present[index] = merge_head(RawDetectionFrame(chosen, index), threshold)
+    return xy, present
 
 
 # --------------------------------------------------------------------------
@@ -170,8 +176,8 @@ def write_sample(path: str | os.PathLike, sample: Sample) -> None:
         "persistent_missing": [],
     }
     lines = [f"{SEQ_MAGIC} {_header_json(header)}"]
-    for pose in sample.poses:
-        lines.append(_format_frame(pose.xy, pose.present))
+    for xy, present in zip(sample.xy, sample.present):
+        lines.append(_format_frame(xy, present))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -209,21 +215,20 @@ def _parse_seq_file(path: Path) -> tuple[dict, np.ndarray, np.ndarray]:
     frames = [ln for ln in lines[1:] if ln.strip()]
     if not frames:
         raise ParseError(f"{path}: record has no frames")
-    xy = np.zeros((len(frames), N_LANDMARKS, 2))
-    present = np.zeros((len(frames), N_LANDMARKS), dtype=bool)
+    triples = np.empty((len(frames), N_LANDMARKS, 3))
     for t, line in enumerate(frames):
         fields = line.split()
         if len(fields) != 3 * N_LANDMARKS:
             raise ParseError(
                 f"{path}, frame {t}: expected {3 * N_LANDMARKS} fields, got {len(fields)}")
         try:
-            values = [float(f) for f in fields]
+            triples[t] = np.asarray([float(f) for f in fields]).reshape(N_LANDMARKS, 3)
         except ValueError as exc:
             raise ParseError(f"{path}, frame {t}: {exc}") from exc
-        triples = np.asarray(values).reshape(N_LANDMARKS, 3)
-        xy[t] = triples[:, :2]
-        present[t] = triples[:, 2] != 0
-    return header, xy, present
+    finite = np.isfinite(triples).all(axis=(1, 2))
+    if not finite.all():
+        raise ParseError(f"{path}, frame {int(np.argmin(finite))}: non-finite value")
+    return header, triples[:, :, :2], triples[:, :, 2] != 0
 
 
 def _require_labels(header: dict, path: Path) -> tuple[str, str, str, str]:
@@ -243,8 +248,7 @@ def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
         missing = frozenset(int(j) for j in header.get("persistent_missing", []))
         seq = NormalizedSequence(xy, np.diff(xy, axis=0), missing)
         return LabeledSequence(seq, action, viewpoint, actor, dataset)
-    poses = tuple(Pose(xy[t], present[t]) for t in range(xy.shape[0]))
-    return Sample(poses, action, viewpoint, actor, dataset)
+    return Sample(xy, present, action, viewpoint, actor, dataset)
 
 
 def read_sample(path: str | os.PathLike) -> Sample:
@@ -367,8 +371,8 @@ def load_dataset(manifest_path: str | os.PathLike,
         _check_entry_labels(entry, actions, viewpoints)
         source = manifest_path.parent / entry["path"]
         if source.is_dir():
-            poses = read_detector_clip(source, threshold)
-            sample = Sample(tuple(poses), entry["action"], entry["viewpoint"],
+            xy, present = read_detector_clip(source, threshold)
+            sample = Sample(xy, present, entry["action"], entry["viewpoint"],
                             entry["actor"], entry.get("dataset", ""))
         else:
             sample = read_sample(source)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsentLandmark, MalformedFrame, UnknownLabel
+from .errors import MalformedFrame, UnknownLabel
 
 N_LANDMARKS = 14
 HEAD = 1
@@ -76,98 +76,42 @@ SUBSETS = {
 SUBSET_NAMES = ("J", "J_a", "J_b", "J_c", "J_d")
 
 
-def check_landmark(j: int) -> int:
-    if not 1 <= int(j) <= N_LANDMARKS:
-        raise UnknownLabel(f"landmark index {j} outside 1..{N_LANDMARKS}")
-    return int(j)
-
-
-@dataclass(frozen=True)
-class Pose:
-    """One frame: landmark coordinates plus per-landmark presence flags.
-
-    Coordinates of absent landmarks carry no meaning and must only be read
-    through :meth:`coord`, which refuses them.
-    """
-
-    xy: np.ndarray        # (14, 2) float64
-    present: np.ndarray   # (14,) bool
-
-    def __post_init__(self) -> None:
-        xy = np.array(self.xy, dtype=np.float64, copy=True)
-        present = np.array(self.present, dtype=bool, copy=True)
-        if xy.shape != (N_LANDMARKS, 2):
-            raise MalformedFrame(f"pose coordinates must be (14, 2), got {xy.shape}")
-        if present.shape != (N_LANDMARKS,):
-            raise MalformedFrame(f"presence flags must be (14,), got {present.shape}")
-        xy.flags.writeable = False
-        present.flags.writeable = False
-        object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "present", present)
-
-    def is_present(self, j: int) -> bool:
-        return bool(self.present[check_landmark(j) - 1])
-
-    def coord(self, j: int) -> tuple[float, float]:
-        check_landmark(j)
-        if not self.present[j - 1]:
-            raise AbsentLandmark(f"landmark {j} is absent")
-        return float(self.xy[j - 1, 0]), float(self.xy[j - 1, 1])
-
-
-@dataclass(frozen=True)
-class LinkVector:
-    """Directed segment between two landmarks of one pose."""
-
-    start: int
-    end: int
-    dx: float
-    dy: float
-
-    @property
-    def norm(self) -> float:
-        return float(np.hypot(self.dx, self.dy))
-
-
-def link(pose: Pose, a: int, b: int) -> LinkVector:
-    """Vector from landmark ``a`` to landmark ``b``.
-
-    Raises AbsentLandmark when either endpoint is absent.
-    """
-    xa, ya = pose.coord(a)
-    xb, yb = pose.coord(b)
-    return LinkVector(a, b, xb - xa, yb - ya)
-
-
-def missing_count(pose: Pose) -> int:
-    return int((~pose.present).sum())
-
-
 @dataclass(frozen=True)
 class Sample:
     """A labeled pose sequence: one actor performing one action, seen from one
-    viewpoint. Frames keep detector order; all-absent frames are legal here
-    and are dealt with by the preprocessing stage."""
+    viewpoint.
 
-    poses: tuple[Pose, ...]
+    ``xy`` holds the (T, 14, 2) landmark coordinates and ``present`` the
+    (T, 14) presence flags, one row per frame in detector order. Coordinates
+    of absent landmarks carry no meaning. All-absent frames are legal here
+    and are dealt with by the preprocessing stage. Both arrays are stored as
+    read-only copies.
+    """
+
+    xy: np.ndarray        # (T, 14, 2) float64
+    present: np.ndarray   # (T, 14) bool
     action: str
     viewpoint: str
     actor: str
     dataset: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "poses", tuple(self.poses))
-        if len(self.poses) < 1:
+        xy = np.array(self.xy, dtype=np.float64, order="C", copy=True)
+        present = np.array(self.present, dtype=bool, order="C", copy=True)
+        if xy.ndim != 3 or xy.shape[1:] != (N_LANDMARKS, 2):
+            raise MalformedFrame(f"sample coordinates must be (T, 14, 2), got {xy.shape}")
+        if present.shape != xy.shape[:2]:
+            raise MalformedFrame(
+                f"presence flags must be {xy.shape[:2]} to match the coordinates, "
+                f"got {present.shape}")
+        if xy.shape[0] < 1:
             raise MalformedFrame("a sample needs at least one frame")
         if self.viewpoint not in VIEWPOINTS:
             raise UnknownLabel(f"unknown viewpoint {self.viewpoint!r}")
+        xy.flags.writeable = False
+        present.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "present", present)
 
     def __len__(self) -> int:
-        return len(self.poses)
-
-
-def sample_arrays(sample: Sample) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a sample into (T, 14, 2) coordinates and (T, 14) presence."""
-    xy = np.stack([p.xy for p in sample.poses])
-    present = np.stack([p.present for p in sample.poses])
-    return xy, present
+        return int(self.xy.shape[0])

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AbsentHip, AbsentRoot, DegenerateTorso, EmptySequence
-from .pose import LEFT_HIP, MIRROR, N_LANDMARKS, RIGHT_HIP, ROOT, Pose, Sample, sample_arrays
+from .errors import AbsentHip, AbsentRoot, EmptySequence
+from .pose import LEFT_HIP, MIRROR, N_LANDMARKS, RIGHT_HIP, ROOT, Sample
 
 log = logging.getLogger(__name__)
 
@@ -141,14 +141,13 @@ def treat_missing(sample: Sample) -> CleanSequence:
 
     Raises EmptySequence when every frame is dropped.
     """
-    xy, present = sample_arrays(sample)
-    missing_per_frame = (~present).sum(axis=1)
-    keep = present[:, ROOT - 1] & (missing_per_frame <= MAX_MISSING_PER_FRAME)
+    missing_per_frame = (~sample.present).sum(axis=1)
+    keep = sample.present[:, ROOT - 1] & (missing_per_frame <= MAX_MISSING_PER_FRAME)
     if not keep.any():
         raise EmptySequence(
             f"no usable frames in sample (actor={sample.actor!r}, action={sample.action!r})")
-    xy = xy[keep].copy()
-    present = present[keep].copy()
+    xy = sample.xy[keep]
+    present = sample.present[keep]
 
     seen = present.any(axis=0)
     # Landmarks with occasional gaps are filled from their own track first, so
@@ -169,30 +168,6 @@ def treat_missing(sample: Sample) -> CleanSequence:
             persistent.append(j)
             xy[:, j - 1] = 0.0
     return CleanSequence(xy, frozenset(persistent))
-
-
-def center(pose: Pose) -> Pose:
-    """Translate a pose so the root lands exactly at the origin."""
-    if not pose.present[ROOT - 1]:
-        raise AbsentRoot("cannot center a pose without its root")
-    return Pose(pose.xy - pose.xy[ROOT - 1], pose.present)
-
-
-def scale(pose: Pose, reference: int = RIGHT_HIP) -> Pose:
-    """Divide a centered pose by its root-to-reference-hip length.
-
-    The result has the reference link at unit length. Raises AbsentHip when
-    the reference landmark is absent and DegenerateTorso when the link is too
-    short to divide by.
-    """
-    if not pose.present[ROOT - 1]:
-        raise AbsentRoot("cannot scale a pose without its root")
-    if not pose.present[reference - 1]:
-        raise AbsentHip(f"scale reference landmark {reference} is absent")
-    length = float(np.hypot(*(pose.xy[reference - 1] - pose.xy[ROOT - 1])))
-    if length <= TORSO_EPS:
-        raise DegenerateTorso(f"root-to-hip length {length!r} too small to scale by")
-    return Pose(pose.xy / length, pose.present)
 
 
 def _scale_reference(persistent_missing: frozenset[int]) -> int:

@@ -42,7 +42,8 @@ class SomConfig:
     """Lattice geometry and training schedule of one map.
 
     q is the units-per-side of the m-dimensional lattice. The default radius
-    starts at q / 2. ``init`` is "axes" (units span the leading principal
+    starts at q / 2; learning rate and radius both decay as
+    exp(-step / total steps). ``init`` is "axes" (units span the leading principal
     axes of the training data, the default) or "random" (seeded Gaussian
     draws around the data mean).
     """
@@ -52,7 +53,6 @@ class SomConfig:
     epochs: int = 20
     lr0: float = 0.5
     radius0: float | None = None
-    lr_decay: str = "exp"
     init: str = "axes"
     rng_seed: int = 0
 
@@ -61,8 +61,6 @@ class SomConfig:
             raise ValueError("q and m must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.lr_decay != "exp":
-            raise ValueError(f"unsupported decay schedule {self.lr_decay!r}")
         if self.init not in ("axes", "random"):
             raise ValueError(f"unsupported init {self.init!r}")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pose import N_LANDMARKS, VIEWPOINTS, Pose, Sample
+from .pose import N_LANDMARKS, VIEWPOINTS, Sample
 
 ARCHETYPES = ("still", "wave-one-arm", "wave-two-arms", "squat", "march")
 
@@ -168,9 +168,8 @@ def generate(spec: MotionSpec) -> Sample:
     for j, first, last in spec.occlusions:
         present[max(first, 0) : last + 1, j - 1] = False
 
-    poses = tuple(Pose(track[f], present[f]) for f in range(spec.frames))
     actor = spec.actor or f"a{spec.actor_seed}"
-    return Sample(poses, spec.archetype, spec.viewpoint, actor, "synth")
+    return Sample(track, present, spec.archetype, spec.viewpoint, actor, "synth")
 
 
 def generate_corpus(n_actors: int,

@@ -35,9 +35,7 @@ from posehar.pose import (
     SUBSET_NAMES,
     SUBSETS,
     VIEWPOINTS,
-    Pose,
     Sample,
-    sample_arrays,
 )
 from posehar.preprocess import (
     NormalizedSequence,
@@ -57,15 +55,12 @@ from posehar.synth import ARCHETYPES, MotionSpec, generate, generate_corpus
 
 
 def remade(sample: Sample, xy: np.ndarray) -> Sample:
-    _, present = sample_arrays(sample)
-    poses = tuple(Pose(xy[t], present[t]) for t in range(xy.shape[0]))
-    return Sample(poses, sample.action, sample.viewpoint, sample.actor,
-                  sample.dataset)
+    return Sample(xy, sample.present, sample.action, sample.viewpoint,
+                  sample.actor, sample.dataset)
 
 
 def translated(sample: Sample, offset) -> Sample:
-    xy, _ = sample_arrays(sample)
-    return remade(sample, xy + np.asarray(offset, dtype=np.float64))
+    return remade(sample, sample.xy + np.asarray(offset, dtype=np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -82,7 +77,7 @@ def test_a01_normalization_translation_and_scale_invariance():
                           frames=10, actor_seed=i,
                           occlusions=((5, 2, 4),) if i % 3 == 0 else ())
         sample = generate(spec)
-        xy, _ = sample_arrays(sample)
+        xy = sample.xy
         # snap to a 2^-10 grid so adding a grid-aligned offset is exact in
         # float64 and the root subtraction cancels it bit for bit
         sample = remade(sample, np.round(xy * 1024.0) / 1024.0)
@@ -95,7 +90,7 @@ def test_a01_normalization_translation_and_scale_invariance():
         assert shifted.persistent_missing == reference.persistent_missing
 
         k = rng.uniform(0.1, 10.0)
-        xy, _ = sample_arrays(sample)
+        xy = sample.xy
         scaled = normalize(treat_missing(remade(sample, xy * k)))
         delta = max(np.abs(scaled.xy - reference.xy).max(),
                     np.abs(scaled.deriv - reference.deriv).max())
@@ -112,8 +107,7 @@ def test_a01_normalization_translation_and_scale_invariance():
 
 
 def fixture_sample(xy: np.ndarray, present: np.ndarray) -> Sample:
-    poses = tuple(Pose(xy[t], present[t]) for t in range(xy.shape[0]))
-    return Sample(poses, "wave", "front", "a1", "demo")
+    return Sample(xy, present, "wave", "front", "a1", "demo")
 
 
 def fixture_coords(T: int) -> np.ndarray:

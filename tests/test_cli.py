@@ -109,6 +109,21 @@ def test_predict_accepts_raw_normalized_and_embedded(workdir, capsys):
     assert results[0] == results[1]
 
 
+def test_predict_rejects_non_finite_record(workdir, tmp_path, capsys, caplog):
+    raw = sorted((workdir / "raw").glob("*.seq"))[0]
+    lines = raw.read_text().splitlines()
+    fields = lines[3].split()
+    fields[0] = "nan"
+    lines[3] = " ".join(fields)
+    bad = tmp_path / "nan.seq"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["predict", "--model", str(workdir / "model.npz"),
+                 "--mode", "basic", "--input", str(bad)])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert f"{bad}, frame 2: non-finite value" in caplog.text
+
+
 def test_evaluate_writes_report(workdir, capsys):
     out = workdir / "report.json"
     code = main(["--config", str(workdir / "config.json"), "evaluate",

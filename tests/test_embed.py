@@ -15,7 +15,7 @@ from posehar.embed import (
 )
 from posehar.errors import EmptySubset, MissingLibrary
 from posehar.pca import unroll
-from posehar.pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Pose, Sample
+from posehar.pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Sample
 from posehar.preprocess import NormalizedSequence
 from posehar.som import PoseLibrary, Prototype
 
@@ -202,8 +202,7 @@ def test_baseline_channels():
     xy = rng.normal(300.0, 40.0, (3, N_LANDMARKS, 2))
     present = np.ones((3, N_LANDMARKS), dtype=bool)
     present[1, 4] = False
-    poses = tuple(Pose(xy[t], present[t]) for t in range(3))
-    ch = baseline_channels(Sample(poses, "wave", "front", "a1", "demo"))
+    ch = baseline_channels(Sample(xy, present, "wave", "front", "a1", "demo"))
     assert ch.values.shape == (28, 3)
     assert ch.names == channel_names("baseline")
     assert ch.values[8, 1] == MISSING_SENTINEL

@@ -14,15 +14,14 @@ from posehar.evaluate import (
     make_folds,
     run_experiment,
 )
-from posehar.pose import N_LANDMARKS, Pose, Sample
+from posehar.pose import N_LANDMARKS, Sample
 from posehar.som import SomConfig
 from posehar.synth import generate_corpus
 
 
 def tiny_sample(rng, action, actor, dataset="demo"):
     xy = rng.normal(200.0, 40.0, (3, N_LANDMARKS, 2))
-    poses = tuple(Pose(xy[t], np.ones(N_LANDMARKS, dtype=bool)) for t in range(3))
-    return Sample(poses, action, "front", actor, dataset)
+    return Sample(xy, np.ones((3, N_LANDMARKS), dtype=bool), action, "front", actor, dataset)
 
 
 def corpus(rng, actions=("wave", "squat"), actors=("a1", "a2", "a3"), copies=2):

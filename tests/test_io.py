@@ -24,17 +24,17 @@ from posehar.io import (
     write_normalized,
     write_sample,
 )
-from posehar.pose import N_LANDMARKS, Pose, Sample
+from posehar.pose import N_LANDMARKS, Sample
 from posehar.preprocess import LabeledSequence, NormalizedSequence
 
 
 def random_sample(rng, frames=5, missing_prob=0.2):
-    poses = []
-    for _ in range(frames):
-        xy = rng.normal(300.0, 80.0, (N_LANDMARKS, 2))
-        present = rng.random(N_LANDMARKS) > missing_prob
-        poses.append(Pose(xy, present))
-    return Sample(tuple(poses), "wave", "front-left", "a3", "demo")
+    xy = np.empty((frames, N_LANDMARKS, 2))
+    present = np.empty((frames, N_LANDMARKS), dtype=bool)
+    for t in range(frames):
+        xy[t] = rng.normal(300.0, 80.0, (N_LANDMARKS, 2))
+        present[t] = rng.random(N_LANDMARKS) > missing_prob
+    return Sample(xy, present, "wave", "front-left", "a3", "demo")
 
 
 def random_normalized(rng, frames=6, missing=frozenset()):
@@ -57,9 +57,8 @@ def test_sample_roundtrip_is_exact_and_deterministic(tmp_path):
         assert back.viewpoint == sample.viewpoint
         assert back.actor == sample.actor
         assert back.dataset == sample.dataset
-        for orig, loaded in zip(sample.poses, back.poses):
-            np.testing.assert_array_equal(orig.xy[orig.present], loaded.xy[loaded.present])
-            np.testing.assert_array_equal(orig.present, loaded.present)
+        np.testing.assert_array_equal(sample.xy[sample.present], back.xy[back.present])
+        np.testing.assert_array_equal(sample.present, back.present)
         write_sample(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -124,12 +123,12 @@ def test_merge_head_averages_detected_face_points():
     kp[:, 2] = 0.9
     for i in range(18):
         kp[i, :2] = (10.0 * i, 5.0 * i)
-    pose = merge_head(RawDetectionFrame(kp))
+    xy, present = merge_head(RawDetectionFrame(kp))
     face = [0, 14, 15, 16, 17]
-    np.testing.assert_allclose(pose.xy[0], kp[face, :2].mean(axis=0))
+    np.testing.assert_allclose(xy[0], kp[face, :2].mean(axis=0))
     # neck keypoint becomes the root landmark
-    np.testing.assert_array_equal(pose.xy[1], kp[1, :2])
-    assert pose.present.all()
+    np.testing.assert_array_equal(xy[1], kp[1, :2])
+    assert present.all()
 
 
 def test_merge_head_threshold_and_absence():
@@ -137,15 +136,15 @@ def test_merge_head_threshold_and_absence():
     kp[:, 2] = 0.4
     kp[0, 2] = 0.0
     kp[14, 2] = 0.6
-    pose = merge_head(RawDetectionFrame(kp), threshold=0.5)
+    xy, present = merge_head(RawDetectionFrame(kp), threshold=0.5)
     # only one facial keypoint clears the threshold; it alone defines the head
-    np.testing.assert_array_equal(pose.xy[0], kp[14, :2])
-    assert pose.present[0]
-    assert not pose.present[1:].any()
+    np.testing.assert_array_equal(xy[0], kp[14, :2])
+    assert present[0]
+    assert not present[1:].any()
     # confidence exactly at the threshold does not count
     kp[14, 2] = 0.5
-    pose = merge_head(RawDetectionFrame(kp), threshold=0.5)
-    assert not pose.present.any()
+    _, present = merge_head(RawDetectionFrame(kp), threshold=0.5)
+    assert not present.any()
 
 
 def test_raw_detection_frame_validates_shape():
@@ -165,24 +164,38 @@ def test_read_detector_clip_tracks_nearest_neck(tmp_path):
     far = detector_frame(np.full((18, 2), 400.0), np.full(18, 0.9))
     # frame 0: only the near person; frame 1: both, the far one more confident
     write_clip(tmp_path / "clip", [[near], [far, near]])
-    poses = read_detector_clip(tmp_path / "clip")
-    np.testing.assert_array_equal(poses[1].xy[1], [100.0, 100.0])
+    xy, _ = read_detector_clip(tmp_path / "clip")
+    np.testing.assert_array_equal(xy[1, 1], [100.0, 100.0])
     # without a track, total confidence decides
     write_clip(tmp_path / "fresh", [[far, near]])
-    poses = read_detector_clip(tmp_path / "fresh")
-    np.testing.assert_array_equal(poses[0].xy[1], [400.0, 400.0])
+    xy, _ = read_detector_clip(tmp_path / "fresh")
+    np.testing.assert_array_equal(xy[0, 1], [400.0, 400.0])
 
 
 def test_read_detector_clip_empty_frames_stay_absent(tmp_path):
     person = detector_frame(np.full((18, 2), 50.0), np.full(18, 0.8))
     write_clip(tmp_path / "clip", [[person], [], [person]])
-    poses = read_detector_clip(tmp_path / "clip")
-    assert len(poses) == 3
-    assert not poses[1].present.any()
+    xy, present = read_detector_clip(tmp_path / "clip")
+    assert xy.shape == (3, N_LANDMARKS, 2)
+    assert present.shape == (3, N_LANDMARKS)
+    assert not present[1].any()
     empty_dir = tmp_path / "nothing_here"
     empty_dir.mkdir()
     with pytest.raises(ParseError):
         read_detector_clip(empty_dir)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_read_detector_clip_rejects_non_finite_values(tmp_path, literal):
+    person = detector_frame(np.full((18, 2), 50.0), np.full(18, 0.8))
+    write_clip(tmp_path / "clip", [[person], [person]])
+    # json.loads accepts these literals; the reader must not
+    values = [repr(v) for v in person.ravel().tolist()]
+    values[3] = literal
+    (tmp_path / "clip" / "frame_0001.json").write_text(
+        '{"people": [{"pose_keypoints_2d": [' + ", ".join(values) + "]}]}")
+    with pytest.raises(ParseError, match="frame_0001.json"):
+        read_detector_clip(tmp_path / "clip")
 
 
 def test_manifest_roundtrip_and_validation(tmp_path):

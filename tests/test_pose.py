@@ -1,9 +1,9 @@
-"""Landmark model basics: poses, links, mirror map, samples."""
+"""Landmark model basics: constants, mirror map, samples."""
 
 import numpy as np
 import pytest
 
-from posehar.errors import AbsentLandmark, MalformedFrame, UnknownLabel
+from posehar.errors import MalformedFrame, UnknownLabel
 from posehar.pose import (
     FLIP_VIEWPOINT,
     LEFT_HIP,
@@ -13,21 +13,8 @@ from posehar.pose import (
     ROOT,
     SUBSETS,
     VIEWPOINTS,
-    Pose,
     Sample,
-    check_landmark,
-    link,
-    missing_count,
-    sample_arrays,
 )
-
-
-def make_pose(rng, missing=()):
-    xy = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-    present = np.ones(N_LANDMARKS, dtype=bool)
-    for j in missing:
-        present[j - 1] = False
-    return Pose(xy, present)
 
 
 def test_constants():
@@ -65,75 +52,63 @@ def test_flip_viewpoint_is_involution():
     assert FLIP_VIEWPOINT["rear-left"] == "rear-right"
 
 
-def test_check_landmark_bounds():
-    assert check_landmark(1) == 1
-    assert check_landmark(14) == 14
-    for bad in (0, 15, -3):
-        with pytest.raises(UnknownLabel):
-            check_landmark(bad)
-
-
 def test_pose_validation_and_access():
     rng = np.random.default_rng(0)
-    pose = make_pose(rng, missing=(5,))
-    assert pose.is_present(1)
-    assert not pose.is_present(5)
-    x, y = pose.coord(3)
-    np.testing.assert_allclose([x, y], pose.xy[2])
-    with pytest.raises(AbsentLandmark):
-        pose.coord(5)
+    xy = rng.normal(0.0, 1.0, (3, N_LANDMARKS, 2))
+    present = np.ones((3, N_LANDMARKS), dtype=bool)
+    present[:, 4] = False
+    sample = Sample(xy, present, "wave", "front", "a1")
+    assert sample.present[1, 0]
+    assert not sample.present[1, 4]
+    np.testing.assert_array_equal(sample.xy[1, 2], xy[1, 2])
     with pytest.raises(MalformedFrame):
-        Pose(np.zeros((13, 2)), np.ones(13, dtype=bool))
+        Sample(np.zeros((3, 13, 2)), present, "wave", "front", "a1")
     with pytest.raises(MalformedFrame):
-        Pose(np.zeros((14, 2)), np.ones(13, dtype=bool))
+        Sample(np.zeros((N_LANDMARKS, 2)), present, "wave", "front", "a1")
+    with pytest.raises(MalformedFrame):
+        Sample(xy, np.ones((3, 13), dtype=bool), "wave", "front", "a1")
+    with pytest.raises(MalformedFrame):
+        Sample(xy, np.ones((2, N_LANDMARKS), dtype=bool), "wave", "front", "a1")
 
 
 def test_pose_is_immutable_and_copies_input():
     rng = np.random.default_rng(1)
-    xy = rng.normal(0.0, 1.0, (14, 2))
-    pose = Pose(xy, np.ones(14, dtype=bool))
-    xy[0, 0] = 999.0
-    assert pose.xy[0, 0] != 999.0
+    xy = rng.normal(0.0, 1.0, (2, N_LANDMARKS, 2))
+    present = np.ones((2, N_LANDMARKS), dtype=bool)
+    sample = Sample(xy, present, "wave", "front", "a1")
+    xy[0, 0, 0] = 999.0
+    present[0, 0] = False
+    assert sample.xy[0, 0, 0] != 999.0
+    assert sample.present[0, 0]
     with pytest.raises(ValueError):
-        pose.xy[0, 0] = 5.0
-
-
-def test_link_vector():
-    rng = np.random.default_rng(2)
-    pose = make_pose(rng)
-    vec = link(pose, 2, 9)
-    expect = pose.xy[8] - pose.xy[1]
-    np.testing.assert_allclose([vec.dx, vec.dy], expect)
-    assert vec.norm == pytest.approx(np.hypot(*expect))
-    missing = make_pose(rng, missing=(9,))
-    with pytest.raises(AbsentLandmark):
-        link(missing, 2, 9)
-
-
-def test_missing_count():
-    rng = np.random.default_rng(3)
-    assert missing_count(make_pose(rng)) == 0
-    assert missing_count(make_pose(rng, missing=(1, 4, 11))) == 3
+        sample.xy[0, 0, 0] = 5.0
+    with pytest.raises(ValueError):
+        sample.present[0, 0] = False
 
 
 def test_sample_validation():
     rng = np.random.default_rng(4)
-    pose = make_pose(rng)
-    sample = Sample((pose,), "wave", "front", "a1", "demo")
+    xy = rng.normal(0.0, 1.0, (1, N_LANDMARKS, 2))
+    present = np.ones((1, N_LANDMARKS), dtype=bool)
+    sample = Sample(xy, present, "wave", "front", "a1", "demo")
     assert len(sample) == 1
     with pytest.raises(UnknownLabel):
-        Sample((pose,), "wave", "sideways", "a1", "demo")
+        Sample(xy, present, "wave", "sideways", "a1", "demo")
     with pytest.raises(MalformedFrame):
-        Sample((), "wave", "front", "a1", "demo")
+        Sample(np.zeros((0, N_LANDMARKS, 2)), np.zeros((0, N_LANDMARKS), dtype=bool),
+               "wave", "front", "a1", "demo")
 
 
 def test_sample_arrays_layout():
     rng = np.random.default_rng(5)
-    poses = [make_pose(rng, missing=(7,)) for _ in range(3)]
-    sample = Sample(tuple(poses), "wave", "front", "a1", "demo")
-    xy, present = sample_arrays(sample)
-    assert xy.shape == (3, 14, 2)
-    assert present.shape == (3, 14)
+    xy = rng.normal(0.0, 1.0, (3, N_LANDMARKS, 2))
+    present = np.ones((3, N_LANDMARKS), dtype=bool)
+    present[:, 6] = False
+    sample = Sample(xy, present, "wave", "front", "a1", "demo")
+    assert len(sample) == 3
+    assert sample.xy.shape == (3, 14, 2) and sample.xy.dtype == np.float64
+    assert sample.present.shape == (3, 14) and sample.present.dtype == bool
+    assert sample.xy.flags.c_contiguous and sample.present.flags.c_contiguous
     for t in range(3):
-        np.testing.assert_array_equal(xy[t], poses[t].xy)
-        assert not present[t, 6]
+        np.testing.assert_array_equal(sample.xy[t], xy[t])
+        assert not sample.present[t, 6]

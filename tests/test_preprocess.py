@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from posehar.errors import AbsentHip, AbsentRoot, DegenerateTorso, EmptySequence
-from posehar.pose import LEFT_HIP, N_LANDMARKS, RIGHT_HIP, ROOT, Pose, Sample
+from posehar.errors import AbsentHip, AbsentRoot, EmptySequence
+from posehar.pose import LEFT_HIP, N_LANDMARKS, RIGHT_HIP, ROOT, Sample
 from posehar.preprocess import (
     CleanSequence,
-    center,
     normalize,
     preprocess_sample,
-    scale,
     treat_missing,
 )
 
@@ -25,8 +23,7 @@ def base_coords(T):
 
 
 def build_sample(xy, present, action="wave", viewpoint="front", actor="a1"):
-    poses = tuple(Pose(xy[t], present[t]) for t in range(xy.shape[0]))
-    return Sample(poses, action, viewpoint, actor, "demo")
+    return Sample(xy, present, action, viewpoint, actor, "demo")
 
 
 def test_drop_frame_without_root():
@@ -119,27 +116,22 @@ def test_head_has_no_mirror_partner():
 
 
 def test_center_and_scale_single_pose():
-    xy = base_coords(1)[0]
-    pose = Pose(xy, np.ones(N_LANDMARKS, dtype=bool))
-    centered = center(pose)
-    np.testing.assert_array_equal(centered.xy[ROOT - 1], 0.0)
-    scaled = scale(centered)
-    torso = scaled.xy[RIGHT_HIP - 1] - scaled.xy[ROOT - 1]
+    xy = base_coords(1)
+    seq = normalize(CleanSequence(xy))
+    np.testing.assert_array_equal(seq.xy[0, ROOT - 1], 0.0)
+    torso = seq.xy[0, RIGHT_HIP - 1] - seq.xy[0, ROOT - 1]
     assert np.hypot(*torso) == pytest.approx(1.0)
+    assert seq.deriv.shape == (0, N_LANDMARKS, 2)
 
-    absent_root = np.ones(N_LANDMARKS, dtype=bool)
-    absent_root[ROOT - 1] = False
     with pytest.raises(AbsentRoot):
-        center(Pose(xy, absent_root))
-    absent_hip = np.ones(N_LANDMARKS, dtype=bool)
-    absent_hip[RIGHT_HIP - 1] = False
+        CleanSequence(xy, frozenset({ROOT}))
     with pytest.raises(AbsentHip):
-        scale(Pose(xy, absent_hip))
+        normalize(CleanSequence(xy, frozenset({RIGHT_HIP, LEFT_HIP})))
 
     collapsed = xy.copy()
-    collapsed[RIGHT_HIP - 1] = collapsed[ROOT - 1]
-    with pytest.raises(DegenerateTorso):
-        scale(Pose(collapsed, np.ones(N_LANDMARKS, dtype=bool)))
+    collapsed[0, RIGHT_HIP - 1] = collapsed[0, ROOT - 1]
+    with pytest.raises(EmptySequence):
+        normalize(CleanSequence(collapsed))
 
 
 def test_normalize_geometry():

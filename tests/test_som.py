@@ -211,7 +211,5 @@ def test_som_config_validation():
     with pytest.raises(ValueError):
         SomConfig(epochs=0)
     with pytest.raises(ValueError):
-        SomConfig(lr_decay="linear")
-    with pytest.raises(ValueError):
         SomConfig(init="kmeans")
     assert SomConfig(q=4, m=3).n_units == 64
