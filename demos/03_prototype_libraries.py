@@ -40,7 +40,7 @@ bundle = build_bundle(items, 3, SomConfig(q=3, m=3, epochs=10, rng_seed=2))
 for action in sorted(bundle.spatial):
     spatial = bundle.spatial[action]
     temporal = bundle.temporal[action]
-    members = sum(p.weight for p in spatial.prototypes)
+    members = spatial.weight.sum()
     print(f"  {action:<15} {len(spatial):3d} pose prototypes "
           f"({members} frames), {len(temporal):3d} motion prototypes")
 
@@ -48,7 +48,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "bundle.npz"
     save_bundle(path, bundle)
     reloaded = load_bundle(path)
-    same = all(np.array_equal(a.full_matrix(), b.full_matrix())
+    same = all(np.array_equal(a.full, b.full)
                for a, b in zip(bundle.spatial.values(),
                                reloaded.spatial.values()))
     print(f"\nbundle round trip intact: {same} "

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -598,20 +599,26 @@ def save_model(path: str | os.PathLike, model: ClassifierModel,
 
 
 def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | None]:
-    """Load a model plus the action-name list stored with it, if any."""
-    with np.load(path, allow_pickle=False) as data:
-        try:
+    """Load a model plus the action-name list stored with it, if any.
+
+    A file that is not such an archive, or whose parameter entries do not
+    match the keys and shapes its config implies, raises ParseError.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise ParseError(f"{path}: not a classifier model ({exc})") from exc
-        if meta.get("format") != MODEL_FORMAT:
-            raise ParseError(f"{path}: unsupported model format {meta.get('format')!r}")
-        config = ClassifierConfig(**meta["config"])
-        params = {}
-        running = {}
-        for key in data.files:
-            if key.startswith("param/"):
-                params[key[len("param/"):]] = data[key]
-            elif key.startswith("running/"):
-                running[key[len("running/"):]] = data[key]
-    return ClassifierModel(config, params, running), meta.get("actions")
+            if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
+                raise ParseError(f"{path}: not a {MODEL_FORMAT} archive")
+            config = ClassifierConfig(**meta["config"])
+            expected = init_model(config)
+            model = ClassifierModel(config, {k: data[f"param/{k}"] for k in expected.params},
+                                    {k: data[f"running/{k}"] for k in expected.running})
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path}: not a valid classifier model ({exc})") from exc
+    for group, wanted, got in (("param", expected.params, model.params),
+                               ("running", expected.running, model.running)):
+        for key, value in wanted.items():
+            if got[key].shape != value.shape:
+                raise ParseError(f"{path}: {group}/{key} is {got[key].shape}, "
+                                 f"the config implies {value.shape}")
+    return model, meta.get("actions")

@@ -123,17 +123,14 @@ def _protocol(args, config: dict) -> eval_mod.Protocol:
         raise ConfigError(f"bad protocol settings: {exc}") from exc
 
 
-def _write_records(out_dir: Path, items, writer, suffix: str) -> list[dict]:
+def _write_dataset(out_dir: Path, items, writer, suffix: str) -> None:
+    """Write one record per item, then the manifest that lists them."""
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
     for n, item in enumerate(items):
         name = f"{n:05d}_{item.action}_{item.actor}{suffix}"
         writer(out_dir / name, item)
         entries.append(io_mod.manifest_entry(name, item))
-    return entries
-
-
-def _write_dataset_manifest(out_dir: Path, items, entries) -> None:
     io_mod.write_manifest(out_dir / "manifest.json",
                           sorted({i.action for i in items}),
                           sorted({i.viewpoint for i in items}),
@@ -157,8 +154,7 @@ def cmd_synth(args, config: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = Path(args.out)
-    entries = _write_records(out, samples, io_mod.write_sample, ".seq")
-    _write_dataset_manifest(out, samples, entries)
+    _write_dataset(out, samples, io_mod.write_sample, ".seq")
     print(f"wrote {len(samples)} samples to {out}")
     return 0
 
@@ -166,8 +162,7 @@ def cmd_synth(args, config: dict) -> int:
 def cmd_ingest(args, config: dict) -> int:
     samples, _ = io_mod.load_dataset(args.manifest, threshold=args.threshold)
     out = Path(args.out)
-    entries = _write_records(out, samples, io_mod.write_sample, ".seq")
-    _write_dataset_manifest(out, samples, entries)
+    _write_dataset(out, samples, io_mod.write_sample, ".seq")
     print(f"ingested {len(samples)} samples to {out}")
     return 0
 
@@ -175,7 +170,6 @@ def cmd_ingest(args, config: dict) -> int:
 def cmd_preprocess(args, config: dict) -> int:
     samples, _ = io_mod.load_dataset(args.manifest)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     items = []
     reports = []
     skipped = 0
@@ -191,8 +185,7 @@ def cmd_preprocess(args, config: dict) -> int:
                         "viewpoint": sample.viewpoint, **asdict(report)})
     if not items:
         raise EmptySequence("preprocessing produced no usable sequences")
-    entries = _write_records(out, items, io_mod.write_normalized, ".seq")
-    _write_dataset_manifest(out, items, entries)
+    _write_dataset(out, items, io_mod.write_normalized, ".seq")
     (out / "report.json").write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
     print(f"preprocessed {len(items)} sequences to {out} ({skipped} skipped)")
     return 0
@@ -203,8 +196,7 @@ def cmd_augment(args, config: dict) -> int:
     augment_config = _augment_config(args, config, _seed(args, config))
     expanded = augment_mod.augment_set(items, augment_config)
     out = Path(args.out)
-    entries = _write_records(out, expanded, io_mod.write_normalized, ".seq")
-    _write_dataset_manifest(out, expanded, entries)
+    _write_dataset(out, expanded, io_mod.write_normalized, ".seq")
     print(f"augmented {len(items)} -> {len(expanded)} sequences in {out}")
     return 0
 
@@ -238,14 +230,12 @@ def cmd_embed(args, config: dict) -> int:
     mode = args.mode or config.get("mode", "advanced")
     spatial, temporal = _libraries(mode, args.bundle)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for n, item in enumerate(items):
+
+    def write(path: Path, item) -> None:
         channels = embed_mod.embed_sequence(item.seq, spatial, temporal, mode)
-        name = f"{n:05d}_{item.action}_{item.actor}.emb"
-        io_mod.write_embedding(out / name, channels, io_mod.manifest_entry("", item))
-        entries.append(io_mod.manifest_entry(name, item))
-    _write_dataset_manifest(out, items, entries)
+        io_mod.write_embedding(path, channels, io_mod.manifest_entry("", item))
+
+    _write_dataset(out, items, write, ".emb")
     print(f"embedded {len(items)} sequences ({mode}) to {out}")
     return 0
 
@@ -337,16 +327,17 @@ def cmd_evaluate(args, config: dict) -> int:
 
 
 def cmd_bench(args, config: dict) -> int:
+    if args.actions < 2 or args.prototypes < 1 or args.frames < 1:
+        raise ConfigError("bench needs at least 2 actions, 1 prototype and 1 frame")
     rng = np.random.default_rng(_seed(args, config))
     actions = [f"action{i:02d}" for i in range(args.actions)]
-    libraries = {}
-    for kind in ("spatial", "temporal"):
-        libraries[kind] = {}
-        for action in actions:
-            protos = tuple(
-                som_mod.Prototype(rng.normal(0, 1, 26), rng.normal(0, 1, 3), 1, "front")
-                for _ in range(args.prototypes))
-            libraries[kind][action] = som_mod.PoseLibrary(action, kind, protos)
+    count = args.prototypes
+    libraries = {
+        kind: {action: som_mod.PoseLibrary(
+            action, kind, rng.normal(0, 1, (count, 26)), rng.normal(0, 1, (count, 3)),
+            np.ones(count, dtype=np.int64), np.full(count, "front"))
+            for action in actions}
+        for kind in ("spatial", "temporal")}
 
     frames = args.frames
     xy = rng.normal(0.0, 1.0, (frames, 14, 2))
@@ -374,7 +365,7 @@ def cmd_bench(args, config: dict) -> int:
         "embedding_channels": channels.values.shape[0],
         "inference_ms_per_clip": infer_ms,
         "actions": len(actions),
-        "prototypes_per_library": args.prototypes,
+        "prototypes_per_library": count,
         "frames": frames,
     }
     print(json.dumps(result, sort_keys=True, indent=2))

@@ -30,10 +30,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptySubset, MissingLibrary
-from .pca import reroll
 from .pose import N_LANDMARKS, SUBSET_NAMES, SUBSETS, Sample
-from .preprocess import LabeledSequence, NormalizedSequence
-from .som import PoseLibrary, Prototype
+from .preprocess import NormalizedSequence
+from .som import PoseLibrary
 
 MISSING_SENTINEL = -1.0
 EMPTY_SUBSET_SENTINEL = 99.0
@@ -91,25 +90,22 @@ def _subset_mean(distances: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return acc / rows.size
 
 
-def subset_distance(frame: np.ndarray, prototype: Prototype | np.ndarray, subset: str,
+def subset_distance(frame: np.ndarray, prototype: np.ndarray, subset: str,
                     missing: frozenset[int] = frozenset()) -> float:
     """Distance between one frame and one prototype under one subset.
 
-    ``frame`` is (14, 2) root-centered landmark coordinates; the prototype
-    may be given as a Prototype or directly as its (14, 2) landmark array.
-    Raises EmptySubset when every landmark of the subset is missing.
+    ``frame`` and ``prototype`` are (14, 2) root-centered landmark
+    coordinates, such as a row of :attr:`PoseLibrary.landmarks`. Raises
+    EmptySubset when every landmark of the subset is missing.
     """
     if subset not in SUBSETS:
         raise ValueError(f"unknown subset {subset!r}")
     rows = _available_rows(subset, missing)
     if rows.size == 0:
         raise EmptySubset(f"all landmarks of subset {subset} are persistently missing")
-    if isinstance(prototype, np.ndarray):
-        proto_xy = prototype.reshape(N_LANDMARKS, 2)
-    else:
-        proto_xy = reroll(prototype.full)
     frame = np.asarray(frame, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
-    distances = _landmark_distances(frame, proto_xy.reshape(1, N_LANDMARKS, 2))
+    proto = np.asarray(prototype, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
+    distances = _landmark_distances(frame, proto)
     return float(_subset_mean(distances, rows)[0, 0])
 
 
@@ -117,27 +113,19 @@ def embed_frame(frame: np.ndarray, library: PoseLibrary | np.ndarray,
                 missing: frozenset[int] = frozenset()) -> np.ndarray:
     """Five distances (one per subset) from a frame to its nearest prototype.
 
-    Each entry is the minimum over the whole stacked library of the subset
-    distance; subsets with no available landmark yield the empty-subset
-    sentinel.
+    Each entry is the minimum over the whole stacked library, given as a
+    PoseLibrary or as its (P, 14, 2) landmark array, of the subset distance;
+    subsets with no available landmark yield the empty-subset sentinel.
     """
-    protos = library if isinstance(library, np.ndarray) else library.landmark_array()
+    protos = library if isinstance(library, np.ndarray) else library.landmarks
     frame = np.asarray(frame, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
-    distances = _landmark_distances(frame, protos)  # (1, P, 14)
-    out = np.empty(len(SUBSET_NAMES))
-    for s, subset in enumerate(SUBSET_NAMES):
-        rows = _available_rows(subset, missing)
-        if rows.size == 0:
-            out[s] = EMPTY_SUBSET_SENTINEL
-        else:
-            out[s] = _subset_mean(distances, rows).min()
-    return out
+    return _embed_frames(frame, protos, missing)[:, 0]
 
 
-def _embed_frames(frames: np.ndarray, library: PoseLibrary,
+def _embed_frames(frames: np.ndarray, protos: np.ndarray,
                   missing: frozenset[int]) -> np.ndarray:
-    """Vectorized :func:`embed_frame` over (F, 14, 2), giving (5, F)."""
-    protos = library.landmark_array()
+    """Vectorized :func:`embed_frame` of (F, 14, 2) frames against (P, 14, 2)
+    prototypes, giving (5, F)."""
     distances = _landmark_distances(frames, protos)  # (F, P, 14)
     out = np.empty((len(SUBSET_NAMES), frames.shape[0]))
     for s, subset in enumerate(SUBSET_NAMES):
@@ -217,7 +205,7 @@ def embed_sequence(seq: NormalizedSequence,
             for action in actions:
                 if action not in libraries:
                     raise MissingLibrary(f"no {kind} library for action {action!r}")
-                values = _embed_frames(frames, libraries[action], missing)
+                values = _embed_frames(frames, libraries[action].landmarks, missing)
                 rows.append(_front_pad(values, T))
     values = np.vstack(rows)
     names = channel_names(mode, actions)

@@ -309,7 +309,13 @@ def read_embedding(path: str | os.PathLike) -> tuple[EmbeddingChannels, dict]:
         if len(fields) != int(length):
             raise ParseError(
                 f"{path}, channel {r}: expected {length} values, got {len(fields)}")
-        values[r] = [float(f) for f in fields]
+        try:
+            values[r] = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"{path}, channel {r}: {exc}") from exc
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}, channel {int(np.argmin(finite))}: non-finite value")
     return EmbeddingChannels(values, tuple(names)), header
 
 

@@ -22,7 +22,8 @@ import itertools
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass
+import zipfile
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "posehar-bundle/1"
 LIBRARY_KINDS = ("spatial", "temporal")
+LIBRARY_ARRAYS = ("full", "reduced", "weight", "viewpoint")
 
 
 @dataclass(frozen=True)
@@ -151,32 +153,44 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
 
 
 @dataclass(frozen=True)
-class Prototype:
-    """Mean of one non-empty cluster, kept in both spaces."""
-
-    full: np.ndarray        # (26,) mean of the members' unrolled vectors
-    reduced: np.ndarray     # (m,) mean of the members' projections
-    weight: int             # member count
-    viewpoint: str
-
-
-@dataclass(frozen=True)
 class PoseLibrary:
-    """All prototypes of one action, stacked over its viewpoints."""
+    """All prototypes of one action, stacked over its viewpoints.
+
+    Row p of every array describes prototype p: ``full`` is the mean of its
+    members' unrolled vectors, ``reduced`` the mean of their projections,
+    ``weight`` the member count and ``viewpoint`` the cell it came from.
+    ``landmarks`` holds the same prototypes as (P, 14, 2) coordinates with
+    the root at the origin. All arrays are stored as read-only copies.
+    """
 
     action: str
     kind: str
-    prototypes: tuple[Prototype, ...]
+    full: np.ndarray        # (P, 26) float64
+    reduced: np.ndarray     # (P, m) float64
+    weight: np.ndarray      # (P,) int64
+    viewpoint: np.ndarray   # (P,) str
+    landmarks: np.ndarray = field(init=False, repr=False)   # (P, 14, 2)
+
+    def __post_init__(self) -> None:
+        full, reduced, weight, viewpoint = (
+            np.array(getattr(self, name), dtype=dtype, order="C", copy=True)
+            for name, dtype in zip(LIBRARY_ARRAYS, (np.float64, np.float64, np.int64, str)))
+        rows = full.shape[0] if full.ndim == 2 else 0
+        if (rows < 1 or full.shape[1] != FEATURE_DIM or reduced.ndim != 2
+                or reduced.shape[0] != rows or weight.shape != (rows,)
+                or viewpoint.shape != (rows,)
+                or not (np.isfinite(full).all() and np.isfinite(reduced).all())):
+            raise ValueError(
+                f"{self.kind} library {self.action!r} needs finite full (P >= 1, {FEATURE_DIM}) "
+                f"and reduced (P, m), weight (P,) and viewpoint (P,) arrays; got "
+                f"{full.shape}, {reduced.shape}, {weight.shape} and {viewpoint.shape}")
+        for name, value in zip(LIBRARY_ARRAYS + ("landmarks",),
+                               (full, reduced, weight, viewpoint, reroll(full))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.prototypes)
-
-    def full_matrix(self) -> np.ndarray:
-        return np.stack([p.full for p in self.prototypes])
-
-    def landmark_array(self) -> np.ndarray:
-        """Prototypes as (P, 14, 2) landmark coordinates, root at origin."""
-        return reroll(self.full_matrix())
+        return int(self.full.shape[0])
 
 
 def _cell_frames(items: Sequence[LabeledSequence], kind: str) -> dict[tuple[str, str], list[np.ndarray]]:
@@ -204,7 +218,7 @@ def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
     viewpoints = sorted({item.viewpoint for item in items})
     libraries: dict[str, PoseLibrary] = {}
     for action in actions:
-        prototypes: list[Prototype] = []
+        rows = []   # (full, reduced, weight, viewpoint) per prototype
         for viewpoint in viewpoints:
             chunks = cells.get((action, viewpoint))
             if not chunks:
@@ -217,16 +231,11 @@ def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
             for unit in range(fit.weights.shape[0]):
                 members = fit.assignments == unit
                 count = int(members.sum())
-                if count == 0:
-                    continue
-                prototypes.append(Prototype(
-                    full=full[members].mean(axis=0),
-                    reduced=reduced[members].mean(axis=0),
-                    weight=count,
-                    viewpoint=viewpoint,
-                ))
-        if prototypes:
-            libraries[action] = PoseLibrary(action, kind, tuple(prototypes))
+                if count:
+                    rows.append((full[members].mean(axis=0), reduced[members].mean(axis=0),
+                                 count, viewpoint))
+        if rows:
+            libraries[action] = PoseLibrary(action, kind, *map(np.array, zip(*rows)))
         else:
             log.warning("action %r has no %s prototypes at all", action, kind)
     return libraries
@@ -272,12 +281,11 @@ def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
     )
 
 
-def _pack_pca(arrays: dict, prefix: str, model: PcaModel) -> dict:
+def _pack_pca(arrays: dict, prefix: str, model: PcaModel) -> None:
     arrays[f"{prefix}/mean"] = model.mean
     arrays[f"{prefix}/components"] = model.components
     arrays[f"{prefix}/eigenvalues"] = model.eigenvalues
     arrays[f"{prefix}/total_variance"] = np.float64(model.total_variance)
-    return arrays
 
 
 def _unpack_pca(data, prefix: str) -> PcaModel:
@@ -303,42 +311,43 @@ def save_bundle(path: str | os.PathLike, bundle: ModelBundle) -> None:
     _pack_pca(arrays, "pca/temporal", bundle.temporal_pca)
     for kind in LIBRARY_KINDS:
         for action, library in getattr(bundle, kind).items():
-            prefix = f"lib/{kind}/{action}"
-            arrays[f"{prefix}/full"] = library.full_matrix()
-            arrays[f"{prefix}/reduced"] = np.stack([p.reduced for p in library.prototypes])
-            arrays[f"{prefix}/weight"] = np.array([p.weight for p in library.prototypes])
-            arrays[f"{prefix}/viewpoint"] = np.array([p.viewpoint for p in library.prototypes])
+            arrays.update({f"lib/{kind}/{action}/{name}": getattr(library, name)
+                           for name in LIBRARY_ARRAYS})
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_bundle(path: str | os.PathLike) -> ModelBundle:
-    with np.load(path, allow_pickle=False) as data:
-        try:
+    """Read a bundle written by :func:`save_bundle`.
+
+    A file that is not such an archive, lacks an entry, or holds library
+    arrays of the wrong shape raises ParseError naming the file.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise ParseError(f"{path}: not a model bundle ({exc})") from exc
-        if meta.get("format") != BUNDLE_FORMAT:
-            raise ParseError(f"{path}: unsupported bundle format {meta.get('format')!r}")
-        libraries: dict[str, dict[str, PoseLibrary]] = {}
-        for kind in LIBRARY_KINDS:
-            libraries[kind] = {}
-            for action in meta["libraries"][kind]:
-                prefix = f"lib/{kind}/{action}"
-                full = data[f"{prefix}/full"]
-                reduced = data[f"{prefix}/reduced"]
-                weight = data[f"{prefix}/weight"]
-                viewpoint = data[f"{prefix}/viewpoint"]
-                prototypes = tuple(
-                    Prototype(full[i], reduced[i], int(weight[i]), str(viewpoint[i]))
-                    for i in range(full.shape[0]))
-                libraries[kind][action] = PoseLibrary(action, kind, prototypes)
-        return ModelBundle(
-            spatial_pca=_unpack_pca(data, "pca/spatial"),
-            temporal_pca=_unpack_pca(data, "pca/temporal"),
-            spatial=libraries["spatial"],
-            temporal=libraries["temporal"],
-            actions=tuple(meta["actions"]),
-            viewpoints=tuple(meta["viewpoints"]),
-            config=meta["config"],
-        )
+            if not isinstance(meta, dict) or meta.get("format") != BUNDLE_FORMAT:
+                raise ParseError(f"{path}: not a {BUNDLE_FORMAT} archive")
+            components = meta["config"]["pca_components"]
+            libraries: dict[str, dict[str, PoseLibrary]] = {}
+            for kind in LIBRARY_KINDS:
+                libraries[kind] = {}
+                for action in meta["libraries"][kind]:
+                    prefix = f"lib/{kind}/{action}"
+                    library = PoseLibrary(action, kind,
+                                          *(data[f"{prefix}/{name}"] for name in LIBRARY_ARRAYS))
+                    if library.reduced.shape[1] != components:
+                        raise ParseError(f"{path}: {prefix}/reduced has "
+                                         f"{library.reduced.shape[1]} columns, not {components}")
+                    libraries[kind][action] = library
+            return ModelBundle(
+                spatial_pca=_unpack_pca(data, "pca/spatial"),
+                temporal_pca=_unpack_pca(data, "pca/temporal"),
+                spatial=libraries["spatial"],
+                temporal=libraries["temporal"],
+                actions=tuple(meta["actions"]),
+                viewpoints=tuple(meta["viewpoints"]),
+                config=meta["config"],
+            )
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise ParseError(f"{path}: not a valid model bundle ({exc})") from exc

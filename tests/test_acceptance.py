@@ -45,7 +45,6 @@ from posehar.preprocess import (
 )
 from posehar.som import (
     PoseLibrary,
-    Prototype,
     SomConfig,
     build_library,
     quantization_error,
@@ -261,7 +260,9 @@ def test_a04_som_quantization_and_cluster_means():
             members = np.flatnonzero(refit.assignments == unit)
             if members.size == 0:
                 continue
-            proto = library.prototypes[index]
+            proto_full = library.full[index]
+            proto_reduced = library.reduced[index]
+            proto_weight = library.weight[index]
             index += 1
             acc_full = np.zeros(full.shape[1])
             acc_red = np.zeros(reduced.shape[1])
@@ -269,9 +270,9 @@ def test_a04_som_quantization_and_cluster_means():
                 acc_full = acc_full + full[r]
                 acc_red = acc_red + reduced[r]
             worst = max(worst,
-                        np.abs(proto.full - acc_full / members.size).max(),
-                        np.abs(proto.reduced - acc_red / members.size).max())
-            assert proto.weight == members.size
+                        np.abs(proto_full - acc_full / members.size).max(),
+                        np.abs(proto_reduced - acc_red / members.size).max())
+            assert proto_weight == members.size
         assert index == len(library)
     assert worst < 1e-9
     elapsed = time.perf_counter() - started
@@ -457,14 +458,17 @@ def test_a09_augmentation_accounting():
 # a10  channel arity
 
 
+def random_library(rng, action, kind, count):
+    """``count`` random prototypes, drawn one prototype at a time."""
+    draws = [(rng.normal(0, 1, 26), rng.normal(0, 1, 3)) for _ in range(count)]
+    return PoseLibrary(action, kind, np.array([full for full, _ in draws]),
+                       np.array([reduced for _, reduced in draws]),
+                       np.ones(count, dtype=np.int64), np.full(count, "front"))
+
+
 def fake_libraries(actions, kind):
     rng = np.random.default_rng(110)
-    return {
-        a: PoseLibrary(a, kind, tuple(
-            Prototype(rng.normal(0, 1, 26), rng.normal(0, 1, 3), 1, "front")
-            for _ in range(4)))
-        for a in actions
-    }
+    return {a: random_library(rng, a, kind, 4) for a in actions}
 
 
 def test_a10_channel_arity():
@@ -495,12 +499,7 @@ def test_a11_embedding_throughput():
     rng = np.random.default_rng(112)
     libraries = {}
     for kind in ("spatial", "temporal"):
-        libraries[kind] = {
-            a: PoseLibrary(a, kind, tuple(
-                Prototype(rng.normal(0, 1, 26), rng.normal(0, 1, 3), 1, "front")
-                for _ in range(64)))
-            for a in actions
-        }
+        libraries[kind] = {a: random_library(rng, a, kind, 64) for a in actions}
     frames = 2000
     xy = rng.normal(0.0, 1.0, (frames, N_LANDMARKS, 2))
     xy[:, ROOT - 1] = 0.0

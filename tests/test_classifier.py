@@ -286,6 +286,31 @@ def test_save_load_roundtrip(tmp_path):
         load_model(tmp_path / "junk.npz")
 
 
+def test_load_model_checks_entries_against_config(tmp_path):
+    model = init_model(ClassifierConfig(**TOY))
+    path = tmp_path / "model.npz"
+    save_model(path, model)
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    for key, change in (("param/out_w", lambda a: a[:-1]),       # wrong shape
+                        ("running/bn0_var", None),               # missing entry
+                        ("meta", lambda a: np.array("[1]"))):    # meta not an object
+        edited = dict(arrays)
+        if change is None:
+            del edited[key]
+        else:
+            edited[key] = change(arrays[key])
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:
+            np.savez(fh, **edited)
+        with pytest.raises(ParseError, match="bad.npz"):
+            load_model(bad)
+    for content in (b"garbage", b""):
+        (tmp_path / "raw.npz").write_bytes(content)
+        with pytest.raises(ParseError, match="raw.npz"):
+            load_model(tmp_path / "raw.npz")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ClassifierConfig(channels=0, classes=2)

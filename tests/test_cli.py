@@ -124,6 +124,73 @@ def test_predict_rejects_non_finite_record(workdir, tmp_path, capsys, caplog):
     assert f"{bad}, frame 2: non-finite value" in caplog.text
 
 
+def test_predict_rejects_non_finite_embedding(workdir, tmp_path, capsys, caplog):
+    emb = sorted((workdir / "emb").glob("*.emb"))[0]
+    lines = emb.read_text().splitlines()
+    fields = lines[2].split()
+    fields[0] = "nan"
+    lines[2] = " ".join(fields)
+    bad = tmp_path / "nan.emb"
+    bad.write_text("\n".join(lines) + "\n")
+    code = main(["predict", "--model", str(workdir / "model.npz"),
+                 "--mode", "basic", "--input", str(bad)])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert f"{bad}, channel 1: non-finite value" in caplog.text
+
+
+def corrupt_copy(source: Path, target: Path, edit) -> Path:
+    """Write ``target``: the bytes ``garbage`` when ``edit`` is None, else the
+    .npz archive ``source`` with ``edit`` applied to its entries."""
+    if edit is None:
+        target.write_bytes(b"garbage")
+        return target
+    with np.load(source) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    with open(target, "wb") as fh:
+        np.savez(fh, **arrays)
+    return target
+
+
+def one_line_error(caplog, path) -> bool:
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    return len(errors) == 1 and "\n" not in errors[0] and str(path) in errors[0]
+
+
+@pytest.mark.parametrize("edit", [None, lambda arrays: arrays.pop("param/out_w")],
+                         ids=["garbage", "missing out_w"])
+def test_predict_rejects_corrupt_model(workdir, tmp_path, capsys, caplog, edit):
+    model = corrupt_copy(workdir / "model.npz", tmp_path / "model.npz", edit)
+    emb = sorted((workdir / "emb").glob("*.emb"))[0]
+    code = main(["predict", "--model", str(model), "--mode", "basic",
+                 "--input", str(emb)])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, model)
+
+
+def drop_weight(arrays):
+    arrays["lib/spatial/squat/weight"] = arrays["lib/spatial/squat/weight"][:-1]
+
+
+def nan_prototypes(arrays):
+    arrays["lib/temporal/squat/full"] = arrays["lib/temporal/squat/full"] * np.nan
+
+
+@pytest.mark.parametrize("edit", [None, lambda arrays: arrays.pop("lib/spatial/squat/full"),
+                                  drop_weight, nan_prototypes],
+                         ids=["garbage", "missing entry", "short weight", "nan prototypes"])
+def test_embed_rejects_corrupt_bundle(workdir, tmp_path, capsys, caplog, edit):
+    bundle = corrupt_copy(workdir / "bundle.npz", tmp_path / "bundle.npz", edit)
+    code = main(["embed", "--manifest", str(workdir / "norm/manifest.json"),
+                 "--mode", "advanced", "--bundle", str(bundle),
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, bundle)
+
+
 def test_evaluate_writes_report(workdir, capsys):
     out = workdir / "report.json"
     code = main(["--config", str(workdir / "config.json"), "evaluate",
@@ -147,6 +214,8 @@ def test_bench_reports_throughput(capsys):
     assert result["embedding_channels"] == 56 + 10 * 2
     assert result["embedding_frames_per_second"] > 0
     assert result["inference_ms_per_clip"] > 0
+    for flag, value in (("--actions", "1"), ("--prototypes", "0"), ("--frames", "0")):
+        assert main(["bench", flag, value]) == 2
 
 
 def read_all(directory: Path) -> dict[str, bytes]:

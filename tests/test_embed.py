@@ -17,16 +17,18 @@ from posehar.errors import EmptySubset, MissingLibrary
 from posehar.pca import unroll
 from posehar.pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Sample
 from posehar.preprocess import NormalizedSequence
-from posehar.som import PoseLibrary, Prototype
+from posehar.som import PoseLibrary
 
 
 def make_library(rng, action="wave", kind="spatial", n_protos=4):
-    protos = []
-    for _ in range(n_protos):
+    full, reduced = [], []
+    for _ in range(n_protos):   # one prototype's draws at a time
         xy = rng.normal(0.0, 0.7, (N_LANDMARKS, 2))
         xy[ROOT - 1] = 0.0
-        protos.append(Prototype(unroll(xy), rng.normal(0.0, 1.0, 3), 1, "front"))
-    return PoseLibrary(action, kind, tuple(protos))
+        full.append(unroll(xy))
+        reduced.append(rng.normal(0.0, 1.0, 3))
+    return PoseLibrary(action, kind, np.array(full), np.array(reduced),
+                       np.ones(n_protos, dtype=np.int64), np.full(n_protos, "front"))
 
 
 def make_seq(rng, frames=6, missing=frozenset()):
@@ -55,8 +57,8 @@ def test_subset_distance_matches_oracle():
     for missing in (frozenset(), frozenset({5}), frozenset({3, 4})):
         library = make_library(rng)
         frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-        for proto in library.prototypes:
-            proto_xy = proto.full.reshape(13, 2)
+        for full, proto in zip(library.full, library.landmarks):
+            proto_xy = full.reshape(13, 2)
             proto_full = np.zeros((N_LANDMARKS, 2))
             rows = [j - 1 for j in range(1, N_LANDMARKS + 1) if j != ROOT]
             proto_full[rows] = proto_xy
@@ -92,7 +94,7 @@ def test_embed_frame_is_min_over_library():
     got = embed_frame(frame, library)
     assert got.shape == (5,)
     for s, subset in enumerate(SUBSET_NAMES):
-        want = min(subset_distance(frame, p, subset) for p in library.prototypes)
+        want = min(subset_distance(frame, p, subset) for p in library.landmarks)
         assert got[s] == want   # same kernel, same reduction: exact
 
 
@@ -106,7 +108,7 @@ def test_embed_frame_empty_subset_sentinel():
     for s, subset in enumerate(SUBSET_NAMES):
         if subset == "J_a":
             continue
-        want = min(subset_distance(frame, p, subset, missing) for p in library.prototypes)
+        want = min(subset_distance(frame, p, subset, missing) for p in library.landmarks)
         assert got[s] == want
 
 

@@ -276,3 +276,13 @@ def test_embedding_roundtrip(tmp_path):
     bad.write_text("#posehar-emb v1 {\"channels\": [\"a\"], \"length\": 3}\n1.0 2.0\n")
     with pytest.raises(ParseError):
         read_embedding(bad)
+
+
+@pytest.mark.parametrize("value, message", [
+    ("nan", "non-finite value"), ("-inf", "non-finite value"), ("1.0x", "1.0x")])
+def test_read_embedding_rejects_bad_values(tmp_path, value, message):
+    path = tmp_path / "bad.emb"
+    path.write_text("#posehar-emb v1 {\"channels\": [\"a\", \"b\"], \"length\": 2}\n"
+                    f"1.0 2.0\n3.0 {value}\n")
+    with pytest.raises(ParseError, match=f"bad.emb, channel 1: .*{message}"):
+        read_embedding(path)

@@ -9,6 +9,7 @@ from posehar.pose import N_LANDMARKS, ROOT
 from posehar.preprocess import LabeledSequence, NormalizedSequence
 from posehar.som import (
     ModelBundle,
+    PoseLibrary,
     SomConfig,
     build_bundle,
     build_library,
@@ -102,16 +103,16 @@ def test_build_library_prototypes_partition_the_data():
     config = SomConfig(q=2, m=2, epochs=8, rng_seed=7)
     library = build_library(items, "spatial", pca, config)["wave"]
 
-    weights = np.array([p.weight for p in library.prototypes])
+    weights = library.weight
     assert weights.sum() == vectors.shape[0]
     assert all(w >= 1 for w in weights)
     assert len(library) <= config.n_units
 
     # weighted prototype means recover the overall data mean in both spaces
-    full = library.full_matrix()
+    full = library.full
     np.testing.assert_allclose((weights[:, None] * full).sum(axis=0) / weights.sum(),
                                vectors.mean(axis=0), atol=1e-10)
-    reduced = np.stack([p.reduced for p in library.prototypes])
+    reduced = library.reduced
     scores = project(pca, vectors)
     np.testing.assert_allclose((weights[:, None] * reduced).sum(axis=0) / weights.sum(),
                                scores.mean(axis=0), atol=1e-10)
@@ -133,9 +134,10 @@ def test_build_library_prototypes_are_cluster_means():
         if members.sum():
             expected.append((vectors[members].mean(axis=0), scores[members].mean(axis=0)))
     assert len(expected) == len(library)
-    for proto, (full_mean, reduced_mean) in zip(library.prototypes, expected):
-        np.testing.assert_allclose(proto.full, full_mean, atol=1e-12)
-        np.testing.assert_allclose(proto.reduced, reduced_mean, atol=1e-12)
+    for full, reduced, (full_mean, reduced_mean) in zip(library.full, library.reduced,
+                                                         expected):
+        np.testing.assert_allclose(full, full_mean, atol=1e-12)
+        np.testing.assert_allclose(reduced, reduced_mean, atol=1e-12)
 
 
 def test_build_library_skips_empty_cells():
@@ -146,8 +148,8 @@ def test_build_library_skips_empty_cells():
     libraries = build_library(items, "spatial", pca, SomConfig(q=2, m=2, epochs=3, rng_seed=0))
     assert set(libraries) == {"wave", "squat"}
     # each action's prototypes come only from its own viewpoint cell
-    assert {p.viewpoint for p in libraries["wave"].prototypes} == {"front"}
-    assert {p.viewpoint for p in libraries["squat"].prototypes} == {"left"}
+    assert set(libraries["wave"].viewpoint) == {"front"}
+    assert set(libraries["squat"].viewpoint) == {"left"}
 
 
 def test_landmark_array_restores_root():
@@ -155,9 +157,10 @@ def test_landmark_array_restores_root():
     items = [make_item(rng, "wave", "front")]
     pca = fit_pca(unroll(items[0].seq.xy), 2)
     library = build_library(items, "spatial", pca, SomConfig(q=2, m=2, epochs=3, rng_seed=0))["wave"]
-    landmarks = library.landmark_array()
+    landmarks = library.landmarks
     assert landmarks.shape == (len(library), N_LANDMARKS, 2)
     np.testing.assert_array_equal(landmarks[:, ROOT - 1], 0.0)
+    np.testing.assert_array_equal(unroll(landmarks), library.full)
 
 
 def test_bundle_roundtrip(tmp_path):
@@ -181,11 +184,11 @@ def test_bundle_roundtrip(tmp_path):
         for action in orig:
             a, b = orig[action], loaded[action]
             assert len(a) == len(b)
-            for pa, pb in zip(a.prototypes, b.prototypes):
-                np.testing.assert_array_equal(pa.full, pb.full)
-                np.testing.assert_array_equal(pa.reduced, pb.reduced)
-                assert pa.weight == pb.weight
-                assert pa.viewpoint == pb.viewpoint
+            for name in ("full", "reduced", "weight", "viewpoint", "landmarks"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+                assert getattr(a, name).dtype == getattr(b, name).dtype
+            assert a.weight.dtype == np.int64
+            assert a.viewpoint.dtype.kind == "U"
 
 
 def test_load_bundle_rejects_other_archives(tmp_path):
@@ -193,6 +196,97 @@ def test_load_bundle_rejects_other_archives(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, stuff=np.zeros(3))
     with pytest.raises(ParseError):
+        load_bundle(path)
+
+
+def library_arrays(rows=3, width=2):
+    rng = np.random.default_rng(51)
+    return {"full": rng.normal(0.0, 1.0, (rows, FEATURE_DIM)),
+            "reduced": rng.normal(0.0, 1.0, (rows, width)),
+            "weight": np.arange(1, rows + 1),
+            "viewpoint": np.array(["front", "left", "front"][:rows])}
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("full", np.zeros((0, FEATURE_DIM))),      # no prototype at all
+    ("full", np.zeros((3, FEATURE_DIM - 1))),  # wrong full width
+    ("full", np.zeros(FEATURE_DIM)),           # a single unstacked vector
+    ("reduced", np.zeros(3)),                  # 1-D reduced
+    ("reduced", np.zeros((2, 2))),             # row counts disagree
+    ("weight", np.ones(2)),
+    ("weight", np.ones((3, 1))),
+    ("viewpoint", np.array(["front"] * 4)),
+    ("full", np.full((3, FEATURE_DIM), np.nan)),
+    ("reduced", np.full((3, 2), np.inf)),
+])
+def test_pose_library_rejects_bad_arrays(name, bad):
+    arrays = library_arrays()
+    arrays[name] = bad
+    with pytest.raises(ValueError):
+        PoseLibrary("wave", "spatial", **arrays)
+
+
+def test_pose_library_stores_read_only_copies():
+    arrays = library_arrays()
+    library = PoseLibrary("wave", "spatial", **arrays)
+    assert len(library) == 3
+    assert library.weight.dtype == np.int64
+    assert library.viewpoint.dtype.kind == "U"
+    for name in ("full", "reduced", "weight", "viewpoint", "landmarks"):
+        value = getattr(library, name)
+        assert not value.flags.writeable
+        assert value.flags.c_contiguous
+        with pytest.raises(ValueError):
+            value[0] = value[1]
+    arrays["full"][0, 0] = 99.0   # the caller's array is not shared
+    assert library.full[0, 0] != 99.0
+    assert library.landmarks[0, ROOT - 1].tolist() == [0.0, 0.0]
+
+
+def corrupt_bundle(tmp_path, edit):
+    """A saved two-action bundle with ``edit`` applied to its entries."""
+    rng = np.random.default_rng(52)
+    items = [make_item(rng, action, "front") for action in ("march", "wave")]
+    source = tmp_path / "source.npz"
+    save_bundle(source, build_bundle(items, 2, SomConfig(q=2, m=2, epochs=2, rng_seed=1)))
+    with np.load(source) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    path = tmp_path / "corrupt.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return path
+
+
+def drop_entry(arrays):
+    del arrays["lib/spatial/march/full"]
+
+
+def drop_weight(arrays):
+    arrays["lib/spatial/march/weight"] = arrays["lib/spatial/march/weight"][:-1]
+
+
+def widen_reduced(arrays):
+    reduced = arrays["lib/temporal/wave/reduced"]
+    arrays["lib/temporal/wave/reduced"] = np.hstack([reduced, reduced[:, :1]])
+
+
+def nan_prototype(arrays):
+    arrays["lib/spatial/march/full"] = arrays["lib/spatial/march/full"] * np.nan
+
+
+@pytest.mark.parametrize("edit", [drop_entry, drop_weight, widen_reduced, nan_prototype])
+def test_load_bundle_rejects_corrupt_libraries(tmp_path, edit):
+    path = corrupt_bundle(tmp_path, edit)
+    with pytest.raises(ParseError, match="corrupt.npz"):
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04garbage"])
+def test_load_bundle_rejects_non_archives(tmp_path, content):
+    path = tmp_path / "bundle.npz"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="bundle.npz"):
         load_bundle(path)
 
 
