@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Diverged, NonFiniteLoss, ParseError, ShapeMismatch
+from .errors import Diverged, NonFiniteInput, NonFiniteLoss, ParseError, ShapeMismatch
 
 log = logging.getLogger(__name__)
 
@@ -100,16 +100,22 @@ class PaddedBatch:
 
 def pad_batch(series: Sequence[np.ndarray],
               labels: Sequence[int] | None = None) -> PaddedBatch:
-    """Stack (C, T_i) arrays into one zero-padded batch."""
+    """Stack (C, T_i) arrays into one zero-padded batch.
+
+    Raises NonFiniteInput, naming the series' position in the batch, when a
+    series holds a nan or inf value.
+    """
     if not series:
         raise ValueError("empty batch")
     channels = series[0].shape[0]
     length = 0
-    for s in series:
+    for b, s in enumerate(series):
         if s.ndim != 2 or s.shape[0] != channels:
             raise ShapeMismatch(f"every series must be ({channels}, T), got {s.shape}")
         if s.shape[1] < 1:
             raise ShapeMismatch("series must have at least one step")
+        if not np.isfinite(s).all():
+            raise NonFiniteInput(f"batch series {b} holds a non-finite value")
         length = max(length, s.shape[1])
     out = np.zeros((len(series), channels, length))
     mask = np.zeros((len(series), length))

@@ -344,11 +344,14 @@ def cmd_bench(args, config: dict) -> int:
     xy[:, 1] = 0.0
     seq = NormalizedSequence(xy, np.diff(xy, axis=0), frozenset())
 
-    start = time.perf_counter()
     channels = embed_mod.embed_sequence(seq, libraries["spatial"],
-                                        libraries["temporal"], "advanced")
-    elapsed = time.perf_counter() - start
-    embed_fps = frames / elapsed
+                                        libraries["temporal"], "advanced")   # warm-up
+    best = np.inf
+    for _ in range(3):   # keep the best of three
+        start = time.perf_counter()
+        embed_mod.embed_sequence(seq, libraries["spatial"], libraries["temporal"], "advanced")
+        best = min(best, time.perf_counter() - start)
+    embed_fps = frames / best
 
     model_config = clf.ClassifierConfig(channels=channels.values.shape[0],
                                         classes=len(actions), rng_seed=0)
@@ -366,6 +369,8 @@ def cmd_bench(args, config: dict) -> int:
         "inference_ms_per_clip": infer_ms,
         "actions": len(actions),
         "prototypes_per_library": count,
+        "prototypes_per_kind": {kind: sum(len(lib) for lib in libraries[kind].values())
+                                for kind in libraries},
         "frames": frames,
     }
     print(json.dumps(result, sort_keys=True, indent=2))

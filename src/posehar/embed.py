@@ -39,8 +39,9 @@ EMPTY_SUBSET_SENTINEL = 99.0
 
 MODES = ("basic", "advanced", "baseline")
 
-# 0-based coordinate rows per subset, fixed order.
-_SUBSET_ROWS = {name: np.array([j - 1 for j in SUBSETS[name]]) for name in SUBSET_NAMES}
+# Frames per pass of the distance kernel. Its (frames, prototypes) rows stay
+# cache-sized; 64 measured faster than 16 or 32.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -62,32 +63,60 @@ class EmbeddingChannels:
         return int(self.values.shape[1])
 
 
-def _landmark_distances(frames: np.ndarray, protos: np.ndarray) -> np.ndarray:
-    """Per-landmark distances between frames (F, 14, 2) and prototypes
-    (P, 14, 2), returned as (F, P, 14)."""
-    diff = frames[:, None, :, :] - protos[None, :, :, :]
-    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2)
+def _available_rows(subset: str, missing: frozenset[int]) -> list[int]:
+    """0-based landmark rows of a subset that are not persistently missing."""
+    return [j - 1 for j in SUBSETS[subset] if j not in missing]
 
 
-def _available_rows(subset: str, missing: frozenset[int]) -> np.ndarray:
-    rows = _SUBSET_ROWS[subset]
-    if not missing:
-        return rows
-    keep = [r for r in rows if (r + 1) not in missing]
-    return np.array(keep, dtype=int)
+def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
+                       missing: frozenset[int]) -> np.ndarray:
+    """Subset distances of (F, 14, 2) frames to the nearest prototype of each
+    (P_i, 14, 2) prototype block, as (blocks, 5, F).
 
-
-def _subset_mean(distances: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Mean over the given landmark columns, accumulated left to right.
-
-    Sequential accumulation keeps the result bit-identical across the
-    scalar, per-frame, and whole-sequence code paths; np.mean's blocked
-    summation reorders with array shape and does not.
+    The blocks are laid out as one planar (2, 14, sum P_i) x/y array and the
+    frames are walked in chunks. Per landmark, in ascending order, one
+    contiguous (chunk, sum P_i) row of Euclidean distances is added into the
+    running sum of every subset holding that landmark; the first row of a
+    subset is copied, not added. This is the order of the per-prototype
+    double loop, so every channel is bit-identical to it: keep ``dx**2 +
+    dy**2`` under ``sqrt`` in float64, and include landmarks that always sit
+    at the origin, such as the root.
     """
-    acc = distances[..., rows[0]].copy()
-    for r in rows[1:]:
-        acc += distances[..., r]
-    return acc / rows.size
+    planar = np.concatenate(blocks, dtype=np.float64).transpose(2, 1, 0).copy()
+    offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]])
+    points = np.ascontiguousarray(frames.transpose(2, 1, 0), dtype=np.float64)
+    n_frames, width = frames.shape[0], planar.shape[2]
+
+    out = np.full((len(blocks), len(SUBSET_NAMES), n_frames), EMPTY_SUBSET_SENTINEL)
+    rows = [_available_rows(subset, missing) for subset in SUBSET_NAMES]
+    live = [s for s in range(len(SUBSET_NAMES)) if rows[s]]
+    members = [(r, [s for s in live if r in rows[s]]) for r in range(N_LANDMARKS)]
+    members = [(r, subsets) for r, subsets in members if subsets]
+
+    chunk = min(_CHUNK, n_frames)
+    dx_buffer = np.empty((chunk, width))
+    dy_buffer = np.empty((chunk, width))
+    sums = np.empty((len(SUBSET_NAMES), chunk, width))
+    for start in range(0, n_frames, _CHUNK):
+        stop = min(start + _CHUNK, n_frames)
+        n = stop - start
+        dx, dy = dx_buffer[:n], dy_buffer[:n]
+        for r, subsets in members:
+            np.subtract(points[0, r, start:stop, None], planar[0, r], out=dx)
+            np.subtract(points[1, r, start:stop, None], planar[1, r], out=dy)
+            np.square(dx, out=dx)
+            np.square(dy, out=dy)
+            np.add(dx, dy, out=dx)
+            np.sqrt(dx, out=dx)
+            for s in subsets:
+                if r == rows[s][0]:
+                    sums[s, :n] = dx
+                else:
+                    sums[s, :n] += dx
+        for s in live:
+            means = np.divide(sums[s, :n], len(rows[s]), out=sums[s, :n])
+            out[:, s, start:stop] = np.minimum.reduceat(means, offsets, axis=1).T
+    return out
 
 
 def subset_distance(frame: np.ndarray, prototype: np.ndarray, subset: str,
@@ -100,13 +129,11 @@ def subset_distance(frame: np.ndarray, prototype: np.ndarray, subset: str,
     """
     if subset not in SUBSETS:
         raise ValueError(f"unknown subset {subset!r}")
-    rows = _available_rows(subset, missing)
-    if rows.size == 0:
+    if not _available_rows(subset, missing):
         raise EmptySubset(f"all landmarks of subset {subset} are persistently missing")
     frame = np.asarray(frame, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
     proto = np.asarray(prototype, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
-    distances = _landmark_distances(frame, proto)
-    return float(_subset_mean(distances, rows)[0, 0])
+    return float(_nearest_distances(frame, [proto], missing)[0, SUBSET_NAMES.index(subset), 0])
 
 
 def embed_frame(frame: np.ndarray, library: PoseLibrary | np.ndarray,
@@ -119,22 +146,7 @@ def embed_frame(frame: np.ndarray, library: PoseLibrary | np.ndarray,
     """
     protos = library if isinstance(library, np.ndarray) else library.landmarks
     frame = np.asarray(frame, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
-    return _embed_frames(frame, protos, missing)[:, 0]
-
-
-def _embed_frames(frames: np.ndarray, protos: np.ndarray,
-                  missing: frozenset[int]) -> np.ndarray:
-    """Vectorized :func:`embed_frame` of (F, 14, 2) frames against (P, 14, 2)
-    prototypes, giving (5, F)."""
-    distances = _landmark_distances(frames, protos)  # (F, P, 14)
-    out = np.empty((len(SUBSET_NAMES), frames.shape[0]))
-    for s, subset in enumerate(SUBSET_NAMES):
-        rows = _available_rows(subset, missing)
-        if rows.size == 0:
-            out[s] = EMPTY_SUBSET_SENTINEL
-        else:
-            out[s] = _subset_mean(distances, rows).min(axis=1)
-    return out
+    return _nearest_distances(frame, [protos], missing)[0, :, 0]
 
 
 def coordinate_channel_names(prefix: str) -> list[str]:
@@ -205,8 +217,9 @@ def embed_sequence(seq: NormalizedSequence,
             for action in actions:
                 if action not in libraries:
                     raise MissingLibrary(f"no {kind} library for action {action!r}")
-                values = _embed_frames(frames, libraries[action].landmarks, missing)
-                rows.append(_front_pad(values, T))
+            values = _nearest_distances(
+                frames, [libraries[action].landmarks for action in actions], missing)
+            rows.append(_front_pad(values.reshape(-1, frames.shape[0]), T))
     values = np.vstack(rows)
     names = channel_names(mode, actions)
     return EmbeddingChannels(values, names)

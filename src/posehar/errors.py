@@ -61,6 +61,10 @@ class MissingLibrary(DataError):
     """Advanced embedding requires a library for every action."""
 
 
+class NonFiniteInput(DataError):
+    """A classifier input series holds a nan or inf value."""
+
+
 class ShapeMismatch(ConfigError):
     """Input does not match the configured channel layout."""
 

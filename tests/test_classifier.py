@@ -19,7 +19,7 @@ from posehar.classifier import (
     save_model,
     train,
 )
-from posehar.errors import NumericError, ParseError, ShapeMismatch
+from posehar.errors import DataError, NonFiniteInput, NumericError, ParseError, ShapeMismatch
 
 TOY = dict(channels=3, classes=3, conv_blocks=((4, 3), (3, 2)), recurrent_units=4,
            dropout=0.0, rng_seed=0)
@@ -221,11 +221,25 @@ def test_non_finite_loss_is_reported():
     rng = np.random.default_rng(79)
     data = separable_dataset(rng, n_per_class=3)
     poisoned = [(s.copy(), y) for s, y in data]
-    poisoned[0][0][0, 0] = np.nan
+    poisoned[0][0][0, 0] = 1e300   # finite input whose gradients overflow
     config = ClassifierConfig(**{**TOY, "max_epochs": 4, "batch_size": len(data)})
     with pytest.raises(NumericError):
         with np.errstate(all="ignore"):
             train(config, poisoned, data[:3])
+
+
+def test_train_rejects_non_finite_series():
+    rng = np.random.default_rng(79)
+    data = separable_dataset(rng, n_per_class=3)
+    config = ClassifierConfig(**{**TOY, "max_epochs": 2, "batch_size": len(data)})
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = [(s.copy(), y) for s, y in data]
+        poisoned[4][0][1, 2] = bad
+        for train_set, val_set in ((poisoned, data[:3]), (data, poisoned[4:5])):
+            with pytest.raises(NonFiniteInput, match="non-finite") as caught:
+                train(config, train_set, val_set)
+            assert isinstance(caught.value, DataError)
+            assert not isinstance(caught.value, NumericError)
 
 
 def test_class_weighting_option_runs():
@@ -256,6 +270,20 @@ def test_predict_and_accuracy():
     assert accuracy(model, []) == 0.0
     with pytest.raises(ShapeMismatch):
         predict_proba(model, [rng.normal(0.0, 1.0, (4, 5))])
+
+
+def test_predict_proba_rejects_non_finite_series():
+    rng = np.random.default_rng(83)
+    model = init_model(ClassifierConfig(**TOY))
+    good = rng.normal(0.0, 1.0, (3, 5))
+    for bad in (np.nan, np.inf, -np.inf):
+        series = rng.normal(0.0, 1.0, (3, 7))
+        series[2, 6] = bad
+        with pytest.raises(NonFiniteInput, match="batch series 1 ") as caught:
+            predict_proba(model, [good, series])
+        assert caught.value.exit_code == DataError.exit_code
+        with pytest.raises(NonFiniteInput, match="batch series 0 "):
+            predict_proba(model, [series])
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -213,6 +213,7 @@ def test_bench_reports_throughput(capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["embedding_channels"] == 56 + 10 * 2
     assert result["embedding_frames_per_second"] > 0
+    assert result["prototypes_per_kind"] == {"spatial": 8, "temporal": 8}
     assert result["inference_ms_per_clip"] > 0
     for flag, value in (("--actions", "1"), ("--prototypes", "0"), ("--frames", "0")):
         assert main(["bench", flag, value]) == 2

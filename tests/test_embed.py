@@ -1,5 +1,7 @@
 """Distance channels checked against a plain double-loop oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,60 @@ def test_embed_sequence_advanced_matches_per_frame_oracle():
             want = embed_frame(seq.deriv[t - 1], temporal[action], seq.persistent_missing)
             np.testing.assert_array_equal(ch.values[offset : offset + 5, t], want)
         offset += 5
+
+
+def oracle_nearest(frame, landmarks, missing):
+    """Per subset, the oracle distance to the nearest of the (P, 14, 2)
+    prototypes, or the empty-subset sentinel."""
+    out = []
+    for subset in SUBSET_NAMES:
+        if all(j in missing for j in SUBSETS[subset]):
+            out.append(EMPTY_SUBSET_SENTINEL)
+        else:
+            out.append(min(oracle_subset_distance(frame, proto, subset, missing)
+                           for proto in landmarks))
+    return np.array(out)
+
+
+def test_embed_sequence_matches_oracle_across_chunks():
+    rng = np.random.default_rng(70)
+    sizes = {"spatial": {"a": 1, "b": 37, "c": 2}, "temporal": {"a": 2, "b": 1, "c": 37}}
+    libraries = {kind: {action: make_library(rng, action, kind, n)
+                        for action, n in counts.items()}
+                 for kind, counts in sizes.items()}
+    cases = [(1, frozenset()), (63, frozenset({1})), (64, frozenset({3, 4, 5})),
+             (65, frozenset({9, 13, 1})), (2 * 64 + 3, frozenset())]
+    for frames, missing in cases:
+        seq = make_seq(rng, frames, missing)
+        values = embed_sequence(seq, libraries["spatial"], libraries["temporal"],
+                                "advanced").values
+        deriv = seq.deriv if frames > 1 else np.zeros((1, N_LANDMARKS, 2))
+        row = 56
+        for kind, source, shift in (("spatial", seq.xy, 0), ("temporal", deriv, 1)):
+            for action in ("a", "b", "c"):
+                landmarks = libraries[kind][action].landmarks
+                for t in range(frames):
+                    want = oracle_nearest(source[max(t - shift, 0)], landmarks, missing)
+                    assert np.array_equal(values[row : row + 5, t], want), (frames, kind, action, t)
+                row += 5
+
+
+def test_embed_sequence_working_set():
+    # a11's input: 17 actions x 64 prototypes per kind, 2000 frames. The
+    # channels alone take 3.4 MB.
+    rng = np.random.default_rng(71)
+    actions = [f"act{i:02d}" for i in range(17)]
+    spatial = {a: make_library(rng, a, "spatial", 64) for a in actions}
+    temporal = {a: make_library(rng, a, "temporal", 64) for a in actions}
+    seq = make_seq(rng, frames=2000)
+    tracemalloc.start()
+    try:
+        channels = embed_sequence(seq, spatial, temporal, "advanced")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert channels.values.shape == (56 + 10 * 17, 2000)
+    assert peak < 16e6
 
 
 def test_embed_sequence_missing_library():
