@@ -70,8 +70,11 @@ class ClassifierConfig:
                            tuple((int(f), int(k)) for f, k in self.conv_blocks))
         if self.channels < 1 or self.classes < 2:
             raise ValueError("need at least one channel and two classes")
-        if not self.conv_blocks:
-            raise ValueError("need at least one convolutional block")
+        if not self.conv_blocks or min(min(block) for block in self.conv_blocks) < 1:
+            raise ValueError("need at least one convolutional block, each with "
+                             "positive filters and width")
+        if self.recurrent_units < 1 or self.batch_size < 1:
+            raise ValueError("recurrent_units and batch_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.patience < 0 or self.max_epochs < 1:
@@ -465,7 +468,14 @@ def batch_loss(model: ClassifierModel, batch: PaddedBatch,
 
 
 def predict_proba(model: ClassifierModel, series: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluation-mode class probabilities for a list of (C, T) series."""
+    """Evaluation-mode class probabilities for a list of (C, T) series.
+
+    A series holding a nan or inf value raises NonFiniteInput naming its
+    index in ``series`` ("batch series i").
+    """
+    for i, s in enumerate(series):
+        if not np.isfinite(s).all():
+            raise NonFiniteInput(f"batch series {i} holds a non-finite value")
     out = []
     step = max(int(model.config.batch_size), 1)
     for start in range(0, len(series), step):
@@ -530,12 +540,15 @@ def train(config: ClassifierConfig,
     """
     if not train_set or not val_set:
         raise ValueError("training and validation sets must be non-empty")
-    for s, y in list(train_set) + list(val_set):
-        if s.shape[0] != config.channels:
-            raise ShapeMismatch(
-                f"series has {s.shape[0]} channels, model expects {config.channels}")
-        if not 0 <= y < config.classes:
-            raise ValueError(f"label {y} outside 0..{config.classes - 1}")
+    for name, dataset in (("train_set", train_set), ("val_set", val_set)):
+        for i, (s, y) in enumerate(dataset):
+            if s.shape[0] != config.channels:
+                raise ShapeMismatch(
+                    f"series has {s.shape[0]} channels, model expects {config.channels}")
+            if not 0 <= y < config.classes:
+                raise ValueError(f"label {y} outside 0..{config.classes - 1}")
+            if not np.isfinite(s).all():
+                raise NonFiniteInput(f"{name}[{i}] holds a non-finite value")
 
     model = init_model(config)
     optimizer = _Adam(model.params, config.learning_rate)

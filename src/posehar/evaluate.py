@@ -256,6 +256,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("basic", "advanced", "baseline"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.pca_components != self.som.m:
+            raise ValueError(f"pca_components ({self.pca_components}) must equal the "
+                             f"som lattice dimension m ({self.som.m})")
 
 
 def _derived_seed(*parts: int) -> int:

@@ -1,6 +1,6 @@
-"""File formats: detector keypoint exports, sequence records, manifests.
+"""File formats: detector keypoint exports, records, manifests.
 
-Three kinds of input are understood:
+Four kinds of input are understood, each by exactly one reader:
 
 * **Detector clips**: a directory of per-frame JSON files in the common
   18-keypoint export layout, ``{"people": [{"pose_keypoints_2d": [54
@@ -11,14 +11,18 @@ Three kinds of input are understood:
   line per frame holding 14 ``x y present`` triples. Floats are written with
   ``repr`` and parsed with ``float``, so records round-trip float64 exactly
   and identical inputs produce byte-identical files.
+* **Channel records** (``.emb``): the same codec as sequence records, with
+  a ``#posehar-emb v1`` header naming the channels and one line per channel.
 * **Manifests** (``.json``): the dataset index declaring the action and
   viewpoint vocabularies and one entry per sample with its path and labels.
+
+Every text file is read through :func:`read_json` or the record codec, so a
+file that cannot be read, decoded or parsed is a ParseError naming it.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,14 +31,16 @@ import numpy as np
 
 from .embed import EmbeddingChannels
 from .errors import MalformedFrame, ParseError, UnknownLabel
-from .pose import N_LANDMARKS, VIEWPOINTS, Sample
+from .pose import N_LANDMARKS, ROOT, VIEWPOINTS, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
-
-log = logging.getLogger(__name__)
 
 SEQ_MAGIC = "#posehar-seq v1"
 EMB_MAGIC = "#posehar-emb v1"
 MANIFEST_FORMAT = "posehar-manifest/1"
+
+# Labels every record and manifest entry carries; ``dataset`` is optional.
+REQUIRED_LABELS = ("action", "viewpoint", "actor")
+LABELS = (*REQUIRED_LABELS, "dataset")
 
 N_KEYPOINTS = 18
 # Indices of the facial keypoints (nose, eyes, ears) in the 18-point detector
@@ -60,6 +66,26 @@ class RawDetectionFrame:
                 f"frame {self.frame_index}: expected {N_KEYPOINTS} keypoint triples, "
                 f"got shape {kp.shape}")
         object.__setattr__(self, "keypoints", kp)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str | os.PathLike) -> object:
+    """Parse a JSON file; a read, decode or syntax error is a ParseError."""
+    path = Path(path)
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def merge_head(frame: RawDetectionFrame,
@@ -135,11 +161,7 @@ def read_detector_clip(directory: str | os.PathLike,
     present = np.zeros((len(files), N_LANDMARKS), dtype=bool)
     last_root: np.ndarray | None = None
     for index, path in enumerate(files):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        people = _frame_people(path, payload)
+        people = _frame_people(path, read_json(path))
         if not people:
             continue
         chosen = _select_person(people, last_root, threshold)
@@ -150,105 +172,104 @@ def read_detector_clip(directory: str | os.PathLike,
 
 
 # --------------------------------------------------------------------------
+# Record codec: a magic word and a JSON header on the first line, then one
+# line of whitespace-separated floats per row (a frame or a channel).
+
+
+def _write_record(path: str | os.PathLike, magic: str, header: dict, rows) -> None:
+    lines = [f"{magic} {json.dumps(header, sort_keys=True, separators=(',', ':'))}", *rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_record(path: Path, magic: str) -> tuple[dict, list[str]]:
+    """The header of a record and its non-blank row lines."""
+    lines = _read_text(path).splitlines()
+    if not lines or not lines[0].startswith(magic + " "):
+        raise ParseError(f"{path}: missing '{magic}' header")
+    try:
+        header = json.loads(lines[0][len(magic) + 1 :])
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: bad header JSON ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: header is not a JSON object")
+    for key in LABELS:
+        if not isinstance(header.get(key, ""), str):
+            raise ParseError(f"{path}: header label '{key}' is not a string")
+    return header, [ln for ln in lines[1:] if ln.strip()]
+
+
+def _parse_rows(path: Path, rows: list[str], width: int, unit: str) -> np.ndarray:
+    """Parse ``width`` finite floats per row; errors name the ``unit`` row."""
+    values = np.empty((len(rows), width))
+    for r, line in enumerate(rows):
+        fields = line.split()
+        if len(fields) != width:
+            raise ParseError(f"{path}, {unit} {r}: expected {width} values, got {len(fields)}")
+        try:
+            values[r] = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"{path}, {unit} {r}: {exc}") from exc
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}, {unit} {int(np.argmin(finite))}: non-finite value")
+    return values
+
+
+def _labels(record: Sample | LabeledSequence) -> dict:
+    return {key: getattr(record, key) for key in LABELS}
+
+
+def _labelled(record: Sample | LabeledSequence) -> tuple[Sample | LabeledSequence, dict]:
+    return record, _labels(record)
+
+
+# --------------------------------------------------------------------------
 # Sequence records
-
-
-def _header_json(fields: dict) -> str:
-    return json.dumps(fields, sort_keys=True, separators=(",", ":"))
 
 
 def _format_frame(xy: np.ndarray, present: np.ndarray) -> str:
     # repr of a Python float is the shortest string that round-trips exactly.
-    parts = []
-    for j in range(N_LANDMARKS):
-        parts.append(f"{float(xy[j, 0])!r} {float(xy[j, 1])!r} {int(present[j])}")
-    return " ".join(parts)
+    return " ".join(f"{float(xy[j, 0])!r} {float(xy[j, 1])!r} {int(present[j])}"
+                    for j in range(N_LANDMARKS))
 
 
 def write_sample(path: str | os.PathLike, sample: Sample) -> None:
     """Write a raw sample as a sequence record."""
-    header = {
-        "action": sample.action,
-        "viewpoint": sample.viewpoint,
-        "actor": sample.actor,
-        "dataset": sample.dataset,
-        "normalized": False,
-        "persistent_missing": [],
-    }
-    lines = [f"{SEQ_MAGIC} {_header_json(header)}"]
-    for xy, present in zip(sample.xy, sample.present):
-        lines.append(_format_frame(xy, present))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = dict(_labels(sample), normalized=False, persistent_missing=[])
+    _write_record(path, SEQ_MAGIC, header, map(_format_frame, sample.xy, sample.present))
 
 
 def write_normalized(path: str | os.PathLike, item: LabeledSequence) -> None:
     """Write a preprocessed sample as a sequence record."""
-    header = {
-        "action": item.action,
-        "viewpoint": item.viewpoint,
-        "actor": item.actor,
-        "dataset": item.dataset,
-        "normalized": True,
-        "persistent_missing": sorted(item.seq.persistent_missing),
-    }
-    lines = [f"{SEQ_MAGIC} {_header_json(header)}"]
+    missing = sorted(item.seq.persistent_missing)
+    header = dict(_labels(item), normalized=True, persistent_missing=missing)
     present = np.ones(N_LANDMARKS, dtype=bool)
-    for j in item.seq.persistent_missing:
-        present[j - 1] = False
-    for frame in item.seq.xy:
-        lines.append(_format_frame(frame, present))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _parse_seq_file(path: Path) -> tuple[dict, np.ndarray, np.ndarray]:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(SEQ_MAGIC + " "):
-        raise ParseError(f"{path}: missing '{SEQ_MAGIC}' header")
-    try:
-        header = json.loads(lines[0][len(SEQ_MAGIC) + 1 :])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: bad header JSON ({exc})") from exc
-    frames = [ln for ln in lines[1:] if ln.strip()]
-    if not frames:
-        raise ParseError(f"{path}: record has no frames")
-    triples = np.empty((len(frames), N_LANDMARKS, 3))
-    for t, line in enumerate(frames):
-        fields = line.split()
-        if len(fields) != 3 * N_LANDMARKS:
-            raise ParseError(
-                f"{path}, frame {t}: expected {3 * N_LANDMARKS} fields, got {len(fields)}")
-        try:
-            triples[t] = np.asarray([float(f) for f in fields]).reshape(N_LANDMARKS, 3)
-        except ValueError as exc:
-            raise ParseError(f"{path}, frame {t}: {exc}") from exc
-    finite = np.isfinite(triples).all(axis=(1, 2))
-    if not finite.all():
-        raise ParseError(f"{path}, frame {int(np.argmin(finite))}: non-finite value")
-    return header, triples[:, :, :2], triples[:, :, 2] != 0
-
-
-def _require_labels(header: dict, path: Path) -> tuple[str, str, str, str]:
-    try:
-        return (str(header["action"]), str(header["viewpoint"]),
-                str(header["actor"]), str(header.get("dataset", "")))
-    except KeyError as exc:
-        raise ParseError(f"{path}: header lacks {exc}") from exc
+    present[[j - 1 for j in missing]] = False
+    _write_record(path, SEQ_MAGIC, header,
+                  (_format_frame(frame, present) for frame in item.seq.xy))
 
 
 def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
     """Read a sequence record as whichever kind its header declares."""
     path = Path(path)
-    header, xy, present = _parse_seq_file(path)
-    action, viewpoint, actor, dataset = _require_labels(header, path)
+    header, rows = _read_record(path, SEQ_MAGIC)
+    absent = [key for key in REQUIRED_LABELS if key not in header]
+    if absent:
+        raise ParseError(f"{path}: header lacks {', '.join(absent)}")
+    missing = header.get("persistent_missing", [])
+    if not (isinstance(missing, list) and all(
+            isinstance(j, int) and 1 <= j <= N_LANDMARKS and j != ROOT for j in missing)):
+        raise ParseError(f"{path}: persistent_missing must list landmarks "
+                         f"1..{N_LANDMARKS} other than the root")
+    if not rows:
+        raise ParseError(f"{path}: record has no frames")
+    triples = _parse_rows(path, rows, 3 * N_LANDMARKS, "frame").reshape(-1, N_LANDMARKS, 3)
+    labels = [header.get(key, "") for key in LABELS]
+    xy = triples[:, :, :2]
     if header.get("normalized"):
-        missing = frozenset(int(j) for j in header.get("persistent_missing", []))
-        seq = NormalizedSequence(xy, np.diff(xy, axis=0), missing)
-        return LabeledSequence(seq, action, viewpoint, actor, dataset)
-    return Sample(xy, present, action, viewpoint, actor, dataset)
+        seq = NormalizedSequence(xy, np.diff(xy, axis=0), frozenset(missing))
+        return LabeledSequence(seq, *labels)
+    return Sample(xy, triples[:, :, 2] != 0, *labels)
 
 
 def read_sample(path: str | os.PathLike) -> Sample:
@@ -268,59 +289,37 @@ def read_normalized(path: str | os.PathLike) -> LabeledSequence:
 
 
 # --------------------------------------------------------------------------
-# Embedded-channel records
+# Channel records
 
 
 def write_embedding(path: str | os.PathLike, channels: EmbeddingChannels,
                     labels: dict) -> None:
     """Write a channel stack: header line, then one line per channel."""
-    header = dict(labels)
-    header["channels"] = list(channels.names)
-    header["length"] = channels.length
-    lines = [f"{EMB_MAGIC} {_header_json(header)}"]
-    for row in channels.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = dict(labels, channels=list(channels.names), length=channels.length)
+    _write_record(path, EMB_MAGIC, header,
+                  (" ".join(repr(float(v)) for v in row) for row in channels.values))
 
 
 def read_embedding(path: str | os.PathLike) -> tuple[EmbeddingChannels, dict]:
     """Read a channel stack and its label header."""
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines or not lines[0].startswith(EMB_MAGIC + " "):
-        raise ParseError(f"{path}: missing '{EMB_MAGIC}' header")
-    try:
-        header = json.loads(lines[0][len(EMB_MAGIC) + 1 :])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: bad header JSON ({exc})") from exc
+    header, rows = _read_record(path, EMB_MAGIC)
     names = header.pop("channels", None)
     length = header.pop("length", None)
-    if not names or length is None:
-        raise ParseError(f"{path}: header lacks the channel list or length")
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    if not (names and _strings(names) and isinstance(length, int) and length >= 1):
+        raise ParseError(f"{path}: header needs channel names and a positive length")
     if len(rows) != len(names):
         raise ParseError(f"{path}: {len(rows)} channel lines for {len(names)} names")
-    values = np.empty((len(rows), int(length)))
-    for r, line in enumerate(rows):
-        fields = line.split()
-        if len(fields) != int(length):
-            raise ParseError(
-                f"{path}, channel {r}: expected {length} values, got {len(fields)}")
-        try:
-            values[r] = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"{path}, channel {r}: {exc}") from exc
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        raise ParseError(f"{path}, channel {int(np.argmin(finite))}: non-finite value")
+    values = _parse_rows(path, rows, length, "channel")
     return EmbeddingChannels(values, tuple(names)), header
 
 
 # --------------------------------------------------------------------------
 # Manifests
+
+
+def manifest_entry(path: str, sample_or_item: Sample | LabeledSequence) -> dict:
+    return {"path": path, **_labels(sample_or_item)}
 
 
 def write_manifest(path: str | os.PathLike, actions: list[str], viewpoints: list[str],
@@ -334,30 +333,64 @@ def write_manifest(path: str | os.PathLike, actions: list[str], viewpoints: list
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def write_dataset(out_dir: str | os.PathLike, items, writer, suffix: str) -> None:
+    """Write one record per item with ``writer(path, item)``, then the
+    manifest that lists them."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for n, item in enumerate(items):
+        name = f"{n:05d}_{item.action}_{item.actor}{suffix}"
+        writer(out_dir / name, item)
+        entries.append(manifest_entry(name, item))
+    write_manifest(out_dir / "manifest.json", sorted({i.action for i in items}),
+                   sorted({i.viewpoint for i in items}), entries)
+
+
 def load_manifest(path: str | os.PathLike) -> dict:
+    """Read a manifest and check its schema (see the README's "File
+    formats"); a violation is a ParseError naming the file."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise ParseError(f"{path}: not a {MANIFEST_FORMAT} manifest")
-    for key in ("actions", "viewpoints", "entries"):
-        if key not in payload:
-            raise ParseError(f"{path}: manifest lacks '{key}'")
-    paths = [e.get("path") for e in payload["entries"]]
+    entries = payload.get("entries")
+    if not (_strings(payload.get("actions")) and _strings(payload.get("viewpoints"))
+            and isinstance(entries, list) and entries):
+        raise ParseError(f"{path}: manifest needs string lists 'actions' and "
+                         "'viewpoints' and a non-empty 'entries' list")
+    for n, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("dataset", ""), str)
+                and all(isinstance(entry.get(key), str) for key in ("path", *REQUIRED_LABELS))):
+            raise ParseError(f"{path}: entry {n} needs string path, action, viewpoint "
+                             "and actor, and an optional string dataset")
+    paths = [entry["path"] for entry in entries]
     if len(set(paths)) != len(paths):
         raise ParseError(f"{path}: duplicate entry paths in manifest")
     return payload
 
 
-def _check_entry_labels(entry: dict, actions: set[str], viewpoints: set[str]) -> None:
-    if entry["action"] not in actions:
-        raise UnknownLabel(f"action {entry['action']!r} not in the manifest vocabulary")
-    if entry["viewpoint"] not in viewpoints:
-        raise UnknownLabel(f"viewpoint {entry['viewpoint']!r} not in the manifest vocabulary")
-    if entry["viewpoint"] not in VIEWPOINTS:
-        raise UnknownLabel(f"viewpoint {entry['viewpoint']!r} is not a known camera placement")
+def _load_entries(manifest_path: str | os.PathLike, read) -> tuple[list, dict]:
+    """Read every record of a manifest with ``read(source, entry) -> (record,
+    labels)`` under the one label contract of every manifest kind: the entry
+    is in the vocabulary, and the record's labels agree with the entry's."""
+    manifest_path = Path(manifest_path)
+    manifest = load_manifest(manifest_path)
+    actions, viewpoints = set(manifest["actions"]), set(manifest["viewpoints"])
+    records = []
+    for entry in manifest["entries"]:
+        if entry["action"] not in actions or entry["viewpoint"] not in viewpoints:
+            raise UnknownLabel(f"{manifest_path}: {entry['path']} is labelled outside the "
+                               f"manifest vocabulary ({entry['action']!r}, {entry['viewpoint']!r})")
+        if entry["viewpoint"] not in VIEWPOINTS:
+            raise UnknownLabel(f"{manifest_path}: viewpoint {entry['viewpoint']!r} "
+                               "is not a known camera placement")
+        source = manifest_path.parent / entry["path"]
+        record, labels = read(source, entry)
+        if any(labels.get(key, "") != entry[key] for key in LABELS if key in entry):
+            raise UnknownLabel(f"{source}: record labels disagree with the manifest entry")
+        records.append(record)
+    return records, manifest
 
 
 def load_dataset(manifest_path: str | os.PathLike,
@@ -365,44 +398,30 @@ def load_dataset(manifest_path: str | os.PathLike,
     """Load every sample listed in a manifest of raw data.
 
     Entry paths are resolved relative to the manifest's directory. A path
-    naming a directory is read as a detector clip; a file is read as a
-    sequence record.
+    naming a directory is read as a detector clip labelled by its entry; a
+    file is read as a sequence record.
     """
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    actions = set(manifest["actions"])
-    viewpoints = set(manifest["viewpoints"])
-    samples: list[Sample] = []
-    for entry in manifest["entries"]:
-        _check_entry_labels(entry, actions, viewpoints)
-        source = manifest_path.parent / entry["path"]
-        if source.is_dir():
-            xy, present = read_detector_clip(source, threshold)
-            sample = Sample(xy, present, entry["action"], entry["viewpoint"],
-                            entry["actor"], entry.get("dataset", ""))
-        else:
-            sample = read_sample(source)
-            if (sample.action, sample.viewpoint) != (entry["action"], entry["viewpoint"]):
-                raise UnknownLabel(
-                    f"{source}: record labels disagree with the manifest entry")
-        samples.append(sample)
-    return samples, manifest
+    def read(source: Path, entry: dict) -> tuple[Sample, dict]:
+        if not source.is_dir():
+            return _labelled(read_sample(source))
+        xy, present = read_detector_clip(source, threshold)
+        return Sample(xy, present, *(entry.get(key, "") for key in LABELS)), entry
+
+    return _load_entries(manifest_path, read)
 
 
 def load_normalized_dataset(manifest_path: str | os.PathLike) -> tuple[list[LabeledSequence], dict]:
     """Load every normalized sequence listed in a manifest."""
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    actions = set(manifest["actions"])
-    viewpoints = set(manifest["viewpoints"])
-    items: list[LabeledSequence] = []
-    for entry in manifest["entries"]:
-        _check_entry_labels(entry, actions, viewpoints)
-        items.append(read_normalized(manifest_path.parent / entry["path"]))
-    return items, manifest
+    return _load_entries(manifest_path, lambda source, _: _labelled(read_normalized(source)))
 
 
-def manifest_entry(path: str, sample_or_item: Sample | LabeledSequence) -> dict:
-    s = sample_or_item
-    return {"path": path, "action": s.action, "viewpoint": s.viewpoint,
-            "actor": s.actor, "dataset": s.dataset}
+def load_embedded_dataset(manifest_path: str | os.PathLike
+                          ) -> tuple[list[tuple[np.ndarray, str]], list[str]]:
+    """Load every channel record listed in a manifest as a (values, action)
+    pair, together with the manifest's sorted action vocabulary."""
+    def read(source: Path, entry: dict) -> tuple[tuple[np.ndarray, str], dict]:
+        channels, labels = read_embedding(source)
+        return (channels.values, entry["action"]), labels
+
+    records, manifest = _load_entries(manifest_path, read)
+    return records, sorted(manifest["actions"])

@@ -286,6 +286,21 @@ def test_predict_proba_rejects_non_finite_series():
             predict_proba(model, [series])
 
 
+def test_non_finite_series_is_named_by_the_callers_index():
+    rng = np.random.default_rng(84)
+    data = separable_dataset(rng, n_per_class=3)
+    config = ClassifierConfig(**{**TOY, "max_epochs": 1, "batch_size": 2})
+    poisoned = [(s.copy(), y) for s, y in data]
+    poisoned[5][0][0, 0] = np.nan
+    with pytest.raises(NonFiniteInput, match=r"train_set\[5\] "):
+        train(config, poisoned, data[:2])
+    with pytest.raises(NonFiniteInput, match=r"val_set\[5\] "):
+        train(config, data, poisoned)
+    # series 5 is the second of the third chunk of two
+    with pytest.raises(NonFiniteInput, match="batch series 5 "):
+        predict_proba(init_model(config), [s for s, _ in poisoned])
+
+
 def test_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(82)
     data = separable_dataset(rng, n_per_class=2)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from posehar.cli import main
+from posehar.io import write_manifest
 
 CONFIG = {
     "seed": 11,
@@ -207,18 +208,6 @@ def test_evaluate_writes_report(workdir, capsys):
     assert sum(f["test_samples"] for f in report["per_fold"]) == 6
 
 
-def test_bench_reports_throughput(capsys):
-    assert main(["bench", "--actions", "2", "--prototypes", "4",
-                 "--frames", "64"]) == 0
-    result = json.loads(capsys.readouterr().out)
-    assert result["embedding_channels"] == 56 + 10 * 2
-    assert result["embedding_frames_per_second"] > 0
-    assert result["prototypes_per_kind"] == {"spatial": 8, "temporal": 8}
-    assert result["inference_ms_per_clip"] > 0
-    for flag, value in (("--actions", "1"), ("--prototypes", "0"), ("--frames", "0")):
-        assert main(["bench", flag, value]) == 2
-
-
 def read_all(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
@@ -324,3 +313,108 @@ def test_mismatched_lattice_and_components(workdir, tmp_path):
     assert main(["--config", str(config), "build-libraries",
                  "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "b.npz")]) == 2
+
+
+def test_evaluate_rejects_mismatched_components_before_any_work(workdir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pca_components": 2}))   # som.m defaults to 3
+    # an absent manifest shows that the settings are checked before any data
+    for manifest in (workdir / "raw/manifest.json", tmp_path / "absent.json"):
+        assert main(["--config", str(config), "evaluate", "--protocol", "loao",
+                     "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def write_detector_dataset(root: Path) -> Path:
+    (root / "clip").mkdir(parents=True)
+    keypoints = [[10.0 * i, 5.0 * i, 0.9] for i in range(18)]
+    payload = {"people": [{"pose_keypoints_2d": sum(keypoints, [])}]}
+    (root / "clip" / "frame_0000.json").write_text(json.dumps(payload))
+    write_manifest(root / "manifest.json", ["wave"], ["front"],
+                   [{"path": "clip", "action": "wave", "viewpoint": "front", "actor": "a0"}])
+    return root
+
+
+def stray_byte(path: Path) -> Path:
+    """Insert an undecodable 0xff byte into a text file."""
+    data = path.read_bytes()
+    path.write_bytes(data[:10] + b"\xff" + data[10:])
+    return path
+
+
+@pytest.mark.parametrize("case", ["seq", "emb", "manifest", "frame"])
+def test_undecodable_input_is_a_data_error(workdir, tmp_path, capsys, caplog, case):
+    raw = shutil.copytree(workdir / "raw", tmp_path / "raw")
+    emb = shutil.copytree(workdir / "emb", tmp_path / "emb")
+    det = write_detector_dataset(tmp_path / "det")
+    damaged, command = {
+        "seq": (sorted(raw.glob("*.seq"))[0], ["preprocess", "--manifest", raw / "manifest.json"]),
+        "emb": (sorted(emb.glob("*.emb"))[0], ["train", "--embedded", emb / "manifest.json"]),
+        "manifest": (raw / "manifest.json", ["preprocess", "--manifest", raw / "manifest.json"]),
+        "frame": (det / "clip/frame_0000.json", ["ingest", "--manifest", det / "manifest.json"]),
+    }[case]
+    stray_byte(damaged)
+    assert main([*map(str, command), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, damaged)
+
+
+def test_undecodable_config_is_a_config_error(tmp_path, capsys, caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, "mode": "basic"}))
+    stray_byte(config)
+    assert main(["--config", str(config), "synth", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, config)
+
+
+def run_on_edited_manifest(workdir, tmp_path, edit, stage="raw"):
+    """Run the stage's reader on a copy of its manifest changed by ``edit``."""
+    data = shutil.copytree(workdir / stage, tmp_path / stage)
+    manifest = json.loads((data / "manifest.json").read_text())
+    edit(manifest)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    command = ["train", "--embedded"] if stage == "emb" else ["preprocess", "--manifest"]
+    code = main([*command, str(data / "manifest.json"), "--out", str(tmp_path / "out")])
+    return code, data / "manifest.json"
+
+
+@pytest.mark.parametrize("key", ["action", "path"])
+def test_manifest_entry_missing_a_key_is_a_data_error(workdir, tmp_path, capsys, caplog, key):
+    code, manifest = run_on_edited_manifest(
+        workdir, tmp_path, lambda m: m["entries"][1].pop(key))
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, manifest)
+
+
+@pytest.mark.parametrize("field, value", [("entries", "abc"), ("entries", [["x"]]),
+                                          ("actions", 5)])
+def test_malformed_manifest_schema_is_a_data_error(workdir, tmp_path, capsys, caplog,
+                                                   field, value):
+    code, manifest = run_on_edited_manifest(
+        workdir, tmp_path, lambda m: m.update({field: value}))
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, manifest)
+
+
+def test_train_rejects_embedded_entry_outside_vocabulary(workdir, tmp_path, capsys, caplog):
+    code, manifest = run_on_edited_manifest(
+        workdir, tmp_path, lambda m: m["entries"][0].update(action="jump"), stage="emb")
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, manifest)
+
+
+def test_train_needs_a_record_to_validate_on(workdir, tmp_path, capsys, caplog):
+    def one_per_action(manifest):
+        firsts = {}
+        for entry in manifest["entries"]:
+            firsts.setdefault(entry["action"], entry)
+        manifest["entries"] = list(firsts.values())
+
+    code, _ = run_on_edited_manifest(workdir, tmp_path, one_per_action, stage="emb")
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert "validation needs an action with at least two records" in caplog.text

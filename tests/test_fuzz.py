@@ -1,0 +1,124 @@
+"""Seeded byte-mutation fuzzing of every text input the command line reads.
+
+Each mutant of a ``.seq`` record (raw and normalized), an ``.emb`` record,
+a detector frame, a manifest or the config file is fed to the subcommand
+that reads it, in process. A malformed input must end in a documented exit
+code (0 when the damage is harmless, 2 for configuration, 3 for data),
+never in an uncaught exception.
+"""
+
+import json
+import random
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from posehar.cli import main
+
+SEED = 20261018
+MUTANTS_PER_INPUT = 60
+BUDGET_S = 5.0
+TOKENS = (b"nan", b"1e309", b"{", b"-", b"\xff")
+
+CONFIG = {
+    "seed": 2,
+    "som": {"q": 2, "m": 2, "epochs": 1},
+    "augment": {"z": 0, "flip": False},
+    "classifier": {"conv_blocks": [[4, 3]], "recurrent_units": 4,
+                   "max_epochs": 1, "batch_size": 8},
+}
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """1-4 bit flips, 1-4 deletions, one inserted token, or a truncation."""
+    out = bytearray(data)
+    kind = rng.randrange(4)
+    if kind == 0:
+        for _ in range(rng.randint(1, 4)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+    elif kind == 1:
+        for _ in range(rng.randint(1, 4)):
+            del out[rng.randrange(len(out))]
+    elif kind == 2:
+        at = rng.randrange(len(out) + 1)
+        out[at:at] = rng.choice(TOKENS)
+    else:
+        del out[rng.randrange(len(out)):]
+    return bytes(out)
+
+
+def write_clip(directory: Path) -> None:
+    rng = np.random.default_rng(3)
+    directory.mkdir(parents=True)
+    for t in range(3):
+        keypoints = np.column_stack([rng.uniform(0, 400, (18, 2)), rng.uniform(0.2, 1, 18)])
+        payload = {"people": [{"pose_keypoints_2d": keypoints.ravel().tolist()}]}
+        (directory / f"frame_{t:04d}.json").write_text(json.dumps(payload))
+    entry = {"path": "clip", "action": "wave", "viewpoint": "front", "actor": "a0"}
+    (directory.parent / "manifest.json").write_text(json.dumps(
+        {"format": "posehar-manifest/1", "actions": ["wave"], "viewpoints": ["front"],
+         "entries": [entry]}))
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    config = ["--config", str(root / "config.json")]
+    assert main(["synth", "--out", str(root / "raw"), "--actors", "2",
+                 "--archetypes", "wave-one-arm,squat", "--frames", "8"]) == 0
+    assert main(["preprocess", "--manifest", str(root / "raw/manifest.json"),
+                 "--out", str(root / "norm")]) == 0
+    assert main(["embed", "--mode", "basic", "--manifest", str(root / "norm/manifest.json"),
+                 "--out", str(root / "emb")]) == 0
+    write_clip(root / "det" / "clip")
+    out = str(root / "out")
+    return root, {
+        "raw": ["preprocess", "--manifest", str(root / "raw/manifest.json"), "--out", out],
+        "norm": ["embed", "--mode", "basic", "--manifest", str(root / "norm/manifest.json"),
+                 "--out", out],
+        "emb": config + ["train", "--embedded", str(root / "emb/manifest.json"),
+                         "--out", str(root / "model.npz")],
+        "det": ["ingest", "--manifest", str(root / "det/manifest.json"), "--out", out],
+        "config": config + ["build-libraries", "--manifest",
+                            str(root / "norm/manifest.json"), "--out", str(root / "b.npz")],
+    }
+
+
+# (input file, command that reads it)
+TARGETS = [
+    ("raw/00000_wave-one-arm_a00.seq", "raw"),
+    ("raw/manifest.json", "raw"),
+    ("norm/00001_wave-one-arm_a01.seq", "norm"),
+    ("norm/manifest.json", "norm"),
+    ("emb/00002_squat_a00.emb", "emb"),
+    ("emb/manifest.json", "emb"),
+    ("det/clip/frame_0001.json", "det"),
+    ("det/manifest.json", "det"),
+    ("config.json", "config"),
+]
+
+
+def test_mutated_inputs_exit_cleanly(run, caplog):
+    root, commands = run
+    rng = random.Random(SEED)
+    started = time.perf_counter()
+    failures = []
+    for name, command in TARGETS:
+        path = root / name
+        original = path.read_bytes()
+        for n in range(MUTANTS_PER_INPUT):
+            path.write_bytes(mutate(original, rng))
+            try:
+                code = main(commands[command])
+            except Exception as exc:
+                code = f"{type(exc).__name__}: {exc}"
+            if code not in (0, 2, 3):
+                failures.append(f"{name} mutant {n}: {code}")
+            caplog.clear()
+        path.write_bytes(original)
+    elapsed = time.perf_counter() - started
+    assert not failures, "\n".join(failures)
+    assert elapsed < BUDGET_S

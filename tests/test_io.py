@@ -10,6 +10,7 @@ from posehar.errors import MalformedFrame, ParseError, UnknownLabel
 from posehar.io import (
     RawDetectionFrame,
     load_dataset,
+    load_embedded_dataset,
     load_manifest,
     load_normalized_dataset,
     manifest_entry,
@@ -286,3 +287,95 @@ def test_read_embedding_rejects_bad_values(tmp_path, value, message):
                     f"1.0 2.0\n3.0 {value}\n")
     with pytest.raises(ParseError, match=f"bad.emb, channel 1: .*{message}"):
         read_embedding(path)
+
+
+def test_every_manifest_kind_rejects_label_disagreement(tmp_path):
+    rng = np.random.default_rng(17)
+    item = random_normalized(rng)
+    write_normalized(tmp_path / "n.seq", item)
+    channels = EmbeddingChannels(rng.normal(0.0, 1.0, (2, 6)), ("a", "b"))
+    write_embedding(tmp_path / "e.emb", channels, manifest_entry("", item))
+    for name, load in (("n.seq", load_normalized_dataset), ("e.emb", load_embedded_dataset)):
+        entry = manifest_entry(name, item)
+        write_manifest(tmp_path / "m.json", ["squat", "wave"], ["front", "rear"], [entry])
+        load(tmp_path / "m.json")
+        for key, value in (("action", "wave"), ("viewpoint", "front"),
+                           ("actor", "a8"), ("dataset", "other")):
+            write_manifest(tmp_path / "m.json", ["squat", "wave"], ["front", "rear"],
+                           [dict(entry, **{key: value})])
+            with pytest.raises(UnknownLabel, match=name):
+                load(tmp_path / "m.json")
+
+
+def test_load_embedded_dataset(tmp_path):
+    rng = np.random.default_rng(18)
+    values = rng.normal(0.0, 1.0, (2, 5))
+    labels = {"action": "wave", "viewpoint": "front", "actor": "a1", "dataset": ""}
+    write_embedding(tmp_path / "e.emb", EmbeddingChannels(values, ("a", "b")), labels)
+    write_manifest(tmp_path / "m.json", ["still", "wave"], ["front"],
+                   [dict(labels, path="e.emb")])
+    records, actions = load_embedded_dataset(tmp_path / "m.json")
+    assert actions == ["still", "wave"]
+    assert [action for _, action in records] == ["wave"]
+    np.testing.assert_array_equal(records[0][0], values)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(entries="abc"), lambda m: m.update(entries=[["x"]]),
+    lambda m: m.update(entries=[]), lambda m: m.update(actions=5),
+    lambda m: m.update(viewpoints=["front", 1]), lambda m: m["entries"][0].pop("actor"),
+    lambda m: m["entries"][0].update(dataset=3), lambda m: m["entries"][0].update(path=None),
+], ids=["entries string", "entries of lists", "no entries", "actions number",
+        "viewpoint number", "no actor", "dataset number", "path null"])
+def test_load_manifest_checks_schema(tmp_path, edit):
+    manifest = {"format": "posehar-manifest/1", "actions": ["wave"], "viewpoints": ["front"],
+                "entries": [{"path": "s.seq", "action": "wave", "viewpoint": "front",
+                             "actor": "a1"}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    load_manifest(path)
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ParseError, match="m.json"):
+        load_manifest(path)
+
+
+LABELS = '"action":"wave","actor":"a1","viewpoint":"front"'
+
+
+@pytest.mark.parametrize("header, message", [
+    ("[1, 2]", "not a JSON object"),
+    ('{"action":5,"actor":"a1","viewpoint":"front"}', "'action' is not a string"),
+    ('{"action":"wave","actor":"a1","viewpoint":"front","dataset":null}',
+     "'dataset' is not a string"),
+    ('{"action":"wave","actor":"a1"}', "lacks viewpoint"),
+    ("{" + LABELS + ',"normalized":true,"persistent_missing":[2]}', "persistent_missing"),
+    ("{" + LABELS + ',"normalized":true,"persistent_missing":[15]}', "persistent_missing"),
+    ("{" + LABELS + ',"normalized":true,"persistent_missing":["3"]}', "persistent_missing"),
+    ("{" + LABELS + ',"normalized":true,"persistent_missing":5}', "persistent_missing"),
+])
+def test_sequence_record_header_is_checked(tmp_path, header, message):
+    path = tmp_path / "bad.seq"
+    path.write_text(f"#posehar-seq v1 {header}\n" + " ".join(["0.5 0.5 1"] * N_LANDMARKS) + "\n")
+    with pytest.raises(ParseError, match=f"bad.seq: .*{message}"):
+        read_record(path)
+
+
+@pytest.mark.parametrize("header", [
+    '{"channels": [1], "length": 1}', '{"channels": "a", "length": 1}',
+    '{"channels": ["a"], "length": 0}', '{"channels": ["a"], "length": "1"}',
+    '{"channels": ["a"], "length": 1, "actor": 7}'])
+def test_embedding_record_header_is_checked(tmp_path, header):
+    path = tmp_path / "bad.emb"
+    path.write_text(f"#posehar-emb v1 {header}\n1.0\n")
+    with pytest.raises(ParseError, match="bad.emb"):
+        read_embedding(path)
+
+
+def test_undecodable_text_is_a_parse_error(tmp_path):
+    rng = np.random.default_rng(19)
+    path = tmp_path / "s.seq"
+    write_sample(path, random_sample(rng))
+    path.write_bytes(path.read_bytes()[:40] + b"\xff" + path.read_bytes()[40:])
+    with pytest.raises(ParseError, match="s.seq.*decode"):
+        read_sample(path)
