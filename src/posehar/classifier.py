@@ -23,15 +23,14 @@ All arithmetic is float64.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .archive import entry, no_more, read_archive, write_archive
 from .errors import Diverged, NonFiniteInput, NonFiniteLoss, ParseError, ShapeMismatch
 
 log = logging.getLogger(__name__)
@@ -133,39 +132,48 @@ def pad_batch(series: Sequence[np.ndarray],
 # Initialization
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...],
-            fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape)
+def model_layout(config: ClassifierConfig) -> dict[str, dict[str, tuple[int, ...]]]:
+    """Name and shape of every parameter ("param") and batch-norm running
+    statistic ("running") a config implies, in the order :func:`init_model`
+    draws them; these are also the archive entries of a saved model.
+    Computing the layout allocates nothing."""
+    params: dict[str, tuple[int, ...]] = {}
+    running: dict[str, tuple[int, ...]] = {}
+    cin = config.channels
+    for i, (filters, kernel) in enumerate(config.conv_blocks):
+        params.update({f"conv{i}_w": (filters, cin, kernel), f"conv{i}_b": (filters,),
+                       f"bn{i}_gamma": (filters,), f"bn{i}_beta": (filters,)})
+        running.update({f"bn{i}_mean": (filters,), f"bn{i}_var": (filters,)})
+        cin = filters
+    units = config.recurrent_units
+    params.update(lstm_wx=(config.channels, 4 * units), lstm_wh=(units, 4 * units),
+                  lstm_b=(4 * units,))
+    if config.attention:
+        params["attn_v"] = (units,)
+    params.update(out_w=(config.feature_dim, config.classes), out_b=(config.classes,))
+    return {"param": params, "running": running}
+
+
+def _initial(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    if name == "attn_v":
+        return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
+    if len(shape) > 1:
+        # Glorot uniform: fan_in + fan_out is (rows + cols) * kernel width.
+        limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * int(np.prod(shape[2:]))))
+        return rng.uniform(-limit, limit, shape)
+    if name.endswith(("_gamma", "_var")):
+        return np.ones(shape)
+    value = np.zeros(shape)
+    if name == "lstm_b":
+        value[shape[0] // 4 : shape[0] // 2] = 1.0   # forget gate starts open
+    return value
 
 
 def init_model(config: ClassifierConfig) -> ClassifierModel:
     """Seeded parameter initialization; a fixed seed fixes every draw."""
     rng = np.random.default_rng(config.rng_seed)
-    params: dict[str, np.ndarray] = {}
-    running: dict[str, np.ndarray] = {}
-    cin = config.channels
-    for i, (filters, kernel) in enumerate(config.conv_blocks):
-        params[f"conv{i}_w"] = _glorot(rng, (filters, cin, kernel),
-                                       cin * kernel, filters * kernel)
-        params[f"conv{i}_b"] = np.zeros(filters)
-        params[f"bn{i}_gamma"] = np.ones(filters)
-        params[f"bn{i}_beta"] = np.zeros(filters)
-        running[f"bn{i}_mean"] = np.zeros(filters)
-        running[f"bn{i}_var"] = np.ones(filters)
-        cin = filters
-    units = config.recurrent_units
-    params["lstm_wx"] = _glorot(rng, (config.channels, 4 * units),
-                                config.channels, 4 * units)
-    params["lstm_wh"] = _glorot(rng, (units, 4 * units), units, 4 * units)
-    bias = np.zeros(4 * units)
-    bias[units : 2 * units] = 1.0   # forget gate starts open
-    params["lstm_b"] = bias
-    if config.attention:
-        params["attn_v"] = rng.normal(0.0, 1.0 / np.sqrt(units), units)
-    params["out_w"] = _glorot(rng, (config.feature_dim, config.classes),
-                              config.feature_dim, config.classes)
-    params["out_b"] = np.zeros(config.classes)
+    params, running = ({name: _initial(name, shape, rng) for name, shape in group.items()}
+                       for group in model_layout(config).values())
     return ClassifierModel(config, params, running)
 
 
@@ -605,39 +613,40 @@ def train(config: ClassifierConfig,
 
 def save_model(path: str | os.PathLike, model: ClassifierModel,
                actions: Sequence[str] | None = None) -> None:
-    meta = {"format": MODEL_FORMAT, "config": asdict(model.config)}
+    """Write a model as a ``posehar-classifier/1`` archive (see
+    :mod:`posehar.archive`), with the action names when given."""
+    meta = {"config": asdict(model.config)}
     if actions is not None:
         meta["actions"] = list(actions)
-    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True))}
-    for key, value in model.params.items():
-        arrays[f"param/{key}"] = value
-    for key, value in model.running.items():
-        arrays[f"running/{key}"] = value
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    arrays = {f"param/{key}": value for key, value in model.params.items()}
+    arrays.update((f"running/{key}", value) for key, value in model.running.items())
+    write_archive(path, MODEL_FORMAT, meta, arrays)
 
 
 def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | None]:
     """Load a model plus the action-name list stored with it, if any.
 
-    A file that is not such an archive, or whose parameter entries do not
-    match the keys and shapes its config implies, raises ParseError.
+    Beyond the checks every archive gets, the meta config must be valid,
+    the archive must hold exactly the entries of :func:`model_layout`, each
+    a float array of its shape, no running variance may be negative, and
+    ``actions``, when present, must list ``classes`` distinct strings.
+    Anything else raises ParseError naming the file; nothing is allocated
+    from the meta sizes.
     """
+    meta, arrays = read_archive(path, MODEL_FORMAT)
     try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if not isinstance(meta, dict) or meta.get("format") != MODEL_FORMAT:
-                raise ParseError(f"{path}: not a {MODEL_FORMAT} archive")
-            config = ClassifierConfig(**meta["config"])
-            expected = init_model(config)
-            model = ClassifierModel(config, {k: data[f"param/{k}"] for k in expected.params},
-                                    {k: data[f"running/{k}"] for k in expected.running})
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        config = ClassifierConfig(**meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: not a valid classifier model ({exc})") from exc
-    for group, wanted, got in (("param", expected.params, model.params),
-                               ("running", expected.running, model.running)):
-        for key, value in wanted.items():
-            if got[key].shape != value.shape:
-                raise ParseError(f"{path}: {group}/{key} is {got[key].shape}, "
-                                 f"the config implies {value.shape}")
-    return model, meta.get("actions")
+    params, running = ({name: entry(path, arrays, f"{group}/{name}", shape)
+                        for name, shape in shapes.items()}
+                       for group, shapes in model_layout(config).items())
+    no_more(path, arrays)
+    if any((value < 0).any() for key, value in running.items() if key.endswith("_var")):
+        raise ParseError(f"{path}: a batch-norm running variance is negative")
+    actions = meta.get("actions")
+    if actions is not None and not (
+            isinstance(actions, list) and len(actions) == config.classes
+            and all(isinstance(a, str) for a in actions) and len(set(actions)) == len(actions)):
+        raise ParseError(f"{path}: actions must list {config.classes} distinct names")
+    return ClassifierModel(config, params, running), actions

@@ -43,8 +43,6 @@ from .preprocess import preprocess_sample
 
 log = logging.getLogger(__name__)
 
-EMBED_MODES = ("basic", "advanced")
-MODES = (*EMBED_MODES, "baseline")
 # The JSON value types a settings field accepts, by its annotation.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
                "bool": (bool,), "str": (str,)}
@@ -71,7 +69,7 @@ def _seed(args, config: dict) -> int:
     return seed
 
 
-def _mode(args, config: dict, choices: tuple[str, ...] = MODES) -> str:
+def _mode(args, config: dict, choices: tuple[str, ...] = embed_mod.MODES) -> str:
     mode = getattr(args, "mode", None) or config.get("mode", "advanced")
     if mode not in choices:
         raise ConfigError(f"mode must be one of {', '.join(choices)}, got {mode!r}")
@@ -222,7 +220,7 @@ def _libraries(mode: str, bundle_path: str | None) -> tuple[dict | None, dict | 
 
 
 def cmd_embed(args, config: dict) -> int:
-    mode = _mode(args, config, EMBED_MODES)
+    mode = _mode(args, config, embed_mod.EMBED_MODES)
     spatial, temporal = _libraries(mode, args.bundle)
     items, _ = io_mod.load_normalized_dataset(args.manifest)
 
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("embed", cmd_embed, "--manifest", "--out",
                    help="turn sequences into channel records")
     p.add_argument("--bundle")
-    p.add_argument("--mode", choices=EMBED_MODES)
+    p.add_argument("--mode", choices=embed_mod.EMBED_MODES)
 
     p = add_parser("train", cmd_train, "--out", help="train the classifier on channel records")
     p.add_argument("--embedded", required=True, metavar="MANIFEST",
@@ -380,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("predict", cmd_predict, "--model", "--input",
                    help="classify one clip or record")
     p.add_argument("--bundle")
-    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--mode", choices=embed_mod.MODES)
     p.add_argument("--threshold", type=float, default=0.0)
 
     p = add_parser("evaluate", cmd_evaluate, "--manifest",
                    help="run a full protocol evaluation")
     p.add_argument("--protocol", choices=eval_mod.PROTOCOL_KINDS)
     p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--mode", choices=embed_mod.MODES)
     p.add_argument("--out", help="write the JSON report here")
     return parser
 

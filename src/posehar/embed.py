@@ -37,7 +37,9 @@ from .som import PoseLibrary
 MISSING_SENTINEL = -1.0
 EMPTY_SUBSET_SENTINEL = 99.0
 
-MODES = ("basic", "advanced", "baseline")
+# The layouts embed_sequence builds, and every layout a model can be fed.
+EMBED_MODES = ("basic", "advanced")
+MODES = (*EMBED_MODES, "baseline")
 
 # Frames per pass of the distance kernel. Its (frames, prototypes) rows stay
 # cache-sized; 64 measured faster than 16 or 32.
@@ -199,8 +201,8 @@ def embed_sequence(seq: NormalizedSequence,
     In advanced mode both library mappings must provide every action they
     declare; a missing action raises MissingLibrary.
     """
-    if mode not in ("basic", "advanced"):
-        raise ValueError(f"embed_sequence handles basic/advanced, not {mode!r}")
+    if mode not in EMBED_MODES:
+        raise ValueError(f"embed_sequence handles {'/'.join(EMBED_MODES)}, not {mode!r}")
     missing = seq.persistent_missing
     T = len(seq)
     deriv = _derivative_frames(seq)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_set, noise_sample
 from .classifier import ClassifierConfig, predict, train
-from .embed import baseline_channels, embed_sequence
+from .embed import MODES, baseline_channels, embed_sequence
 from .errors import TooFewSamples
 from .pose import Sample
 from .preprocess import preprocess_sample
@@ -254,7 +254,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("basic", "advanced", "baseline"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.pca_components != self.som.m:
             raise ValueError(f"pca_components ({self.pca_components}) must equal the "

@@ -372,13 +372,18 @@ def load_manifest(path: str | os.PathLike) -> dict:
 
 def _load_entries(manifest_path: str | os.PathLike, read) -> tuple[list, dict]:
     """Read every record of a manifest with ``read(source, entry) -> (record,
-    labels)`` under the one label contract of every manifest kind: the entry
-    is in the vocabulary, and the record's labels agree with the entry's."""
+    labels)`` under the one label contract of every manifest kind: no label
+    could act as a path, the entry is in the vocabulary, and the record's
+    labels agree with the entry's."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     actions, viewpoints = set(manifest["actions"]), set(manifest["viewpoints"])
     records = []
     for entry in manifest["entries"]:
+        for key in LABELS:
+            if key in entry and (set(entry[key]) & set("/\\\0") or entry[key] in (".", "..")):
+                raise ParseError(f"{manifest_path}: {entry['path']} has {key} {entry[key]!r}; "
+                                 "a label holds no '/', '\\' or NUL and is not '.' or '..'")
         if entry["action"] not in actions or entry["viewpoint"] not in viewpoints:
             raise UnknownLabel(f"{manifest_path}: {entry['path']} is labelled outside the "
                                f"manifest vocabulary ({entry['action']!r}, {entry['viewpoint']!r})")

@@ -19,15 +19,14 @@ global step counter and T the total number of steps.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import os
-import zipfile
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .archive import entry, no_more, read_archive, write_archive
 from .errors import ParseError
 from .pca import FEATURE_DIM, PcaModel, fit_pca, project, reroll, unroll
 from .preprocess import LabeledSequence
@@ -37,6 +36,7 @@ log = logging.getLogger(__name__)
 BUNDLE_FORMAT = "posehar-bundle/1"
 LIBRARY_KINDS = ("spatial", "temporal")
 LIBRARY_ARRAYS = ("full", "reduced", "weight", "viewpoint")
+PCA_ARRAYS = ("mean", "components", "eigenvalues", "total_variance")
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,8 @@ class SomConfig:
             raise ValueError("q and m must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if not self.lr0 > 0 or (self.radius0 is not None and not self.radius0 > 0):
+            raise ValueError("lr0 and radius0 must be positive")
         if self.init not in ("axes", "random"):
             raise ValueError(f"unsupported init {self.init!r}")
 
@@ -126,7 +128,6 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
     diff = grid[:, None, :] - grid[None, :, :]
     grid_d2 = (diff * diff).sum(axis=2)   # squared lattice distances
     radius0 = config.radius0 if config.radius0 is not None else config.q / 2.0
-    radius0 = max(float(radius0), 1e-12)
     total = config.epochs * data.shape[0]
 
     rng = np.random.default_rng(config.rng_seed)
@@ -281,73 +282,65 @@ def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
     )
 
 
-def _pack_pca(arrays: dict, prefix: str, model: PcaModel) -> None:
-    arrays[f"{prefix}/mean"] = model.mean
-    arrays[f"{prefix}/components"] = model.components
-    arrays[f"{prefix}/eigenvalues"] = model.eigenvalues
-    arrays[f"{prefix}/total_variance"] = np.float64(model.total_variance)
-
-
-def _unpack_pca(data, prefix: str) -> PcaModel:
-    return PcaModel(
-        mean=data[f"{prefix}/mean"],
-        components=data[f"{prefix}/components"],
-        eigenvalues=data[f"{prefix}/eigenvalues"],
-        total_variance=float(data[f"{prefix}/total_variance"]),
-    )
-
-
 def save_bundle(path: str | os.PathLike, bundle: ModelBundle) -> None:
-    """Write a bundle to a .npz archive with a versioned JSON metadata entry."""
+    """Write a bundle as a ``posehar-bundle/1`` archive (see :mod:`posehar.archive`)."""
     meta = {
-        "format": BUNDLE_FORMAT,
         "actions": list(bundle.actions),
         "viewpoints": list(bundle.viewpoints),
         "config": bundle.config,
         "libraries": {kind: sorted(getattr(bundle, kind)) for kind in LIBRARY_KINDS},
     }
-    arrays: dict = {"meta": np.array(json.dumps(meta, sort_keys=True))}
-    _pack_pca(arrays, "pca/spatial", bundle.spatial_pca)
-    _pack_pca(arrays, "pca/temporal", bundle.temporal_pca)
-    for kind in LIBRARY_KINDS:
-        for action, library in getattr(bundle, kind).items():
-            arrays.update({f"lib/{kind}/{action}/{name}": getattr(library, name)
-                           for name in LIBRARY_ARRAYS})
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    arrays = {f"pca/{kind}/{name}": np.asarray(getattr(getattr(bundle, f"{kind}_pca"), name))
+              for kind in LIBRARY_KINDS for name in PCA_ARRAYS}
+    arrays.update((f"lib/{kind}/{action}/{name}", getattr(library, name))
+                  for kind in LIBRARY_KINDS for action, library in getattr(bundle, kind).items()
+                  for name in LIBRARY_ARRAYS)
+    write_archive(path, BUNDLE_FORMAT, meta, arrays)
+
+
+def _load_pca(path, arrays: dict, kind: str, m: int) -> PcaModel:
+    mean, components, eigenvalues, total_variance = (
+        entry(path, arrays, f"pca/{kind}/{name}", shape)
+        for name, shape in zip(PCA_ARRAYS, ((FEATURE_DIM,), (m, FEATURE_DIM), (m,), ())))
+    return PcaModel(mean, components, eigenvalues, float(total_variance))
 
 
 def load_bundle(path: str | os.PathLike) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`.
 
-    A file that is not such an archive, lacks an entry, or holds library
-    arrays of the wrong shape raises ParseError naming the file.
+    Beyond the checks every archive gets, the meta entry must give an
+    integer ``pca_components`` m and list the actions, viewpoints and
+    libraries as strings, and the archive must hold exactly the PCA models
+    and libraries the meta implies, with their dtypes and shapes: (26,),
+    (m, 26), (m,) and a scalar per PCA model, (P, 26), (P, m), (P,)
+    integer and (P,) string arrays per library. Anything else raises
+    ParseError naming the file.
     """
+    meta, arrays = read_archive(path, BUNDLE_FORMAT)
     try:
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if not isinstance(meta, dict) or meta.get("format") != BUNDLE_FORMAT:
-                raise ParseError(f"{path}: not a {BUNDLE_FORMAT} archive")
-            components = meta["config"]["pca_components"]
-            libraries: dict[str, dict[str, PoseLibrary]] = {}
-            for kind in LIBRARY_KINDS:
-                libraries[kind] = {}
-                for action in meta["libraries"][kind]:
-                    prefix = f"lib/{kind}/{action}"
-                    library = PoseLibrary(action, kind,
-                                          *(data[f"{prefix}/{name}"] for name in LIBRARY_ARRAYS))
-                    if library.reduced.shape[1] != components:
-                        raise ParseError(f"{path}: {prefix}/reduced has "
-                                         f"{library.reduced.shape[1]} columns, not {components}")
-                    libraries[kind][action] = library
-            return ModelBundle(
-                spatial_pca=_unpack_pca(data, "pca/spatial"),
-                temporal_pca=_unpack_pca(data, "pca/temporal"),
-                spatial=libraries["spatial"],
-                temporal=libraries["temporal"],
-                actions=tuple(meta["actions"]),
-                viewpoints=tuple(meta["viewpoints"]),
-                config=meta["config"],
-            )
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        m = meta["config"]["pca_components"]
+        if type(m) is not int:
+            raise ParseError(f"{path}: meta pca_components must be an integer")
+        names = {key: meta[key] for key in ("actions", "viewpoints")}
+        names.update((kind, meta["libraries"][kind]) for kind in LIBRARY_KINDS)
+        if not all(isinstance(value, list) and all(isinstance(v, str) for v in value)
+                   for value in names.values()):
+            raise ParseError(f"{path}: meta actions, viewpoints and libraries must list strings")
+        shapes = ((None, FEATURE_DIM), (None, m), (None,), (None,))
+        libraries = {kind: {action: PoseLibrary(action, kind, *(
+            entry(path, arrays, f"lib/{kind}/{action}/{name}", shape, dtype)
+            for name, shape, dtype in zip(LIBRARY_ARRAYS, shapes, "ffiU")))
+            for action in names[kind]} for kind in LIBRARY_KINDS}
+        pcas = {kind: _load_pca(path, arrays, kind, m) for kind in LIBRARY_KINDS}
+        no_more(path, arrays)
+        return ModelBundle(
+            spatial_pca=pcas["spatial"],
+            temporal_pca=pcas["temporal"],
+            spatial=libraries["spatial"],
+            temporal=libraries["temporal"],
+            actions=tuple(names["actions"]),
+            viewpoints=tuple(names["viewpoints"]),
+            config=meta["config"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: not a valid model bundle ({exc})") from exc

@@ -307,9 +307,9 @@ def test_save_load_roundtrip(tmp_path):
     config = ClassifierConfig(**{**TOY, "max_epochs": 2, "batch_size": 4})
     model, _ = train(config, data, data[:3])
     path = tmp_path / "model.npz"
-    save_model(path, model, actions=["still", "wave"])
+    save_model(path, model, actions=["still", "wave", "jump"])
     back, actions = load_model(path)
-    assert actions == ["still", "wave"]
+    assert actions == ["still", "wave", "jump"]
     assert back.config == model.config
     for key in model.params:
         np.testing.assert_array_equal(back.params[key], model.params[key])

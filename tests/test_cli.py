@@ -159,8 +159,36 @@ def one_line_error(caplog, path) -> bool:
     return len(errors) == 1 and "\n" not in errors[0] and str(path) in errors[0]
 
 
-@pytest.mark.parametrize("edit", [None, lambda arrays: arrays.pop("param/out_w")],
-                         ids=["garbage", "missing out_w"])
+def set_entry(key, change):
+    """An archive edit that replaces entry ``key`` by ``change(value)``."""
+    return lambda arrays: arrays.update({key: change(arrays[key])})
+
+
+def set_meta(change):
+    """An archive edit that applies ``change`` to the decoded meta object."""
+    def edit(meta):
+        meta = json.loads(str(meta))
+        change(meta)
+        return np.array(json.dumps(meta))
+    return set_entry("meta", edit)
+
+
+# Past the first two, each case is an archive np.load reads without
+# complaint: NaN or negative batch-norm statistics, a meta size no machine
+# could allocate, a string parameter, fewer action names than classes, an
+# entry the config does not imply.
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda arrays: arrays.pop("param/out_w"),
+    set_entry("param/out_b", lambda value: value * np.nan),
+    set_entry("running/bn0_var", lambda value: value * np.nan),
+    set_entry("running/bn0_var", lambda value: np.full_like(value, -1e-5)),
+    set_meta(lambda meta: meta["config"].update(recurrent_units=10**12)),
+    set_entry("param/out_w", lambda value: value.astype(str)),
+    set_meta(lambda meta: meta.update(actions=meta["actions"][:1])),
+    set_meta(lambda meta: meta["config"].update(attention=False)),
+], ids=["garbage", "missing out_w", "nan out_b", "nan bn0_var", "negative bn0_var",
+        "huge recurrent_units", "string out_w", "short actions", "attn_v without attention"])
 def test_predict_rejects_corrupt_model(workdir, tmp_path, capsys, caplog, edit):
     model = corrupt_copy(workdir / "model.npz", tmp_path / "model.npz", edit)
     emb = sorted((workdir / "emb").glob("*.emb"))[0]
@@ -315,6 +343,17 @@ def test_mismatched_lattice_and_components(workdir, tmp_path):
                  "--out", str(tmp_path / "b.npz")]) == 2
 
 
+@pytest.mark.parametrize("som", [{"lr0": -1, "radius0": 0}, {"lr0": 0}, {"radius0": -0.5}],
+                         ids=["negative lr0 and zero radius0", "zero lr0", "negative radius0"])
+def test_build_libraries_rejects_bad_som_schedule(workdir, tmp_path, som):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"som": som}))
+    assert main(["--config", str(config), "build-libraries",
+                 "--manifest", str(workdir / "norm/manifest.json"),
+                 "--out", str(tmp_path / "b.npz")]) == 2
+    assert not (tmp_path / "b.npz").exists()
+
+
 def test_evaluate_rejects_mismatched_components_before_any_work(workdir, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pca_components": 2}))   # som.m defaults to 3
@@ -418,3 +457,21 @@ def test_train_needs_a_record_to_validate_on(workdir, tmp_path, capsys, caplog):
     assert code == 3
     assert capsys.readouterr().out == ""
     assert "validation needs an action with at least two records" in caplog.text
+
+
+@pytest.mark.parametrize("label", ["a/b", "a\\b", "nul\0", ".."])
+def test_label_that_could_act_as_a_path_is_a_data_error(workdir, tmp_path, capsys, caplog,
+                                                        label):
+    raw = shutil.copytree(workdir / "raw", tmp_path / "raw")
+    manifest = json.loads((raw / "manifest.json").read_text())
+    entry = manifest["entries"][0]
+    record = raw / entry["path"]
+    header = f'"actor":{json.dumps(entry["actor"])}'
+    record.write_text(record.read_text().replace(header, f'"actor":{json.dumps(label)}', 1))
+    entry["actor"] = label
+    (raw / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["preprocess", "--manifest", str(raw / "manifest.json"),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, raw / "manifest.json")
+    assert repr(label) in caplog.text

@@ -1,10 +1,13 @@
-"""Seeded byte-mutation fuzzing of every text input the command line reads.
+"""Seeded mutation fuzzing of every input the command line reads.
 
-Each mutant of a ``.seq`` record (raw and normalized), an ``.emb`` record,
-a detector frame, a manifest or the config file is fed to the subcommand
-that reads it, in process. A malformed input must end in a documented exit
-code (0 when the damage is harmless, 2 for configuration, 3 for data),
-never in an uncaught exception.
+Each byte mutant of a ``.seq`` record (raw and normalized), an ``.emb``
+record, a detector frame, a manifest, the config file, ``bundle.npz`` or
+``model.npz`` is fed to the subcommand that reads it, in process. A
+malformed input must end in a documented exit code (0 when the damage is
+harmless, 2 for configuration, 3 for data), never in an uncaught exception.
+Entry-level mutants of the two archives (an entry dropped, set to NaN, of
+the wrong dtype or shape, an extra entry, or meta sizes no machine could
+allocate) are always data errors.
 """
 
 import json
@@ -74,6 +77,14 @@ def run(tmp_path_factory):
     assert main(["embed", "--mode", "basic", "--manifest", str(root / "norm/manifest.json"),
                  "--out", str(root / "emb")]) == 0
     write_clip(root / "det" / "clip")
+    (root / "archive").mkdir()
+    bundle, model = str(root / "archive/bundle.npz"), str(root / "archive/model.npz")
+    assert main(config + ["build-libraries", "--manifest", str(root / "norm/manifest.json"),
+                          "--out", bundle]) == 0
+    assert main(["embed", "--mode", "advanced", "--bundle", bundle, "--manifest",
+                 str(root / "norm/manifest.json"), "--out", str(root / "embadv")]) == 0
+    assert main(config + ["train", "--embedded", str(root / "embadv/manifest.json"),
+                          "--out", model]) == 0
     out = str(root / "out")
     return root, {
         "raw": ["preprocess", "--manifest", str(root / "raw/manifest.json"), "--out", out],
@@ -84,6 +95,8 @@ def run(tmp_path_factory):
         "det": ["ingest", "--manifest", str(root / "det/manifest.json"), "--out", out],
         "config": config + ["build-libraries", "--manifest",
                             str(root / "norm/manifest.json"), "--out", str(root / "b.npz")],
+        "archive": ["predict", "--mode", "advanced", "--bundle", bundle, "--model", model,
+                    "--input", str(root / "raw/00000_wave-one-arm_a00.seq")],
     }
 
 
@@ -99,6 +112,16 @@ TARGETS = [
     ("det/manifest.json", "det"),
     ("config.json", "config"),
 ]
+ARCHIVES = ["archive/bundle.npz", "archive/model.npz"]
+BYTE_MUTANTS_PER_ARCHIVE = 30
+
+
+def exit_code(argv: list[str]) -> int | str:
+    """``main(argv)``, or the name and message of what it raised."""
+    try:
+        return main(argv)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_mutated_inputs_exit_cleanly(run, caplog):
@@ -111,12 +134,61 @@ def test_mutated_inputs_exit_cleanly(run, caplog):
         original = path.read_bytes()
         for n in range(MUTANTS_PER_INPUT):
             path.write_bytes(mutate(original, rng))
-            try:
-                code = main(commands[command])
-            except Exception as exc:
-                code = f"{type(exc).__name__}: {exc}"
+            code = exit_code(commands[command])
             if code not in (0, 2, 3):
                 failures.append(f"{name} mutant {n}: {code}")
+            caplog.clear()
+        path.write_bytes(original)
+    elapsed = time.perf_counter() - started
+    assert not failures, "\n".join(failures)
+    assert elapsed < BUDGET_S
+
+
+def entry_mutants(arrays: dict):
+    """(label, edited copy of ``arrays``) for each entry-level defect."""
+    for key, value in arrays.items():
+        retyped = value.astype(str) if value.dtype.kind == "f" else np.zeros(value.shape)
+        for edit, changed in (("nan", np.full(value.shape, np.nan)), ("retype", retyped),
+                              ("reshape", np.append(value, value.flat[:1]))):
+            yield f"{key} {edit}", {**arrays, key: changed}
+        yield f"{key} drop", {k: v for k, v in arrays.items() if k != key}
+    yield "extra entry", {**arrays, "extra": np.zeros(1)}
+    meta = json.loads(str(arrays["meta"]))
+    huge = 10**12
+    if "libraries" in meta:
+        sizes = [("pca_components", huge)]
+    else:
+        sizes = [(name, huge) for name in ("channels", "classes", "recurrent_units")]
+        sizes.append(("conv_blocks", [[huge, huge]]))
+    for name, size in sizes:
+        config = {**meta["config"], name: size}
+        yield f"meta {name}", {**arrays, "meta": np.array(json.dumps({**meta, "config": config}))}
+
+
+def test_mutated_archives_exit_cleanly(run, caplog):
+    root, commands = run
+    rng = random.Random(SEED)
+    started = time.perf_counter()
+    failures = []
+    for name in ARCHIVES:
+        path = root / name
+        original = path.read_bytes()
+        for n in range(BYTE_MUTANTS_PER_ARCHIVE):
+            path.write_bytes(mutate(original, rng))
+            code = exit_code(commands["archive"])
+            if code not in (0, 2, 3):
+                failures.append(f"{name} mutant {n}: {code}")
+            caplog.clear()
+        path.write_bytes(original)
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        for label, edited in entry_mutants(arrays):
+            with open(path, "wb") as fh:
+                np.savez(fh, **edited)
+            code = exit_code(commands["archive"])
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            if code != 3 or len(errors) != 1 or str(path) not in errors[0]:
+                failures.append(f"{name} {label}: {code} {errors}")
             caplog.clear()
         path.write_bytes(original)
     elapsed = time.perf_counter() - started

@@ -1,5 +1,7 @@
 """Self-organizing map training, prototype libraries, bundle persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,37 @@ def test_load_bundle_rejects_corrupt_libraries(tmp_path, edit):
         load_bundle(path)
 
 
+@pytest.mark.parametrize("name, change", [
+    ("pca/spatial/mean", lambda value: value * np.nan),
+    ("pca/spatial/mean", lambda value: value[:-1]),
+    ("pca/temporal/components", lambda value: value[:1]),
+    ("pca/temporal/eigenvalues", lambda value: value.astype(str)),
+    ("pca/spatial/total_variance", lambda value: np.stack([value, value])),
+], ids=["nan mean", "short mean", "one component", "string eigenvalues", "vector total"])
+def test_load_bundle_checks_pca_entries(tmp_path, name, change):
+    path = corrupt_bundle(tmp_path, lambda arrays: arrays.update({name: change(arrays[name])}))
+    with pytest.raises(ParseError, match=f"corrupt.npz: {name}"):
+        load_bundle(path)
+
+
+def edit_meta(change):
+    def edit(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        change(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    edit_meta(lambda meta: meta["config"].update(pca_components=None)),
+    edit_meta(lambda meta: meta["libraries"]["spatial"].remove("wave")),
+    lambda arrays: arrays.update(junk=np.zeros(2)),
+], ids=["no pca_components", "unlisted library", "extra entry"])
+def test_load_bundle_rejects_what_its_meta_does_not_imply(tmp_path, edit):
+    with pytest.raises(ParseError, match="corrupt.npz"):
+        load_bundle(corrupt_bundle(tmp_path, edit))
+
+
 @pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04garbage"])
 def test_load_bundle_rejects_non_archives(tmp_path, content):
     path = tmp_path / "bundle.npz"
@@ -306,4 +339,7 @@ def test_som_config_validation():
         SomConfig(epochs=0)
     with pytest.raises(ValueError):
         SomConfig(init="kmeans")
+    for schedule in ({"lr0": 0.0}, {"lr0": float("nan")}, {"radius0": 0.0}):
+        with pytest.raises(ValueError):
+            SomConfig(**schedule)
     assert SomConfig(q=4, m=3).n_units == 64
