@@ -57,12 +57,10 @@ def flip(item: LabeledSequence) -> LabeledSequence:
     """Mirror a sequence left/right. An exact involution."""
     seq = item.seq
     xy = seq.xy[:, _MIRROR_ROWS] * _NEGATE_X
-    deriv = seq.deriv[:, _MIRROR_ROWS] * _NEGATE_X
     missing = frozenset(MIRROR[j] for j in seq.persistent_missing)
     for j in missing:
         xy[:, j - 1] = 0.0
-        deriv[:, j - 1] = 0.0
-    flipped = NormalizedSequence(xy, deriv, missing)
+    flipped = NormalizedSequence(xy, missing)
     return LabeledSequence(flipped, item.action, FLIP_VIEWPOINT[item.viewpoint],
                            item.actor, item.dataset)
 
@@ -72,8 +70,7 @@ def noise(item: LabeledSequence, config: AugmentConfig,
     """Produce ``config.z`` independently noised copies of a sequence.
 
     Every coordinate of every frame gets its own Gaussian draw except the
-    root and persistently missing landmarks. Derivatives are recomputed from
-    the perturbed coordinates.
+    root and persistently missing landmarks.
     """
     out: list[LabeledSequence] = []
     seq = item.seq
@@ -83,8 +80,7 @@ def noise(item: LabeledSequence, config: AugmentConfig,
         delta[:, ROOT - 1] = 0.0
         for j in seq.persistent_missing:
             delta[:, j - 1] = 0.0
-        xy = seq.xy + delta
-        noised = NormalizedSequence(xy, np.diff(xy, axis=0), seq.persistent_missing)
+        noised = NormalizedSequence(seq.xy + delta, seq.persistent_missing)
         out.append(LabeledSequence(noised, item.action, item.viewpoint,
                                    item.actor, item.dataset))
     return out

@@ -21,6 +21,7 @@ configuration error, 3 data error, 4 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -37,11 +38,14 @@ from . import evaluate as eval_mod
 from . import io as io_mod
 from . import som as som_mod
 from . import synth as synth_mod
-from .errors import ConfigError, EmptySequence, ParseError, PoseHarError, TooFewSamples
+from .errors import ConfigError, EmptySequence, ParseError, PoseHarError
 from .pose import VIEWPOINTS, Sample
 from .preprocess import preprocess_sample
 
 log = logging.getLogger(__name__)
+
+# The top-level keys a config file may hold.
+_CONFIG_KEYS = ("seed", "mode", "pca_components", "augment", "som", "classifier", "protocol")
 
 # The JSON value types a settings field accepts, by its annotation.
 _JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
@@ -57,6 +61,10 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"bad config: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    unknown = sorted(set(payload) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"expected {', '.join(_CONFIG_KEYS)}")
     return payload
 
 
@@ -242,8 +250,6 @@ def cmd_train(args, config: dict) -> int:
     train_idx, val_idx = eval_mod._carve_validation(
         list(range(len(pairs))), [action for _, action in records],
         args.val_fraction, np.random.default_rng([seed, 5]))
-    if not val_idx:
-        raise TooFewSamples("validation needs an action with at least two records")
     train_set = [pairs[i] for i in train_idx]
     val_set = [pairs[i] for i in val_idx]
     model_config = _settings(clf.ClassifierConfig, "classifier", section,
@@ -310,7 +316,9 @@ def cmd_evaluate(args, config: dict) -> int:
 # Parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="posehar",
         description="Action recognition from 2D pose sequences.")

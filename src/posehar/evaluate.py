@@ -10,9 +10,12 @@ Three protocols cover the usual splits:
   into k near-equal parts, and fold f tests part f of every action, so each
   fold sees the full class vocabulary.
 
-Protocols that have no explicit validation list carve a stratified fraction
-out of the training fold. Folds are index-based and pairwise disjoint by
-construction; the runner re-checks that before fitting anything.
+Only ``split`` reads ``group_by`` and the group lists; only ``kfold`` reads
+``folds``. Each fold without a validation group carves a stratified
+``val_fraction`` out of its training pool; a pool in which no action has two
+samples leaves nothing to validate on and raises TooFewSamples. Folds are
+index-based and pairwise disjoint by construction; the runner re-checks that
+before fitting anything.
 
 Scores: absolute accuracy is the fraction of correct test predictions;
 relative accuracy is the mean per-class recall, which weighs every class
@@ -61,6 +64,9 @@ class Protocol:
             raise ValueError("kfold needs at least two folds")
         if self.group_by not in ("actor", "dataset"):
             raise ValueError("group_by must be 'actor' or 'dataset'")
+        if self.kind != "split" and (self.group_by != "actor" or self.train_groups
+                                     or self.val_groups or self.test_groups):
+            raise ValueError(f"{self.kind} protocol takes no group_by or group lists")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
         object.__setattr__(self, "train_groups", tuple(self.train_groups))
@@ -81,7 +87,8 @@ def _carve_validation(pool: list[int], actions: Sequence[str], fraction: float,
 
     ``actions[i]`` is the action label of record ``i``. Every action keeps at
     least one training sample; actions with a single sample contribute
-    nothing to validation.
+    nothing to validation. Raises TooFewSamples when that leaves the
+    validation set empty.
     """
     by_action: dict[str, list[int]] = {}
     for i in pool:
@@ -91,87 +98,81 @@ def _carve_validation(pool: list[int], actions: Sequence[str], fraction: float,
     for action in sorted(by_action):
         indices = np.array(by_action[action])
         indices = indices[rng.permutation(indices.size)]
-        if indices.size < 2:
-            train.extend(int(i) for i in indices)
-            continue
-        take = int(round(fraction * indices.size))
-        take = min(max(take, 1), indices.size - 1)
+        take = min(max(int(round(fraction * indices.size)), 1), indices.size - 1)
         val.extend(int(i) for i in indices[:take])
         train.extend(int(i) for i in indices[take:])
+    if not val:
+        raise TooFewSamples("validation needs an action with at least two records")
     return sorted(train), sorted(val)
 
 
 def make_folds(samples: Sequence[Sample], protocol: Protocol,
                seed: int = 0) -> list[Fold]:
-    """Build the index folds of a protocol. Deterministic under a fixed seed."""
+    """Build the index folds of a protocol. Deterministic under a fixed seed.
+
+    Each protocol lists its (training pool, test) parts; fold ``f`` then
+    carves its validation set out of its pool with the ``[seed, 3, f]``
+    stream. A split with matching validation groups keeps them instead.
+    """
     if not samples:
         raise TooFewSamples("no samples to partition")
     if protocol.kind == "split":
-        return [_split_fold(samples, protocol, seed)]
-    if protocol.kind == "loao":
-        return _loao_folds(samples, protocol, seed)
-    return _kfold_folds(samples, protocol, seed)
-
-
-def _split_fold(samples: Sequence[Sample], protocol: Protocol, seed: int) -> Fold:
-    groups = (set(protocol.train_groups), set(protocol.val_groups),
-              set(protocol.test_groups))
-    if groups[0] & groups[2] or groups[1] & groups[2] or groups[0] & groups[1]:
-        raise ValueError("split group lists overlap")
-    key = lambda s: s.actor if protocol.group_by == "actor" else s.dataset
-    train = [i for i, s in enumerate(samples) if key(s) in groups[0]]
-    val = [i for i, s in enumerate(samples) if key(s) in groups[1]]
-    test = [i for i, s in enumerate(samples) if key(s) in groups[2]]
-    if not train or not test:
-        raise TooFewSamples("split protocol left train or test empty")
-    if not val:
-        rng = np.random.default_rng([seed, 3, 0])
-        train, val = _carve_validation(train, [s.action for s in samples],
-                                       protocol.val_fraction, rng)
-    return Fold(tuple(train), tuple(val), tuple(test))
-
-
-def _loao_folds(samples: Sequence[Sample], protocol: Protocol,
-                seed: int) -> list[Fold]:
-    actors = sorted({s.actor for s in samples})
-    if len(actors) < 2:
-        raise TooFewSamples("leave-one-actor-out needs at least two actors")
+        train, val, test = _split_groups(samples, protocol)
+        if val:
+            return [Fold(tuple(train), tuple(val), tuple(test))]
+        parts = [(train, test)]
+    elif protocol.kind == "loao":
+        parts = _loao_parts(samples)
+    else:
+        parts = _kfold_parts(samples, protocol.folds, seed)
     actions = [s.action for s in samples]
     folds = []
-    for f, actor in enumerate(actors):
-        test = [i for i, s in enumerate(samples) if s.actor == actor]
-        pool = [i for i, s in enumerate(samples) if s.actor != actor]
+    for f, (pool, test) in enumerate(parts):
         rng = np.random.default_rng([seed, 3, f])
         train, val = _carve_validation(pool, actions, protocol.val_fraction, rng)
         folds.append(Fold(tuple(train), tuple(val), tuple(test)))
     return folds
 
 
-def _kfold_folds(samples: Sequence[Sample], protocol: Protocol,
-                 seed: int) -> list[Fold]:
+def _split_groups(samples: Sequence[Sample],
+                  protocol: Protocol) -> tuple[list[int], list[int], list[int]]:
+    groups = (set(protocol.train_groups), set(protocol.val_groups),
+              set(protocol.test_groups))
+    if groups[0] & groups[2] or groups[1] & groups[2] or groups[0] & groups[1]:
+        raise ValueError("split group lists overlap")
+    keys = [s.actor if protocol.group_by == "actor" else s.dataset for s in samples]
+    train, val, test = ([i for i, k in enumerate(keys) if k in g] for g in groups)
+    if not train or not test:
+        raise TooFewSamples("split protocol left train or test empty")
+    return train, val, test
+
+
+def _loao_parts(samples: Sequence[Sample]) -> list[tuple[list[int], list[int]]]:
+    actors = sorted({s.actor for s in samples})
+    if len(actors) < 2:
+        raise TooFewSamples("leave-one-actor-out needs at least two actors")
+    return [([i for i, s in enumerate(samples) if s.actor != actor],
+             [i for i, s in enumerate(samples) if s.actor == actor]) for actor in actors]
+
+
+def _kfold_parts(samples: Sequence[Sample], k: int,
+                 seed: int) -> list[tuple[list[int], list[int]]]:
     by_action: dict[str, list[int]] = {}
     for i, s in enumerate(samples):
         by_action.setdefault(s.action, []).append(i)
     rng = np.random.default_rng([seed, 2])
-    parts: dict[str, list[np.ndarray]] = {}
+    parts = []
     for action in sorted(by_action):
         indices = np.array(by_action[action])
-        if indices.size < protocol.folds:
+        if indices.size < k:
             raise TooFewSamples(
-                f"action {action!r} has {indices.size} samples, "
-                f"fewer than {protocol.folds} folds")
-        shuffled = indices[rng.permutation(indices.size)]
-        parts[action] = np.array_split(shuffled, protocol.folds)
-    actions = [s.action for s in samples]
+                f"action {action!r} has {indices.size} samples, fewer than {k} folds")
+        parts.append(np.array_split(indices[rng.permutation(indices.size)], k))
     folds = []
-    for f in range(protocol.folds):
-        test = sorted(int(i) for action in parts for i in parts[action][f])
-        test_set = set(test)
-        pool = [i for i in range(len(samples)) if i not in test_set]
-        carve_rng = np.random.default_rng([seed, 3, f])
-        train, val = _carve_validation(pool, actions, protocol.val_fraction,
-                                       carve_rng)
-        folds.append(Fold(tuple(train), tuple(val), tuple(test)))
+    for f in range(k):
+        test = sorted(int(i) for action_parts in parts for i in action_parts[f])
+        held = set(test)
+        folds.append(([i for i in range(len(samples)) if i not in held], test))
     return folds
 
 
@@ -332,17 +333,8 @@ def run_experiment(samples: Sequence[Sample], protocol: Protocol,
                  f + 1, len(folds), fold_abs, len(test_idx))
 
     absolute, relative = accuracy_scores(confusion)
-    config_echo = {
-        "mode": pipeline.mode,
-        "augment": asdict(pipeline.augment),
-        "som": asdict(pipeline.som),
-        "pca_components": pipeline.pca_components,
-        "classifier": dict(pipeline.classifier),
-        "protocol": asdict(protocol),
-        "seed": pipeline.seed,
-    }
     return EvalReport(tuple(actions), confusion, absolute, relative, per_fold,
-                      config_echo)
+                      {**asdict(pipeline), "protocol": asdict(protocol)})
 
 
 def _baseline_fold(samples, train_idx, val_idx, test_idx, pipeline, class_of):

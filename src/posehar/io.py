@@ -267,7 +267,7 @@ def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
     labels = [header.get(key, "") for key in LABELS]
     xy = triples[:, :, :2]
     if header.get("normalized"):
-        seq = NormalizedSequence(xy, np.diff(xy, axis=0), frozenset(missing))
+        seq = NormalizedSequence(xy, frozenset(missing))
         return LabeledSequence(seq, *labels)
     return Sample(xy, triples[:, :, 2] != 0, *labels)
 
@@ -281,7 +281,7 @@ def read_sample(path: str | os.PathLike) -> Sample:
 
 
 def read_normalized(path: str | os.PathLike) -> LabeledSequence:
-    """Read a normalized sequence record. Derivatives are recomputed."""
+    """Read a normalized sequence record."""
     record = read_record(path)
     if isinstance(record, Sample):
         raise ParseError(f"{path}: record is not normalized; use read_sample")

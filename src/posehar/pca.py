@@ -65,10 +65,6 @@ class PcaModel:
     total_variance: float     # sum of all 26 eigenvalues
 
     @property
-    def n_components(self) -> int:
-        return int(self.components.shape[0])
-
-    @property
     def captured_variance(self) -> float:
         """Fraction of total variance along the kept axes."""
         if self.total_variance <= 0.0:

@@ -23,7 +23,7 @@ placements.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,21 +70,19 @@ class CleanSequence:
 
 @dataclass(frozen=True)
 class NormalizedSequence:
-    """Root-centered, torso-scaled sequence plus frame-to-frame derivatives."""
+    """Root-centered, torso-scaled sequence plus its frame-to-frame
+    derivatives ``deriv``, which are computed from ``xy``."""
 
     xy: np.ndarray                      # (T, 14, 2)
-    deriv: np.ndarray                   # (T-1, 14, 2)
     persistent_missing: frozenset[int] = frozenset()
+    deriv: np.ndarray = field(init=False)   # (T-1, 14, 2)
 
     def __post_init__(self) -> None:
         xy = np.ascontiguousarray(self.xy, dtype=np.float64)
-        deriv = np.ascontiguousarray(self.deriv, dtype=np.float64)
         if xy.ndim != 3 or xy.shape[1:] != (N_LANDMARKS, 2):
             raise ValueError(f"expected (T, 14, 2) coordinates, got {xy.shape}")
-        if deriv.shape != (max(xy.shape[0] - 1, 0), N_LANDMARKS, 2):
-            raise ValueError("derivatives must be (T-1, 14, 2)")
         object.__setattr__(self, "xy", xy)
-        object.__setattr__(self, "deriv", deriv)
+        object.__setattr__(self, "deriv", np.diff(xy, axis=0))
         object.__setattr__(self, "persistent_missing",
                            frozenset(int(j) for j in self.persistent_missing))
 
@@ -174,7 +172,6 @@ def _scale_reference(persistent_missing: frozenset[int]) -> int:
     if RIGHT_HIP not in persistent_missing:
         return RIGHT_HIP
     if LEFT_HIP not in persistent_missing:
-        log.warning("right hip persistently missing; scaling by the left hip instead")
         return LEFT_HIP
     raise AbsentHip("both hips persistently missing; sequence cannot be scaled")
 
@@ -187,6 +184,8 @@ def normalize(clean: CleanSequence) -> NormalizedSequence:
     hip is available as the reference.
     """
     ref = _scale_reference(clean.persistent_missing)
+    if ref == LEFT_HIP:
+        log.warning("right hip persistently missing; scaling by the left hip instead")
     xy = clean.xy - clean.xy[:, ROOT - 1 : ROOT]
     lengths = np.hypot(xy[:, ref - 1, 0], xy[:, ref - 1, 1])
     ok = lengths > TORSO_EPS
@@ -199,21 +198,19 @@ def normalize(clean: CleanSequence) -> NormalizedSequence:
     xy = xy / lengths[:, None, None]
     for j in clean.persistent_missing:
         xy[:, j - 1] = 0.0
-    deriv = np.diff(xy, axis=0)
-    return NormalizedSequence(xy, deriv, clean.persistent_missing)
+    return NormalizedSequence(xy, clean.persistent_missing)
 
 
 def preprocess_sample(sample: Sample) -> tuple[LabeledSequence, PreprocessReport]:
     """Run the full treatment and normalization pipeline on one sample."""
     clean = treat_missing(sample)
     seq = normalize(clean)
-    ref = RIGHT_HIP if RIGHT_HIP not in clean.persistent_missing else LEFT_HIP
     report = PreprocessReport(
         frames_in=len(sample),
         frames_dropped_missing=len(sample) - len(clean),
         frames_dropped_degenerate=len(clean) - len(seq),
         persistent_missing=tuple(sorted(clean.persistent_missing)),
-        scale_reference=ref,
+        scale_reference=_scale_reference(clean.persistent_missing),
     )
     labeled = LabeledSequence(seq, sample.action, sample.viewpoint, sample.actor, sample.dataset)
     return labeled, report

@@ -75,11 +75,10 @@ class SomConfig:
 
 @dataclass(frozen=True)
 class SomFit:
-    """Trained map: unit weights, per-sample assignments, lattice layout."""
+    """Trained map: unit weights and per-sample assignments."""
 
     weights: np.ndarray           # (U, d)
     assignments: np.ndarray      # (N,) unit index per training sample
-    grid: np.ndarray              # (U, m) integer lattice coordinates
     initial_weights: np.ndarray   # (U, d) before any update
 
 
@@ -146,7 +145,7 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
 
     d2 = ((data[:, None, :] - weights[None, :, :]) ** 2).sum(axis=2)
     assignments = d2.argmin(axis=1)
-    return SomFit(weights, assignments, grid, initial)
+    return SomFit(weights, assignments, initial)
 
 
 # --------------------------------------------------------------------------

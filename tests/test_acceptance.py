@@ -481,7 +481,7 @@ def test_a10_channel_arity():
     rng = np.random.default_rng(111)
     xy = rng.normal(0.0, 1.0, (9, N_LANDMARKS, 2))
     xy[:, ROOT - 1] = 0.0
-    seq = NormalizedSequence(xy, np.diff(xy, axis=0), frozenset())
+    seq = NormalizedSequence(xy, frozenset())
     channels = embed_sequence(seq, fake_libraries(two, "spatial"),
                               fake_libraries(two, "temporal"), "advanced")
     assert channels.values.shape == (76, 9)
@@ -503,7 +503,7 @@ def test_a11_embedding_throughput():
     frames = 2000
     xy = rng.normal(0.0, 1.0, (frames, N_LANDMARKS, 2))
     xy[:, ROOT - 1] = 0.0
-    seq = NormalizedSequence(xy, np.diff(xy, axis=0), frozenset())
+    seq = NormalizedSequence(xy, frozenset())
 
     best = 0.0
     for _ in range(3):   # warm cache, keep the best of three

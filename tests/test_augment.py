@@ -13,7 +13,7 @@ def make_item(rng, frames=5, viewpoint="front-left", missing=frozenset()):
     xy[:, ROOT - 1] = 0.0
     for j in missing:
         xy[:, j - 1] = 0.0
-    seq = NormalizedSequence(xy, np.diff(xy, axis=0), missing)
+    seq = NormalizedSequence(xy, missing)
     return LabeledSequence(seq, "wave", viewpoint, "a1", "demo")
 
 

@@ -459,6 +459,37 @@ def test_train_needs_a_record_to_validate_on(workdir, tmp_path, capsys, caplog):
     assert "validation needs an action with at least two records" in caplog.text
 
 
+def test_evaluate_needs_a_record_to_validate_on(tmp_path, capsys, caplog):
+    # two actors: each leave-one-actor-out pool holds one record per action
+    assert main(["synth", "--out", str(tmp_path / "raw"), "--actors", "2",
+                 "--archetypes", "squat,march", "--frames", "12"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--protocol", "loao",
+                 "--manifest", str(tmp_path / "raw/manifest.json")]) == 3
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["validation needs an action with at least two records"]
+
+
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys, caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sed": 5}))
+    assert main(["--config", str(config), "synth", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, config) and "'sed'" in caplog.text
+    assert not (tmp_path / "s").exists()
+
+
+def test_evaluate_rejects_protocol_settings_its_kind_ignores(workdir, tmp_path, capsys,
+                                                             caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": {"group_by": "dataset", "test_groups": ["x"]}}))
+    assert main(["--config", str(config), "evaluate", "--protocol", "loao",
+                 "--manifest", str(workdir / "raw/manifest.json")]) == 2
+    assert capsys.readouterr().out == ""
+    assert "loao protocol takes no group_by or group lists" in caplog.text
+
+
 @pytest.mark.parametrize("label", ["a/b", "a\\b", "nul\0", ".."])
 def test_label_that_could_act_as_a_path_is_a_data_error(workdir, tmp_path, capsys, caplog,
                                                         label):

@@ -38,7 +38,7 @@ def make_seq(rng, frames=6, missing=frozenset()):
     xy[:, ROOT - 1] = 0.0
     for j in missing:
         xy[:, j - 1] = 0.0
-    return NormalizedSequence(xy, np.diff(xy, axis=0), missing)
+    return NormalizedSequence(xy, missing)
 
 
 def oracle_subset_distance(frame, proto_xy, subset, missing):
@@ -249,7 +249,7 @@ def test_embed_sequence_single_frame():
     rng = np.random.default_rng(68)
     xy = rng.normal(0.0, 0.5, (1, N_LANDMARKS, 2))
     xy[:, ROOT - 1] = 0.0
-    seq = NormalizedSequence(xy, np.zeros((0, N_LANDMARKS, 2)), frozenset())
+    seq = NormalizedSequence(xy, frozenset())
     ch = embed_sequence(seq, mode="basic")
     assert ch.values.shape == (56, 1)
     np.testing.assert_array_equal(ch.values[28:], 0.0)   # zero-motion stand-in

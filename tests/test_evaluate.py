@@ -44,6 +44,15 @@ def test_protocol_validation():
         Protocol(val_fraction=0.0)
 
 
+@pytest.mark.parametrize("kind", ["loao", "kfold"])
+def test_protocol_refuses_settings_its_kind_ignores(kind):
+    for ignored in ({"group_by": "dataset"}, {"train_groups": ("a1",)},
+                    {"val_groups": ("a1",)}, {"test_groups": ("x",)}):
+        with pytest.raises(ValueError, match="takes no group_by or group lists"):
+            Protocol(kind=kind, **ignored)
+    Protocol(kind="split", group_by="dataset", test_groups=("x",))
+
+
 def assert_fold_sane(fold, n):
     train, val, test = set(fold.train), set(fold.val), set(fold.test)
     assert train and test
@@ -140,6 +149,16 @@ def test_kfold_folds_balance_and_coverage():
 
     with pytest.raises(TooFewSamples):
         make_folds(samples, Protocol(kind="kfold", folds=10), seed=0)
+
+
+def test_fold_with_nothing_to_validate_on_is_refused():
+    rng = np.random.default_rng(94)
+    samples = corpus(rng, actors=("a1", "a2"), copies=1)   # one per action and actor
+    protocols = [Protocol(kind="loao"), Protocol(kind="kfold", folds=2),
+                 Protocol(kind="split", train_groups=("a1",), test_groups=("a2",))]
+    for protocol in protocols:
+        with pytest.raises(TooFewSamples, match="validation needs an action"):
+            make_folds(samples, protocol, seed=0)
 
 
 def test_confusion_matrix_and_scores():

@@ -43,7 +43,7 @@ def random_normalized(rng, frames=6, missing=frozenset()):
     xy[:, 1] = 0.0
     for j in missing:
         xy[:, j - 1] = 0.0
-    seq = NormalizedSequence(xy, np.diff(xy, axis=0), missing)
+    seq = NormalizedSequence(xy, missing)
     return LabeledSequence(seq, "squat", "rear", "a7", "demo")
 
 

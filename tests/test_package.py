@@ -12,8 +12,14 @@ def test_all_names_resolve_once():
     assert missing == [], f"posehar.__all__ names missing from the package: {missing}"
 
 
-def test_one_module_reads_and_writes_archives():
+# Each call that carries a rule of its own, and the one module allowed to make
+# it: archives are read and written by one codec, and the motion frames of a
+# normalized sequence are derived in one place.
+OWNERS = {"np.load(": "archive.py", "np.savez(": "archive.py", "np.diff(": "preprocess.py"}
+
+
+def test_each_owned_call_is_made_by_one_module():
     sources = {path.name: path.read_text() for path in Path(posehar.__file__).parent.glob("*.py")}
-    for call in ("np.load(", "np.savez("):
+    for call, owner in OWNERS.items():
         users = sorted(name for name, text in sources.items() if call in text)
-        assert users == ["archive.py"], f"{call} appears in {users}"
+        assert users == [owner], f"{call} appears in {users}"

@@ -93,7 +93,7 @@ def test_train_som_single_unit_tracks_tight_cluster():
 def make_item(rng, action, viewpoint, frames=20):
     xy = rng.normal(0.0, 0.6, (frames, N_LANDMARKS, 2))
     xy[:, ROOT - 1] = 0.0
-    return LabeledSequence(NormalizedSequence(xy, np.diff(xy, axis=0), frozenset()),
+    return LabeledSequence(NormalizedSequence(xy, frozenset()),
                            action, viewpoint, "a1", "demo")
 
 
