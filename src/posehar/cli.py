@@ -242,6 +242,10 @@ def cmd_embed(args, config: dict) -> int:
 
 
 def cmd_train(args, config: dict) -> int:
+    try:
+        val_fraction = eval_mod.check_val_fraction(args.val_fraction)
+    except ValueError as exc:
+        raise ConfigError(f"bad --val-fraction: {exc}") from exc
     seed = _seed(args, config)
     section = {"rng_seed": seed, **_section(config, "classifier")}
     records, actions = io_mod.load_embedded_dataset(args.embedded)
@@ -249,7 +253,7 @@ def cmd_train(args, config: dict) -> int:
     pairs = [(values, class_of[action]) for values, action in records]
     train_idx, val_idx = eval_mod._carve_validation(
         list(range(len(pairs))), [action for _, action in records],
-        args.val_fraction, np.random.default_rng([seed, 5]))
+        val_fraction, np.random.default_rng([seed, 5]))
     train_set = [pairs[i] for i in train_idx]
     val_set = [pairs[i] for i in val_idx]
     model_config = _settings(clf.ClassifierConfig, "classifier", section,

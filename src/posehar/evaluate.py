@@ -67,8 +67,7 @@ class Protocol:
         if self.kind != "split" and (self.group_by != "actor" or self.train_groups
                                      or self.val_groups or self.test_groups):
             raise ValueError(f"{self.kind} protocol takes no group_by or group lists")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
+        check_val_fraction(self.val_fraction)
         object.__setattr__(self, "train_groups", tuple(self.train_groups))
         object.__setattr__(self, "val_groups", tuple(self.val_groups))
         object.__setattr__(self, "test_groups", tuple(self.test_groups))
@@ -79,6 +78,14 @@ class Fold:
     train: tuple[int, ...]
     val: tuple[int, ...]
     test: tuple[int, ...]
+
+
+def check_val_fraction(fraction: float) -> float:
+    """The one rule for a validation share: strictly inside (0, 1), which
+    also refuses nan. Raises ValueError."""
+    if not 0.0 < fraction < 1.0:
+        raise ValueError(f"val_fraction must be in (0, 1), got {fraction!r}")
+    return fraction
 
 
 def _carve_validation(pool: list[int], actions: Sequence[str], fraction: float,

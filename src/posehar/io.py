@@ -349,7 +349,8 @@ def write_dataset(out_dir: str | os.PathLike, items, writer, suffix: str) -> Non
 
 def load_manifest(path: str | os.PathLike) -> dict:
     """Read a manifest and check its schema (see the README's "File
-    formats"); a violation is a ParseError naming the file."""
+    formats"), including that no label could act as a path; a violation is
+    a ParseError naming the file."""
     path = Path(path)
     payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
@@ -364,6 +365,11 @@ def load_manifest(path: str | os.PathLike) -> dict:
                 and all(isinstance(entry.get(key), str) for key in ("path", *REQUIRED_LABELS))):
             raise ParseError(f"{path}: entry {n} needs string path, action, viewpoint "
                              "and actor, and an optional string dataset")
+        for key in LABELS:
+            if key in entry and (set(entry[key]) & set("/\\\0") or entry[key] in (".", "..")):
+                raise ParseError(f"{path}: entry {n} ({entry['path']}) has {key} "
+                                 f"{entry[key]!r}; a label holds no '/', '\\' or NUL "
+                                 "and is not '.' or '..'")
     paths = [entry["path"] for entry in entries]
     if len(set(paths)) != len(paths):
         raise ParseError(f"{path}: duplicate entry paths in manifest")
@@ -372,18 +378,15 @@ def load_manifest(path: str | os.PathLike) -> dict:
 
 def _load_entries(manifest_path: str | os.PathLike, read) -> tuple[list, dict]:
     """Read every record of a manifest with ``read(source, entry) -> (record,
-    labels)`` under the one label contract of every manifest kind: no label
-    could act as a path, the entry is in the vocabulary, and the record's
-    labels agree with the entry's."""
+    labels)`` under the one label contract of every manifest kind: the entry
+    is in the vocabulary and the record's labels agree with the entry's
+    (:func:`load_manifest` has already refused labels that could act as a
+    path)."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     actions, viewpoints = set(manifest["actions"]), set(manifest["viewpoints"])
     records = []
     for entry in manifest["entries"]:
-        for key in LABELS:
-            if key in entry and (set(entry[key]) & set("/\\\0") or entry[key] in (".", "..")):
-                raise ParseError(f"{manifest_path}: {entry['path']} has {key} {entry[key]!r}; "
-                                 "a label holds no '/', '\\' or NUL and is not '.' or '..'")
         if entry["action"] not in actions or entry["viewpoint"] not in viewpoints:
             raise UnknownLabel(f"{manifest_path}: {entry['path']} is labelled outside the "
                                f"manifest vocabulary ({entry['action']!r}, {entry['viewpoint']!r})")

@@ -14,6 +14,13 @@ the nearest unit in data space (ties to the lowest unit index), and every
 unit moves toward the sample weighted by a Gaussian neighborhood kernel on
 the lattice. Learning rate and radius both shrink as exp(-t / T) with t the
 global step counter and T the total number of steps.
+
+All maps of a bundle train in lockstep (:func:`train_soms`): one step loop
+over a (cells, U, d) weight tensor, longest cell first, updates every cell
+still running. Each cell keeps its own seed, sample order, total and
+initial weights, and numpy applies to each element the IEEE operations of
+the one-map loop in the same order, so every map is bit-identical to
+training it alone; :func:`train_som` is the one-cell case.
 """
 
 from __future__ import annotations
@@ -114,38 +121,80 @@ def _init_weights(data: np.ndarray, grid: np.ndarray, config: SomConfig) -> np.n
     return mean + (fractions * spread) @ axes
 
 
-def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
-    """Train one map on (N, d) vectors. Deterministic under a fixed seed and
-    input order."""
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError(f"expected (N, d) training data, got {data.shape}")
-    grid = lattice(config.q, config.m)
-    weights = _init_weights(data, grid, config)
-    initial = weights.copy()
+def _schedule(sizes: Sequence[int], config: SomConfig) -> np.ndarray:
+    """Sample order of every map as a (steps, cells) index array into the
+    cells' concatenated rows, for ``sizes`` sorted longest first.
 
+    Cell c draws a fresh permutation of its own rows per epoch from its own
+    ``default_rng(rng_seed)``; its column is 0 past its last step.
+    """
+    schedule = np.zeros((config.epochs * sizes[0], len(sizes)), dtype=np.intp)
+    offset = 0
+    for c, n in enumerate(sizes):
+        rng = np.random.default_rng(config.rng_seed)
+        for epoch in range(config.epochs):
+            schedule[epoch * n : (epoch + 1) * n, c] = rng.permutation(n) + offset
+        offset += n
+    return schedule
+
+
+def train_soms(datas: Sequence[np.ndarray], config: SomConfig) -> list[SomFit]:
+    """Train one map per (N_c, d) array, all in one shared step loop.
+
+    The maps live in one (cells, U, d) tensor, longest cell first, so the
+    cells still running at step t are the prefix ``weights[:a]``; a cell
+    drops out once its own epochs * N_c steps are done. Every cell keeps its
+    own seed, schedule, total and initial weights, so each fit is
+    bit-identical to ``train_soms([data], config)`` on that cell alone.
+    """
+    datas = [np.ascontiguousarray(data, dtype=np.float64) for data in datas]
+    for data in datas:
+        if data.ndim != 2 or data.shape[0] < 1:
+            raise ValueError(f"expected (N, d) training data, got {data.shape}")
+    if len({data.shape[1] for data in datas}) > 1:
+        raise ValueError("every map's training data must have the same width d")
+    if not datas:
+        return []
+    grid = lattice(config.q, config.m)
     diff = grid[:, None, :] - grid[None, :, :]
     grid_d2 = (diff * diff).sum(axis=2)   # squared lattice distances
     radius0 = config.radius0 if config.radius0 is not None else config.q / 2.0
-    total = config.epochs * data.shape[0]
 
-    rng = np.random.default_rng(config.rng_seed)
-    step = 0
-    for _ in range(config.epochs):
-        for i in rng.permutation(data.shape[0]):
-            x = data[i]
-            decay = np.exp(-step / total)
+    order = sorted(range(len(datas)), key=lambda c: -datas[c].shape[0])
+    sizes = [datas[c].shape[0] for c in order]
+    totals = config.epochs * np.array(sizes)
+    weights = np.stack([_init_weights(datas[c], grid, config) for c in order])
+    initial = weights.copy()
+    flat = np.concatenate([datas[c] for c in order])
+    schedule = _schedule(sizes, config)
+
+    # Each cell's float operations and their order are those of a one-map
+    # online loop (-t / total, -2.0 * radius * radius, argmin ties to the
+    # lowest unit); bit-identity with a map trained alone rests on that.
+    t = 0
+    for a in range(len(order), 0, -1):   # cells [:a] run until cell a-1 is done
+        active, total = weights[:a], totals[:a]
+        while t < total[-1]:
+            decay = np.exp(-t / total)
             lr = config.lr0 * decay
             radius = radius0 * decay
-            towards = x - weights
-            best = int(np.argmin((towards * towards).sum(axis=1)))
-            kernel = np.exp(grid_d2[best] / (-2.0 * radius * radius))
-            weights += (lr * kernel)[:, None] * towards
-            step += 1
+            towards = flat[schedule[t, :a]][:, None, :] - active
+            best = np.argmin((towards * towards).sum(axis=2), axis=1)
+            kernel = np.exp(grid_d2[best] / (-2.0 * radius * radius)[:, None])
+            active += (lr[:, None] * kernel)[:, :, None] * towards
+            t += 1
 
-    d2 = ((data[:, None, :] - weights[None, :, :]) ** 2).sum(axis=2)
-    assignments = d2.argmin(axis=1)
-    return SomFit(weights, assignments, initial)
+    fits: list[SomFit | None] = [None] * len(datas)
+    for k, c in enumerate(order):
+        d2 = ((datas[c][:, None, :] - weights[k][None, :, :]) ** 2).sum(axis=2)
+        fits[c] = SomFit(weights[k], d2.argmin(axis=1), initial[k])
+    return fits
+
+
+def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
+    """Train one map on (N, d) vectors. Deterministic under a fixed seed and
+    input order."""
+    return train_soms([data], config)[0]
 
 
 # --------------------------------------------------------------------------
@@ -193,14 +242,53 @@ class PoseLibrary:
         return int(self.full.shape[0])
 
 
-def _cell_frames(items: Sequence[LabeledSequence], kind: str) -> dict[tuple[str, str], list[np.ndarray]]:
-    cells: dict[tuple[str, str], list[np.ndarray]] = {}
-    for item in items:
-        frames = item.seq.xy if kind == "spatial" else item.seq.deriv
-        if frames.shape[0] == 0:
-            continue
-        cells.setdefault((item.action, item.viewpoint), []).append(unroll(frames))
-    return cells
+def _unrolled(items: Sequence[LabeledSequence], kind: str) -> list[np.ndarray]:
+    """Each item's pose (spatial) or motion (temporal) frames as (T, 26) rows."""
+    return [unroll(item.seq.xy if kind == "spatial" else item.seq.deriv) for item in items]
+
+
+def _cell_frames(items: Sequence[LabeledSequence], kind: str) -> dict[tuple[str, str], np.ndarray]:
+    """The unrolled frames of each non-empty (action, viewpoint) cell, in item order."""
+    chunks: dict[tuple[str, str], list[np.ndarray]] = {}
+    for item, frames in zip(items, _unrolled(items, kind)):
+        if frames.shape[0]:
+            chunks.setdefault((item.action, item.viewpoint), []).append(frames)
+    return {cell: np.vstack(parts) for cell, parts in chunks.items()}
+
+
+def _build_libraries(items: Sequence[LabeledSequence], pcas: Mapping[str, PcaModel],
+                     config: SomConfig) -> dict[str, dict[str, PoseLibrary]]:
+    """Libraries of every kind in ``pcas``, from one :func:`train_soms` call
+    over all their (kind, action, viewpoint) cells."""
+    actions = sorted({item.action for item in items})
+    viewpoints = sorted({item.viewpoint for item in items})
+    cells = []   # (kind, action, viewpoint, full, reduced) per non-empty cell
+    for kind, pca in pcas.items():
+        frames = _cell_frames(items, kind)
+        for action, viewpoint in itertools.product(actions, viewpoints):
+            full = frames.get((action, viewpoint))
+            if full is None:
+                log.warning("no %s frames for action=%r viewpoint=%r; cell skipped",
+                            kind, action, viewpoint)
+                continue
+            cells.append((kind, action, viewpoint, full, project(pca, full)))
+    fits = train_soms([cell[-1] for cell in cells], config)
+
+    rows = {(kind, action): [] for kind in pcas for action in actions}
+    for (kind, action, viewpoint, full, reduced), fit in zip(cells, fits):
+        for unit in range(fit.weights.shape[0]):
+            members = fit.assignments == unit
+            count = int(members.sum())
+            if count:
+                rows[kind, action].append((full[members].mean(axis=0),
+                                           reduced[members].mean(axis=0), count, viewpoint))
+    libraries: dict[str, dict[str, PoseLibrary]] = {kind: {} for kind in pcas}
+    for (kind, action), found in rows.items():
+        if found:
+            libraries[kind][action] = PoseLibrary(action, kind, *map(np.array, zip(*found)))
+        else:
+            log.warning("action %r has no %s prototypes at all", action, kind)
+    return libraries
 
 
 def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
@@ -213,32 +301,7 @@ def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
     """
     if kind not in LIBRARY_KINDS:
         raise ValueError(f"kind must be one of {LIBRARY_KINDS}")
-    cells = _cell_frames(items, kind)
-    actions = sorted({item.action for item in items})
-    viewpoints = sorted({item.viewpoint for item in items})
-    libraries: dict[str, PoseLibrary] = {}
-    for action in actions:
-        rows = []   # (full, reduced, weight, viewpoint) per prototype
-        for viewpoint in viewpoints:
-            chunks = cells.get((action, viewpoint))
-            if not chunks:
-                log.warning("no %s frames for action=%r viewpoint=%r; cell skipped",
-                            kind, action, viewpoint)
-                continue
-            full = np.vstack(chunks)
-            reduced = project(pca, full)
-            fit = train_som(reduced, config)
-            for unit in range(fit.weights.shape[0]):
-                members = fit.assignments == unit
-                count = int(members.sum())
-                if count:
-                    rows.append((full[members].mean(axis=0), reduced[members].mean(axis=0),
-                                 count, viewpoint))
-        if rows:
-            libraries[action] = PoseLibrary(action, kind, *map(np.array, zip(*rows)))
-        else:
-            log.warning("action %r has no %s prototypes at all", action, kind)
-    return libraries
+    return _build_libraries(items, {kind: pca}, config)[kind]
 
 
 # --------------------------------------------------------------------------
@@ -260,21 +323,19 @@ class ModelBundle:
 
 def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
                  som_config: SomConfig | None = None) -> ModelBundle:
-    """Fit both reduction models and both library kinds from training data."""
+    """Fit both reduction models, then both library kinds in one lockstep
+    :func:`train_soms` call."""
     som_config = som_config or SomConfig(m=n_components)
     if som_config.m != n_components:
         raise ValueError("som lattice dimensionality must equal the reduced dimension")
-    pose_vectors = np.vstack([unroll(item.seq.xy) for item in items])
-    deriv_chunks = [unroll(item.seq.deriv) for item in items if item.seq.deriv.shape[0] > 0]
-    deriv_vectors = (np.vstack(deriv_chunks) if deriv_chunks
-                     else np.zeros((0, FEATURE_DIM)))
-    spatial_pca = fit_pca(pose_vectors, n_components)
-    temporal_pca = fit_pca(deriv_vectors, n_components)
+    pcas = {kind: fit_pca(np.vstack(_unrolled(items, kind)), n_components)
+            for kind in LIBRARY_KINDS}
+    libraries = _build_libraries(items, pcas, som_config)
     return ModelBundle(
-        spatial_pca=spatial_pca,
-        temporal_pca=temporal_pca,
-        spatial=build_library(items, "spatial", spatial_pca, som_config),
-        temporal=build_library(items, "temporal", temporal_pca, som_config),
+        spatial_pca=pcas["spatial"],
+        temporal_pca=pcas["temporal"],
+        spatial=libraries["spatial"],
+        temporal=libraries["temporal"],
         actions=tuple(sorted({item.action for item in items})),
         viewpoints=tuple(sorted({item.viewpoint for item in items})),
         config={"pca_components": n_components, "som": asdict(som_config)},

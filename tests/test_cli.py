@@ -459,6 +459,31 @@ def test_train_needs_a_record_to_validate_on(workdir, tmp_path, capsys, caplog):
     assert "validation needs an action with at least two records" in caplog.text
 
 
+@pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.5", "-1"])
+def test_train_val_fraction_outside_the_unit_interval_is_a_config_error(tmp_path, capsys,
+                                                                        caplog, fraction):
+    # the manifest does not exist: the flag is refused before any file is read
+    assert main(["train", "--embedded", str(tmp_path / "absent.json"),
+                 "--val-fraction", fraction, "--out", str(tmp_path / "model.npz")]) == 2
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "val_fraction must be in (0, 1)" in errors[0]
+    assert not (tmp_path / "model.npz").exists()
+
+
+def test_ingest_refuses_a_label_that_could_act_as_a_path(workdir, tmp_path, capsys, caplog):
+    # only the manifest names the label; record file names stay as they are
+    code, manifest = run_on_edited_manifest(
+        workdir, tmp_path, lambda m: m["entries"][0].update(actor="a/b"))
+    assert code == 3
+    assert main(["ingest", "--manifest", str(manifest), "--out", str(tmp_path / "ing")]) == 3
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 2 and errors[0] == errors[1]
+    assert str(manifest) in errors[1] and "entry 0" in errors[1] and "'a/b'" in errors[1]
+    assert not (tmp_path / "ing").exists()
+
+
 def test_evaluate_needs_a_record_to_validate_on(tmp_path, capsys, caplog):
     # two actors: each leave-one-actor-out pool holds one record per action
     assert main(["synth", "--out", str(tmp_path / "raw"), "--actors", "2",

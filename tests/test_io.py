@@ -379,3 +379,15 @@ def test_undecodable_text_is_a_parse_error(tmp_path):
     path.write_bytes(path.read_bytes()[:40] + b"\xff" + path.read_bytes()[40:])
     with pytest.raises(ParseError, match="s.seq.*decode"):
         read_sample(path)
+
+
+@pytest.mark.parametrize("key", ["action", "actor"])
+@pytest.mark.parametrize("label", ["a/b", "a\\b", "nul\0", ".", ".."])
+def test_load_manifest_refuses_labels_that_could_act_as_paths(tmp_path, key, label):
+    entries = [{"path": f"s{n}.seq", "action": "wave", "viewpoint": "front", "actor": "a1"}
+               for n in range(2)]
+    entries[1][key] = label
+    write_manifest(tmp_path / "m.json", ["wave", label], ["front"], entries)
+    with pytest.raises(ParseError, match=r"m\.json: entry 1 \(s1\.seq\) has " + key) as info:
+        load_manifest(tmp_path / "m.json")
+    assert repr(label) in str(info.value)

@@ -1,5 +1,6 @@
 """The package's public namespace and the layout of its source."""
 
+import ast
 from pathlib import Path
 
 import posehar
@@ -23,3 +24,16 @@ def test_each_owned_call_is_made_by_one_module():
     for call, owner in OWNERS.items():
         users = sorted(name for name, text in sources.items() if call in text)
         assert users == [owner], f"{call} appears in {users}"
+
+
+def test_maps_are_trained_by_one_loop():
+    """Every map trains in the lockstep loop: sample orders are drawn in one
+    schedule builder, and ``train_som`` only delegates."""
+    path = Path(posehar.__file__).parent / "som.py"
+    text = path.read_text()
+    functions = {node.name: node for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.FunctionDef)}
+    assert text.count("rng.permutation(") == 1
+    assert "rng.permutation(" in ast.get_source_segment(text, functions["_schedule"])
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(functions["train_som"]))

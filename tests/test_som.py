@@ -13,6 +13,8 @@ from posehar.som import (
     ModelBundle,
     PoseLibrary,
     SomConfig,
+    SomFit,
+    _init_weights,
     build_bundle,
     build_library,
     lattice,
@@ -20,6 +22,7 @@ from posehar.som import (
     quantization_error,
     save_bundle,
     train_som,
+    train_soms,
 )
 
 
@@ -88,6 +91,61 @@ def test_train_som_single_unit_tracks_tight_cluster():
     fit = train_som(data, SomConfig(q=1, m=1, epochs=20, rng_seed=1))
     assert fit.weights.shape == (1, 2)
     np.testing.assert_allclose(fit.weights[0], data.mean(axis=0), atol=0.02)
+
+
+def one_map_at_a_time(data, config):
+    """The per-sample loop that trained one map alone, kept as the oracle the
+    lockstep trainer must match bit for bit."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    grid = lattice(config.q, config.m)
+    weights = _init_weights(data, grid, config)
+    initial = weights.copy()
+    diff = grid[:, None, :] - grid[None, :, :]
+    grid_d2 = (diff * diff).sum(axis=2)
+    radius0 = config.radius0 if config.radius0 is not None else config.q / 2.0
+    total = config.epochs * data.shape[0]
+    rng = np.random.default_rng(config.rng_seed)
+    step = 0
+    for _ in range(config.epochs):
+        for i in rng.permutation(data.shape[0]):
+            decay = np.exp(-step / total)
+            lr = config.lr0 * decay
+            radius = radius0 * decay
+            towards = data[i] - weights
+            best = int(np.argmin((towards * towards).sum(axis=1)))
+            kernel = np.exp(grid_d2[best] / (-2.0 * radius * radius))
+            weights += (lr * kernel)[:, None] * towards
+            step += 1
+    d2 = ((data[:, None, :] - weights[None, :, :]) ** 2).sum(axis=2)
+    return SomFit(weights, d2.argmin(axis=1), initial)
+
+
+@pytest.mark.parametrize("init", ["axes", "random"])
+@pytest.mark.parametrize("q, m", [(4, 3), (3, 2)])
+def test_lockstep_maps_equal_maps_trained_alone(init, q, m):
+    rng = np.random.default_rng(53)
+    # cells of 1, 2, 7 and 150 samples drop out of the shared loop at
+    # different steps; the single-sample cells are listed first and last
+    sizes = (1, 7, 150, 2, 150, 7, 1)
+    datas = [rng.normal(rng.normal(0.0, 2.0, m), rng.uniform(0.1, 1.5), (n, m))
+             for n in sizes]
+    config = SomConfig(q=q, m=m, epochs=3, init=init, rng_seed=8)
+    fits = train_soms(datas, config)
+    assert len(fits) == len(datas)
+    for data, fit in zip(datas, fits):
+        alone = one_map_at_a_time(data, config)
+        assert fit.assignments.shape == (data.shape[0],)
+        for name in ("weights", "initial_weights", "assignments"):
+            np.testing.assert_array_equal(getattr(fit, name), getattr(alone, name))
+    assert train_soms([], config) == []
+
+
+def test_lockstep_rejects_maps_of_different_widths():
+    config = SomConfig(q=2, m=2, epochs=1)
+    with pytest.raises(ValueError, match="same width"):
+        train_soms([np.zeros((3, 2)), np.zeros((3, 3))], config)
+    with pytest.raises(ValueError, match="training data"):
+        train_soms([np.zeros((3, 2)), np.zeros((0, 2))], config)
 
 
 def make_item(rng, action, viewpoint, frames=20):
@@ -191,6 +249,24 @@ def test_bundle_roundtrip(tmp_path):
                 assert getattr(a, name).dtype == getattr(b, name).dtype
             assert a.weight.dtype == np.int64
             assert a.viewpoint.dtype.kind == "U"
+
+
+def test_bundle_libraries_equal_libraries_built_per_kind():
+    rng = np.random.default_rng(54)
+    items = [make_item(rng, action, viewpoint, frames)
+             for action, frames in (("wave", 20), ("squat", 9)) for viewpoint in ("front", "left")]
+    items.append(make_item(rng, "march", "front", frames=1))   # no motion frame at all
+    config = SomConfig(q=3, m=2, epochs=4, rng_seed=2)
+    bundle = build_bundle(items, 2, config)
+    for kind in ("spatial", "temporal"):
+        alone = build_library(items, kind, getattr(bundle, f"{kind}_pca"), config)
+        together = getattr(bundle, kind)
+        assert list(together) == list(alone)
+        for action in alone:
+            for name in ("full", "reduced", "weight", "viewpoint"):
+                np.testing.assert_array_equal(getattr(together[action], name),
+                                              getattr(alone[action], name))
+    assert "march" in bundle.spatial and "march" not in bundle.temporal
 
 
 def test_load_bundle_rejects_other_archives(tmp_path):
