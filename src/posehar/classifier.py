@@ -31,7 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .archive import entry, no_more, read_archive, write_archive
-from .errors import Diverged, NonFiniteInput, NonFiniteLoss, ParseError, ShapeMismatch
+from .errors import (ConfigError, Diverged, NonFiniteInput, NonFiniteLoss, ParseError,
+                     ShapeMismatch)
 
 log = logging.getLogger(__name__)
 
@@ -155,15 +156,22 @@ def model_layout(config: ClassifierConfig) -> dict[str, dict[str, tuple[int, ...
 
 
 def _initial(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    if name == "attn_v":
-        return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
-    if len(shape) > 1:
-        # Glorot uniform: fan_in + fan_out is (rows + cols) * kernel width.
-        limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * int(np.prod(shape[2:]))))
-        return rng.uniform(-limit, limit, shape)
-    if name.endswith(("_gamma", "_var")):
-        return np.ones(shape)
-    value = np.zeros(shape)
+    """The seeded initial value of one entry. A shape no machine can
+    allocate is a ConfigError naming the setting that sized it."""
+    try:
+        if name == "attn_v":
+            return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
+        if len(shape) > 1:
+            # Glorot uniform: fan_in + fan_out is (rows + cols) * kernel width.
+            limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * int(np.prod(shape[2:]))))
+            return rng.uniform(-limit, limit, shape)
+        if name.endswith(("_gamma", "_var")):
+            return np.ones(shape)
+        value = np.zeros(shape)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        setting = "conv_blocks" if name.startswith(("conv", "bn")) else "recurrent_units"
+        raise ConfigError(f"classifier {setting} too large: {name} of shape {shape} "
+                          f"cannot be allocated ({exc})") from exc
     if name == "lstm_b":
         value[shape[0] // 4 : shape[0] // 2] = 1.0   # forget gate starts open
     return value
@@ -179,15 +187,6 @@ def init_model(config: ClassifierConfig) -> ClassifierModel:
 
 # --------------------------------------------------------------------------
 # Forward pieces
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def _conv_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -251,63 +250,64 @@ def _bn_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarray,
-                  b: np.ndarray, need_cache: bool):
+                  b: np.ndarray):
+    """LSTM over (B, C, T) input; the state holds across masked steps, so the
+    last of the hidden states (B, T, U) is each sample's last valid one. The
+    cache holds the input, the gates ``act`` (T, 4, B, U; i, f, g, o), the
+    carried cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new cell."""
     B, _, T = x.shape
     units = wh.shape[0]
-    h = np.zeros((B, units))
-    c = np.zeros((B, units))
+    xw = x.transpose(0, 2, 1) @ wx
+    xw += b
+    # Sigmoid gates as 0.5 * (1 + tanh(z / 2)), which cannot overflow, and g as
+    # tanh(z), in one pass: tanh(z * s) * s + (1 - s) with s 0.5 or 1 is exact.
+    s = np.repeat([0.5, 0.5, 1.0, 0.5], units)
+    act = np.empty((T, 4, B, units))
+    cells = np.zeros((T + 1, B, units))
+    tcs = np.empty((T, B, units))
     hidden = np.empty((B, T, units))
-    cache = [] if need_cache else None
+    h = np.zeros((B, units))
     for t in range(T):
-        xt = x[:, :, t]
-        gates = xt @ wx + h @ wh + b
-        gi = _sigmoid(gates[:, :units])
-        gf = _sigmoid(gates[:, units : 2 * units])
-        gg = np.tanh(gates[:, 2 * units : 3 * units])
-        go = _sigmoid(gates[:, 3 * units :])
-        c_new = gf * c + gi * gg
-        tc = np.tanh(c_new)
-        h_new = go * tc
+        z = np.tanh((xw[:, t] + h @ wh) * s) * s + (1.0 - s)
+        act[t] = z.reshape(B, 4, units).swapaxes(0, 1)
+        gi, gf, gg, go = act[t]
+        c_new = gf * cells[t] + gi * gg
+        tcs[t] = np.tanh(c_new)
         m = mask[:, t : t + 1]
-        if need_cache:
-            cache.append((xt, h, c, gi, gf, gg, go, tc, m))
-        h = m * h_new + (1.0 - m) * h
-        c = m * c_new + (1.0 - m) * c
+        cells[t + 1] = m * c_new + (1.0 - m) * cells[t]
+        h = m * (go * tcs[t]) + (1.0 - m) * h
         hidden[:, t] = h
-    return hidden, h, cache
+    return hidden, (x, act, cells, tcs)
 
 
-def _lstm_backward(d_hidden: np.ndarray, d_last: np.ndarray, cache,
-                   wx: np.ndarray, wh: np.ndarray):
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(wx.shape[1])
-    dh = d_last.copy()
-    dc = np.zeros_like(d_last)
-    for t in range(len(cache) - 1, -1, -1):
-        xt, h_prev, c_prev, gi, gf, gg, go, tc, m = cache[t]
+def _lstm_backward(d_hidden: np.ndarray, mask: np.ndarray, hidden: np.ndarray, cache,
+                   wh: np.ndarray):
+    """Gradients of lstm_wx, lstm_wh and lstm_b: the reverse loop carries only
+    the recurrence, then each is one product over every step's gate gradients."""
+    x, act, cells, tcs = cache
+    T, _, B, units = act.shape
+    dgates = np.empty((T, B, 4 * units))
+    dh = dc = np.zeros((B, units))
+    for t in range(T - 1, -1, -1):
+        gi, gf, gg, go = act[t]
+        tc = tcs[t]
+        m = mask[:, t : t + 1]
         dht = d_hidden[:, t] + dh
         dh_new = m * dht
-        dh_carry = (1.0 - m) * dht
-        dc_new = m * dc
-        dc_carry = (1.0 - m) * dc
-        do = dh_new * tc
-        dc_new = dc_new + dh_new * go * (1.0 - tc * tc)
-        df = dc_new * c_prev
-        di = dc_new * gg
-        dg = dc_new * gi
-        dgates = np.concatenate([
-            di * gi * (1.0 - gi),
-            df * gf * (1.0 - gf),
-            dg * (1.0 - gg * gg),
-            do * go * (1.0 - go),
-        ], axis=1)
-        dwx += xt.T @ dgates
-        dwh += h_prev.T @ dgates
-        db += dgates.sum(axis=0)
-        dh = dh_carry + dgates @ wh.T
-        dc = dc_carry + dc_new * gf
-    return dwx, dwh, db
+        dc_new = m * dc + dh_new * go * (1.0 - tc * tc)
+        np.concatenate([
+            dc_new * gg * gi * (1.0 - gi),
+            dc_new * cells[t] * gf * (1.0 - gf),
+            dc_new * gi * (1.0 - gg * gg),
+            dh_new * tc * go * (1.0 - go),
+        ], axis=1, out=dgates[t])
+        dh = (1.0 - m) * dht + dgates[t] @ wh.T
+        dc = (1.0 - m) * dc + dc_new * gf
+    flat = dgates.reshape(T * B, 4 * units)
+    dwx = x.transpose(1, 2, 0).reshape(-1, T * B) @ flat
+    # Step t's previous hidden state is hidden[:, t - 1]; step 0's is zero.
+    dwh = hidden.transpose(2, 1, 0)[:, :-1].reshape(units, -1) @ flat[B:]
+    return dwx, dwh, flat.sum(axis=0)
 
 
 def _masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -318,7 +318,7 @@ def _masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
-             dropout_rng: np.random.Generator | None, need_cache: bool):
+             dropout_rng: np.random.Generator | None):
     config = model.config
     params = model.params
     x = batch.series
@@ -342,24 +342,22 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
         else:
             u = _bn_eval(z, params[f"bn{i}_gamma"], params[f"bn{i}_beta"],
                          model.running[f"bn{i}_mean"], model.running[f"bn{i}_var"])
-            bn_cache = None
         relu_mask = u > 0
         a = np.where(relu_mask, u, 0.0) * mask3
-        if need_cache:
+        if train:
             cache["blocks"].append((xp, bn_cache, relu_mask))
     counts = mask.sum(axis=1)
     pooled = (a * mask3).sum(axis=2) / counts[:, None]
 
-    hidden, h_last, lstm_cache = _lstm_forward(
-        x * mask3, mask, params["lstm_wx"], params["lstm_wh"], params["lstm_b"],
-        need_cache)
+    hidden, lstm_cache = _lstm_forward(
+        x * mask3, mask, params["lstm_wx"], params["lstm_wh"], params["lstm_b"])
     if config.attention:
         scores = hidden @ params["attn_v"]
         alpha = _masked_softmax(scores, mask)
         context = (alpha[:, :, None] * hidden).sum(axis=1)
     else:
         alpha = None
-        context = h_last
+        context = hidden[:, -1]
 
     features = np.concatenate([pooled, context], axis=1)
     drop_mask = None
@@ -374,10 +372,8 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
 
-    if need_cache:
-        cache.update(a_last=a, mask=mask, counts=counts, hidden=hidden,
-                     lstm=lstm_cache, alpha=alpha, features=features,
-                     drop_mask=drop_mask, probs=probs, pooled_dim=pooled.shape[1])
+    cache.update(mask=mask, counts=counts, hidden=hidden, lstm=lstm_cache, alpha=alpha,
+                 features=features, drop_mask=drop_mask, pooled_dim=pooled.shape[1])
     return probs, cache
 
 
@@ -408,8 +404,7 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
         raise ValueError("loss needs labels")
     config = model.config
     params = model.params
-    probs, cache = _forward(model, batch, train=True, dropout_rng=dropout_rng,
-                            need_cache=True)
+    probs, cache = _forward(model, batch, train=True, dropout_rng=dropout_rng)
     loss, dlogits = _cross_entropy(probs, batch.labels, class_weights)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss!r}")
@@ -421,30 +416,23 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
     dfeat = dlogits @ params["out_w"].T
     if cache["drop_mask"] is not None:
         dfeat = dfeat * cache["drop_mask"]
-    split = cache["pooled_dim"]
-    dpooled = dfeat[:, :split]
-    dcontext = dfeat[:, split:]
+    dpooled, dcontext = np.split(dfeat, [cache["pooled_dim"]], axis=1)
 
     # Recurrent branch.
     hidden = cache["hidden"]
     mask = cache["mask"]
     if config.attention:
         alpha = cache["alpha"]
-        v = params["attn_v"]
         dalpha = np.einsum("bu,btu->bt", dcontext, hidden)
         d_hidden = alpha[:, :, None] * dcontext[:, None, :]
         dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
         grads["attn_v"] = np.einsum("bt,btu->u", dscores, hidden)
-        d_hidden += dscores[:, :, None] * v[None, None, :]
-        d_last = np.zeros_like(dcontext)
+        d_hidden += dscores[:, :, None] * params["attn_v"][None, None, :]
     else:
         d_hidden = np.zeros_like(hidden)
-        d_last = dcontext
-    dwx, dwh, db = _lstm_backward(d_hidden, d_last, cache["lstm"],
-                                  params["lstm_wx"], params["lstm_wh"])
-    grads["lstm_wx"] = dwx
-    grads["lstm_wh"] = dwh
-    grads["lstm_b"] = db
+        d_hidden[:, -1] = dcontext
+    grads["lstm_wx"], grads["lstm_wh"], grads["lstm_b"] = _lstm_backward(
+        d_hidden, mask, hidden, cache["lstm"], params["lstm_wh"])
 
     # Convolutional branch.
     mask3 = mask[:, None, :]
@@ -452,12 +440,9 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
     for i in range(len(config.conv_blocks) - 1, -1, -1):
         xp, bn_cache, relu_mask = cache["blocks"][i]
         du = da * mask3 * relu_mask
-        dz, dgamma, dbeta = _bn_backward(du, bn_cache)
-        grads[f"bn{i}_gamma"] = dgamma
-        grads[f"bn{i}_beta"] = dbeta
-        dw, dbias, da = _conv_backward(dz, xp, params[f"conv{i}_w"])
-        grads[f"conv{i}_w"] = dw
-        grads[f"conv{i}_b"] = dbias
+        dz, grads[f"bn{i}_gamma"], grads[f"bn{i}_beta"] = _bn_backward(du, bn_cache)
+        grads[f"conv{i}_w"], grads[f"conv{i}_b"], da = _conv_backward(
+            dz, xp, params[f"conv{i}_w"])
     return loss, grads, cache["batch_stats"]
 
 
@@ -466,7 +451,7 @@ def batch_loss(model: ClassifierModel, batch: PaddedBatch,
     """Training-mode loss without gradients (used by finite differencing)."""
     if batch.labels is None:
         raise ValueError("loss needs labels")
-    probs, _ = _forward(model, batch, train=True, dropout_rng=None, need_cache=False)
+    probs, _ = _forward(model, batch, train=True, dropout_rng=None)
     loss, _ = _cross_entropy(probs, batch.labels, class_weights)
     return loss
 
@@ -479,19 +464,16 @@ def predict_proba(model: ClassifierModel, series: Sequence[np.ndarray]) -> np.nd
     """Evaluation-mode class probabilities for a list of (C, T) series.
 
     A series holding a nan or inf value raises NonFiniteInput naming its
-    index in ``series`` ("batch series i").
+    index in ``series`` ("batch series i"). No series gives a (0, classes)
+    array.
     """
     for i, s in enumerate(series):
         if not np.isfinite(s).all():
             raise NonFiniteInput(f"batch series {i} holds a non-finite value")
-    out = []
-    step = max(int(model.config.batch_size), 1)
-    for start in range(0, len(series), step):
-        batch = pad_batch(series[start : start + step])
-        probs, _ = _forward(model, batch, train=False, dropout_rng=None,
-                            need_cache=False)
-        out.append(probs)
-    return np.vstack(out)
+    step = model.config.batch_size
+    out = [_forward(model, pad_batch(series[i : i + step]), train=False, dropout_rng=None)[0]
+           for i in range(0, len(series), step)]
+    return np.vstack(out) if out else np.zeros((0, model.config.classes))
 
 
 def predict(model: ClassifierModel, series: Sequence[np.ndarray]) -> np.ndarray:

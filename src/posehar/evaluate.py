@@ -15,7 +15,8 @@ Only ``split`` reads ``group_by`` and the group lists; only ``kfold`` reads
 ``val_fraction`` out of its training pool; a pool in which no action has two
 samples leaves nothing to validate on and raises TooFewSamples. Folds are
 index-based and pairwise disjoint by construction; the runner re-checks that
-before fitting anything.
+before fitting anything, and it refuses (TooFewSamples) a fold none of whose
+test samples has an action its training set holds.
 
 Scores: absolute accuracy is the fraction of correct test predictions;
 relative accuracy is the mean per-class recall, which weighs every class
@@ -36,6 +37,7 @@ from .augment import AugmentConfig, augment_set, noise_sample
 from .classifier import ClassifierConfig, predict, train
 from .embed import MODES, baseline_channels, embed_sequence
 from .errors import TooFewSamples
+from .pca import FEATURE_DIM
 from .pose import Sample
 from .preprocess import preprocess_sample
 from .som import SomConfig, build_bundle
@@ -267,6 +269,9 @@ class PipelineConfig:
         if self.pca_components != self.som.m:
             raise ValueError(f"pca_components ({self.pca_components}) must equal the "
                              f"som lattice dimension m ({self.som.m})")
+        if not 1 <= self.pca_components <= FEATURE_DIM:
+            raise ValueError(f"pca_components and som.m must be in 1..{FEATURE_DIM}, "
+                             f"got {self.pca_components}")
 
 
 def _derived_seed(*parts: int) -> int:
@@ -291,6 +296,7 @@ def run_experiment(samples: Sequence[Sample], protocol: Protocol,
     actions = sorted({s.action for s in samples})
     class_of = {a: i for i, a in enumerate(actions)}
     folds = make_folds(samples, protocol, pipeline.seed)
+    tests = [_scored_test(samples, fold, f) for f, fold in enumerate(folds)]
 
     prep_cache: dict[int, object] = {}
 
@@ -302,18 +308,7 @@ def run_experiment(samples: Sequence[Sample], protocol: Protocol,
     confusion = np.zeros((len(actions), len(actions)), dtype=np.int64)
     per_fold: list[dict] = []
     for f, fold in enumerate(folds):
-        train_idx, val_idx, test_idx = list(fold.train), list(fold.val), list(fold.test)
-        taken = set(train_idx) | set(val_idx)
-        if taken & set(test_idx) or set(train_idx) & set(val_idx):
-            raise ValueError("fold partitions overlap; refusing to continue")
-
-        train_actions = {samples[i].action for i in train_idx}
-        unseen = [i for i in test_idx if samples[i].action not in train_actions]
-        if unseen:
-            log.warning("dropping %d test sample(s) of action(s) absent from training",
-                        len(unseen))
-            test_idx = [i for i in test_idx if samples[i].action in train_actions]
-
+        train_idx, val_idx, test_idx = list(fold.train), list(fold.val), tests[f]
         if pipeline.mode == "baseline":
             train_pairs, val_pairs, test_series = _baseline_fold(
                 samples, train_idx, val_idx, test_idx, pipeline, class_of)
@@ -342,6 +337,22 @@ def run_experiment(samples: Sequence[Sample], protocol: Protocol,
     absolute, relative = accuracy_scores(confusion)
     return EvalReport(tuple(actions), confusion, absolute, relative, per_fold,
                       {**asdict(pipeline), "protocol": asdict(protocol)})
+
+
+def _scored_test(samples: Sequence[Sample], fold: Fold, f: int) -> list[int]:
+    """Fold ``f``'s test samples of actions its training set holds (the rest
+    are dropped with a warning); none left is TooFewSamples."""
+    train, val = set(fold.train), set(fold.val)
+    if (train | val) & set(fold.test) or train & val:
+        raise ValueError("fold partitions overlap; refusing to continue")
+    seen = {samples[i].action for i in train}
+    test = [i for i in fold.test if samples[i].action in seen]
+    if len(test) < len(fold.test):
+        log.warning("fold %d: dropping %d test sample(s) of action(s) absent from training",
+                    f, len(fold.test) - len(test))
+    if not test:
+        raise TooFewSamples(f"fold {f}: no test sample has an action the training set holds")
+    return test
 
 
 def _baseline_fold(samples, train_idx, val_idx, test_idx, pipeline, class_of):

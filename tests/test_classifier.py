@@ -6,6 +6,8 @@ import pytest
 
 from posehar.classifier import (
     ClassifierConfig,
+    _lstm_backward,
+    _lstm_forward,
     PaddedBatch,
     accuracy,
     batch_loss,
@@ -110,6 +112,78 @@ def test_gradients_with_class_weights():
         flat[idx] = keep
         numeric = (up - down) / (2 * h)
         assert relative_error(numeric, grads["out_w"].reshape(-1)[idx]) < 1e-6
+
+
+def reference_lstm(x, mask, wx, wh, b, d_hidden):
+    """Per-step LSTM oracle: one cache tuple per step, a boolean-mask
+    sigmoid, and weight gradients summed step by step."""
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ex = np.exp(z[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    B, _, T = x.shape
+    units = wh.shape[0]
+    h = np.zeros((B, units))
+    c = np.zeros((B, units))
+    hidden = np.empty((B, T, units))
+    steps = []
+    for t in range(T):
+        gates = x[:, :, t] @ wx + h @ wh + b
+        gi = sigmoid(gates[:, :units])
+        gf = sigmoid(gates[:, units : 2 * units])
+        gg = np.tanh(gates[:, 2 * units : 3 * units])
+        go = sigmoid(gates[:, 3 * units :])
+        c_new = gf * c + gi * gg
+        tc = np.tanh(c_new)
+        m = mask[:, t : t + 1]
+        steps.append((x[:, :, t], h, c, gi, gf, gg, go, tc, m))
+        h = m * (go * tc) + (1.0 - m) * h
+        c = m * c_new + (1.0 - m) * c
+        hidden[:, t] = h
+
+    dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros(wx.shape[1])
+    dh, dc = np.zeros((B, units)), np.zeros((B, units))
+    for t in range(T - 1, -1, -1):
+        xt, h_prev, c_prev, gi, gf, gg, go, tc, m = steps[t]
+        dht = d_hidden[:, t] + dh
+        dh_new = m * dht
+        dc_new = m * dc + dh_new * go * (1.0 - tc * tc)
+        dgates = np.concatenate([dc_new * gg * gi * (1.0 - gi),
+                                 dc_new * c_prev * gf * (1.0 - gf),
+                                 dc_new * gi * (1.0 - gg * gg),
+                                 dh_new * tc * go * (1.0 - go)], axis=1)
+        dwx += xt.T @ dgates
+        dwh += h_prev.T @ dgates
+        db += dgates.sum(axis=0)
+        dh = (1.0 - m) * dht + dgates @ wh.T
+        dc = (1.0 - m) * dc + dc_new * gf
+    return hidden, (dwx, dwh, db)
+
+
+def test_lstm_matches_the_per_step_oracle():
+    rng = np.random.default_rng(85)
+    lengths = (9, 3, 6, 1, 7)
+    B, C, T, units = len(lengths), 6, max(lengths), 5
+    mask = (np.arange(T)[None, :] < np.array(lengths)[:, None]).astype(float)
+    x = rng.normal(0.0, 1.0, (B, C, T)) * mask[:, None, :]
+    wx = rng.normal(0.0, 1.0, (C, 4 * units))
+    wh = rng.normal(0.0, 1.0, (units, 4 * units))
+    b = rng.normal(0.0, 1.0, 4 * units)
+    # the last step's gradient also reaches the samples that ended earlier
+    d_hidden = rng.normal(0.0, 1.0, (B, T, units)) * mask[:, :, None]
+    d_hidden[:, -1] = rng.normal(0.0, 1.0, (B, units))
+
+    hidden, cache = _lstm_forward(x, mask, wx, wh, b)
+    grads = _lstm_backward(d_hidden, mask, hidden, cache, wh)
+    ref_hidden, ref_grads = reference_lstm(x, mask, wx, wh, b, d_hidden)
+
+    np.testing.assert_allclose(hidden, ref_hidden, rtol=0, atol=1e-12)
+    for name, got, want in zip(("dwx", "dwh", "db"), grads, ref_grads):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 def test_padding_cannot_change_anything():
@@ -268,6 +342,8 @@ def test_predict_and_accuracy():
     labels = probs.argmax(axis=1)
     assert accuracy(model, list(zip(series, labels))) == 1.0
     assert accuracy(model, []) == 0.0
+    assert predict_proba(model, []).shape == (0, 3)
+    assert predict(model, []).shape == (0,)
     with pytest.raises(ShapeMismatch):
         predict_proba(model, [rng.normal(0.0, 1.0, (4, 5))])
 

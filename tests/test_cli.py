@@ -2,16 +2,19 @@
 
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from posehar.cli import main
-from posehar.io import write_manifest
+from posehar.io import write_dataset, write_manifest, write_sample
+from posehar.synth import generate_corpus
 
 CONFIG = {
     "seed": 11,
@@ -320,6 +323,21 @@ def test_console_script_is_installed(tmp_path):
     assert getattr(importlib.import_module(module_name), attr) is main
 
 
+def test_package_runs_as_a_module(tmp_path):
+    # from a checkout: only the source directory is on the path
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "posehar", "--help"],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: posehar")
+    missing = subprocess.run(
+        [sys.executable, "-m", "posehar", "predict", "--model", str(tmp_path / "absent.npz"),
+         "--input", str(tmp_path / "absent.seq")],
+        capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert missing.returncode == 3
+
+
 @pytest.mark.skipif(
     shutil.which("posehar") is None,
     reason="no posehar script on PATH: it exists only after `pip install -e .`,"
@@ -531,3 +549,53 @@ def test_label_that_could_act_as_a_path_is_a_data_error(workdir, tmp_path, capsy
     assert capsys.readouterr().out == ""
     assert one_line_error(caplog, raw / "manifest.json")
     assert repr(label) in caplog.text
+
+
+def test_evaluate_refuses_a_fold_with_no_scorable_test_sample(tmp_path, capsys, caplog):
+    # training on still/squat, testing on march: nothing in the test fold can be scored
+    samples = [replace(s, dataset="field" if s.action == "march" else "lab")
+               for s in generate_corpus(3, ("still", "squat", "march"), frames=12)]
+    write_dataset(tmp_path / "raw", samples, write_sample, ".seq")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "baseline", "protocol": {
+        "kind": "split", "group_by": "dataset",
+        "train_groups": ["lab"], "test_groups": ["field"]}}))
+    assert main(["--config", str(config), "evaluate",
+                 "--manifest", str(tmp_path / "raw/manifest.json")]) == 3
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["fold 0: no test sample has an action the training set holds"]
+
+
+@pytest.mark.parametrize("command, config", [
+    (["build-libraries", "--m", "30"], {}),
+    (["evaluate"], {"som": {"m": 27}}),
+], ids=["build-libraries --m 30", "evaluate som.m 27"])
+def test_lattice_wider_than_the_pose_vector_is_a_config_error(tmp_path, capsys, caplog,
+                                                              command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    # the manifest does not exist: the settings are refused before any data is read
+    assert main(["--config", str(path), *command, "--out", str(tmp_path / "out"),
+                 "--manifest", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().out == ""
+    assert "must be in 1..26" in caplog.text
+
+
+@pytest.mark.parametrize("classifier, setting", [
+    ({"recurrent_units": 10**12}, "recurrent_units"),
+    ({"conv_blocks": [[10**12, 3]]}, "conv_blocks"),
+    ({"recurrent_units": 10**18}, "recurrent_units"),
+])
+def test_train_refuses_a_network_no_machine_can_allocate(workdir, tmp_path, capsys, caplog,
+                                                         classifier, setting):
+    # sizes whose first array fails to allocate at once
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": classifier}))
+    assert main(["--config", str(config), "train",
+                 "--embedded", str(workdir / "emb/manifest.json"),
+                 "--out", str(tmp_path / "model.npz")]) == 2
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and f"classifier {setting} too large" in errors[0]
+    assert not (tmp_path / "model.npz").exists()

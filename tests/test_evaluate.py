@@ -249,3 +249,22 @@ def test_run_experiment_drops_unseen_test_actions():
     march_row = report.actions.index("march")
     assert report.confusion[march_row].sum() == 0
     assert report.confusion.sum() == 2
+
+
+def test_fold_with_no_scorable_test_sample_is_refused_before_fitting(monkeypatch):
+    rng = np.random.default_rng(95)
+    # the test dataset holds only "march", which training never sees
+    samples = ([tiny_sample(rng, a, f"a{i}", "src") for a in ("still", "squat")
+                for i in range(4)]
+               + [tiny_sample(rng, "march", "b1", "dst")])
+    protocol = Protocol(kind="split", train_groups=("src",),
+                        test_groups=("dst",), group_by="dataset")
+
+    def no_fitting(*args, **kwargs):
+        raise AssertionError("fitted a fold that cannot be scored")
+
+    monkeypatch.setattr("posehar.evaluate.train", no_fitting)
+    monkeypatch.setattr("posehar.evaluate.build_bundle", no_fitting)
+    for mode in ("baseline", "advanced"):
+        with pytest.raises(TooFewSamples, match="fold 0: no test sample"):
+            run_experiment(samples, protocol, fast_pipeline(mode))
