@@ -51,6 +51,8 @@ class AugmentConfig:
             raise ValueError("z must be non-negative")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def flip(item: LabeledSequence) -> LabeledSequence:

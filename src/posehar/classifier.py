@@ -36,7 +36,7 @@ from .errors import (ConfigError, Diverged, NonFiniteInput, NonFiniteLoss, Parse
 
 log = logging.getLogger(__name__)
 
-MODEL_FORMAT = "posehar-classifier/1"
+MODEL_FORMAT = "posehar-classifier/2"
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
@@ -79,6 +79,10 @@ class ClassifierConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.patience < 0 or self.max_epochs < 1:
             raise ValueError("patience must be >= 0 and max_epochs >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @property
     def feature_dim(self) -> int:
@@ -142,8 +146,8 @@ def model_layout(config: ClassifierConfig) -> dict[str, dict[str, tuple[int, ...
     running: dict[str, tuple[int, ...]] = {}
     cin = config.channels
     for i, (filters, kernel) in enumerate(config.conv_blocks):
-        params.update({f"conv{i}_w": (filters, cin, kernel), f"conv{i}_b": (filters,),
-                       f"bn{i}_gamma": (filters,), f"bn{i}_beta": (filters,)})
+        params.update({f"conv{i}_w": (filters, cin, kernel), f"bn{i}_gamma": (filters,),
+                       f"bn{i}_beta": (filters,)})
         running.update({f"bn{i}_mean": (filters,), f"bn{i}_var": (filters,)})
         cin = filters
     units = config.recurrent_units
@@ -189,10 +193,12 @@ def init_model(config: ClassifierConfig) -> ClassifierModel:
 # Forward pieces
 
 
-def _conv_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _conv_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Same-padded 1D convolution of (B, C, T) with (F, C, K) weights.
 
     Returns the output and the padded input (kept for the backward pass).
+    There is no bias: batch norm follows every convolution and subtracts
+    any per-filter constant again.
     """
     kernel = w.shape[2]
     left = (kernel - 1) // 2
@@ -201,11 +207,11 @@ def _conv_same(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     y = np.zeros((x.shape[0], w.shape[0], T))
     for k in range(kernel):
         y += np.matmul(w[:, :, k], xp[:, :, k : k + T])
-    return y + b[None, :, None], xp
+    return y, xp
 
 
 def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     kernel = w.shape[2]
     T = dy.shape[2]
     left = (kernel - 1) // 2
@@ -214,8 +220,7 @@ def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray
     for k in range(kernel):
         dw[:, :, k] = np.tensordot(dy, xp[:, :, k : k + T], axes=((0, 2), (0, 2)))
         dxp[:, :, k : k + T] += np.matmul(w[:, :, k].T, dy)
-    db = dy.sum(axis=(0, 2))
-    return dw, db, dxp[:, :, left : left + T]
+    return dw, dxp[:, :, left : left + T]
 
 
 def _bn_train(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -334,7 +339,7 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
     cache: dict = {"blocks": [], "batch_stats": []}
     a = x * mask3
     for i in range(len(config.conv_blocks)):
-        z, xp = _conv_same(a, params[f"conv{i}_w"], params[f"conv{i}_b"])
+        z, xp = _conv_same(a, params[f"conv{i}_w"])
         if train:
             u, bn_cache, stats = _bn_train(z, params[f"bn{i}_gamma"],
                                            params[f"bn{i}_beta"], mask3, count)
@@ -441,8 +446,7 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
         xp, bn_cache, relu_mask = cache["blocks"][i]
         du = da * mask3 * relu_mask
         dz, grads[f"bn{i}_gamma"], grads[f"bn{i}_beta"] = _bn_backward(du, bn_cache)
-        grads[f"conv{i}_w"], grads[f"conv{i}_b"], da = _conv_backward(
-            dz, xp, params[f"conv{i}_w"])
+        grads[f"conv{i}_w"], da = _conv_backward(dz, xp, params[f"conv{i}_w"])
     return loss, grads, cache["batch_stats"]
 
 
@@ -595,7 +599,7 @@ def train(config: ClassifierConfig,
 
 def save_model(path: str | os.PathLike, model: ClassifierModel,
                actions: Sequence[str] | None = None) -> None:
-    """Write a model as a ``posehar-classifier/1`` archive (see
+    """Write a model as a ``posehar-classifier/2`` archive (see
     :mod:`posehar.archive`), with the action names when given."""
     meta = {"config": asdict(model.config)}
     if actions is not None:
@@ -614,8 +618,13 @@ def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | No
     ``actions``, when present, must list ``classes`` distinct strings.
     Anything else raises ParseError naming the file; nothing is allocated
     from the meta sizes.
+
+    A ``posehar-classifier/1`` archive also holds a bias ``conv{i}_b`` per
+    conv block, which batch norm cancels. It loads with a warning: each
+    bias, checked like every entry, is folded into its block's running
+    mean, which is exact since conv + b - mean = conv - (mean - b).
     """
-    meta, arrays = read_archive(path, MODEL_FORMAT)
+    meta, arrays = read_archive(path, {MODEL_FORMAT, "posehar-classifier/1"})
     try:
         config = ClassifierConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -623,6 +632,11 @@ def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | No
     params, running = ({name: entry(path, arrays, f"{group}/{name}", shape)
                         for name, shape in shapes.items()}
                        for group, shapes in model_layout(config).items())
+    if meta["format"] != MODEL_FORMAT:
+        log.warning("%s: posehar-classifier/1 model; its conv biases are folded into "
+                    "the batch-norm running means", path)
+        for i, (filters, _) in enumerate(config.conv_blocks):
+            running[f"bn{i}_mean"] -= entry(path, arrays, f"param/conv{i}_b", (filters,))
     no_more(path, arrays)
     if any((value < 0).any() for key, value in running.items() if key.endswith("_var")):
         raise ParseError(f"{path}: a batch-norm running variance is negative")

@@ -34,10 +34,9 @@ from typing import Sequence
 import numpy as np
 
 from .augment import AugmentConfig, augment_set, noise_sample
-from .classifier import ClassifierConfig, predict, train
-from .embed import MODES, baseline_channels, embed_sequence
+from .classifier import ClassifierConfig, init_model, predict, train
+from .embed import MODES, baseline_channels, channel_names, embed_sequence
 from .errors import TooFewSamples
-from .pca import FEATURE_DIM
 from .pose import Sample
 from .preprocess import preprocess_sample
 from .som import SomConfig, build_bundle
@@ -269,9 +268,6 @@ class PipelineConfig:
         if self.pca_components != self.som.m:
             raise ValueError(f"pca_components ({self.pca_components}) must equal the "
                              f"som lattice dimension m ({self.som.m})")
-        if not 1 <= self.pca_components <= FEATURE_DIM:
-            raise ValueError(f"pca_components and som.m must be in 1..{FEATURE_DIM}, "
-                             f"got {self.pca_components}")
 
 
 def _derived_seed(*parts: int) -> int:
@@ -291,12 +287,15 @@ def run_experiment(samples: Sequence[Sample], protocol: Protocol,
 
     Everything fitted (reduction models, libraries, classifier, batch-norm
     statistics) sees training-fold data only; augmentation is applied to the
-    training fold only.
+    training fold only. A classifier size no machine can allocate is a
+    ConfigError before anything is fitted.
     """
     actions = sorted({s.action for s in samples})
     class_of = {a: i for i, a in enumerate(actions)}
     folds = make_folds(samples, protocol, pipeline.seed)
     tests = [_scored_test(samples, fold, f) for f, fold in enumerate(folds)]
+    init_model(_classifier_config(pipeline, len(channel_names(pipeline.mode, actions)),
+                                  len(actions), 0))
 
     prep_cache: dict[int, object] = {}
 

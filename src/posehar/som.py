@@ -41,6 +41,9 @@ from .preprocess import LabeledSequence
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "posehar-bundle/1"
+# Largest lattice, q ** m units: 64 times the default 4 ** 3. Training keeps
+# a (U, U) float64 table of lattice distances, 128 MiB at this size.
+MAX_UNITS = 4096
 LIBRARY_KINDS = ("spatial", "temporal")
 LIBRARY_ARRAYS = ("full", "reduced", "weight", "viewpoint")
 PCA_ARRAYS = ("mean", "components", "eigenvalues", "total_variance")
@@ -54,7 +57,8 @@ class SomConfig:
     starts at q / 2; learning rate and radius both decay as
     exp(-step / total steps). ``init`` is "axes" (units span the leading principal
     axes of the training data, the default) or "random" (seeded Gaussian
-    draws around the data mean).
+    draws around the data mean). m is at most the pose-vector width and
+    the lattice at most ``MAX_UNITS`` units.
     """
 
     q: int = 4
@@ -66,14 +70,22 @@ class SomConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.q < 1 or self.m < 1:
-            raise ValueError("q and m must be positive")
+        if self.q < 1:
+            raise ValueError("q must be positive")
+        # m is also the PCA dimension, which the pose vector bounds.
+        if not 1 <= self.m <= FEATURE_DIM:
+            raise ValueError(f"som.m must be in 1..{FEATURE_DIM}, got {self.m}")
+        if self.q ** self.m > MAX_UNITS:
+            raise ValueError(f"lattice q ** m ({self.q} ** {self.m}) exceeds "
+                             f"{MAX_UNITS} units")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
         if not self.lr0 > 0 or (self.radius0 is not None and not self.radius0 > 0):
             raise ValueError("lr0 and radius0 must be positive")
         if self.init not in ("axes", "random"):
             raise ValueError(f"unsupported init {self.init!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @property
     def n_units(self) -> int:
@@ -91,7 +103,7 @@ class SomFit:
 
 def lattice(q: int, m: int) -> np.ndarray:
     """Integer lattice coordinates of all q^m units, row-major."""
-    return np.array(list(itertools.product(range(q), repeat=m)), dtype=np.float64)
+    return np.indices((q,) * m).reshape(m, -1).T.astype(np.float64, order="C")
 
 
 def quantization_error(data: np.ndarray, weights: np.ndarray) -> float:
@@ -156,8 +168,10 @@ def train_soms(datas: Sequence[np.ndarray], config: SomConfig) -> list[SomFit]:
     if not datas:
         return []
     grid = lattice(config.q, config.m)
-    diff = grid[:, None, :] - grid[None, :, :]
-    grid_d2 = (diff * diff).sum(axis=2)   # squared lattice distances
+    grid_d2 = np.zeros((grid.shape[0], grid.shape[0]))   # squared lattice distances
+    for axis in grid.T:
+        diff = axis[:, None] - axis[None, :]
+        grid_d2 += diff * diff
     radius0 = config.radius0 if config.radius0 is not None else config.q / 2.0
 
     order = sorted(range(len(datas)), key=lambda c: -datas[c].shape[0])
@@ -376,7 +390,7 @@ def load_bundle(path: str | os.PathLike) -> ModelBundle:
     integer and (P,) string arrays per library. Anything else raises
     ParseError naming the file.
     """
-    meta, arrays = read_archive(path, BUNDLE_FORMAT)
+    meta, arrays = read_archive(path, {BUNDLE_FORMAT})
     try:
         m = meta["config"]["pca_components"]
         if type(m) is not int:

@@ -144,3 +144,5 @@ def test_augment_config_validation():
         AugmentConfig(z=-1)
     with pytest.raises(ValueError):
         AugmentConfig(sigma=-0.1)
+    with pytest.raises(ValueError, match="rng_seed"):
+        AugmentConfig(rng_seed=-1)

@@ -1,6 +1,8 @@
 """Classifier mechanics: gradients against finite differences, masking,
 training behavior, persistence."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from posehar.classifier import (
     inverse_frequency_weights,
     load_model,
     loss_and_grad,
+    model_layout,
     pad_batch,
     predict,
     predict_proba,
     save_model,
     train,
 )
+from posehar.archive import write_archive
 from posehar.errors import DataError, NonFiniteInput, NumericError, ParseError, ShapeMismatch
 
 TOY = dict(channels=3, classes=3, conv_blocks=((4, 3), (3, 2)), recurrent_units=4,
@@ -93,6 +97,18 @@ def test_gradients_match_finite_differences(attention):
             numeric = (up - down) / (2 * h)
             assert relative_error(numeric, flat_grad[idx]) < 1e-6, \
                 f"{key}[{idx}]: analytic {flat_grad[idx]}, numeric {numeric}"
+
+
+@pytest.mark.parametrize("attention", [True, False])
+def test_every_parameter_moves_the_loss(attention):
+    # A parameter whose gradient is rounding noise (a conv bias ahead of
+    # batch norm gave about 1e-17 here) is dead weight in the layout.
+    config = ClassifierConfig(**{**TOY, "attention": attention})
+    model = init_model(config)
+    _, grads, _ = loss_and_grad(model, toy_batch(np.random.default_rng(71)))
+    assert set(grads) == set(model_layout(config)["param"])
+    for key, grad in grads.items():
+        assert np.abs(grad).max() > 1e-10, key
 
 
 def test_gradients_with_class_weights():
@@ -405,6 +421,46 @@ def test_save_load_roundtrip(tmp_path):
         load_model(tmp_path / "junk.npz")
 
 
+def test_first_format_model_loads_with_its_conv_bias_folded(tmp_path, caplog):
+    rng = np.random.default_rng(83)
+    data = separable_dataset(rng, n_per_class=2)
+    config = ClassifierConfig(**{**TOY, "max_epochs": 2, "batch_size": 4})
+    model, _ = train(config, data, data[:3])
+    # The same network as a posehar-classifier/1 archive: a conv bias b per
+    # block, and running means shifted by that b, so conv + b - mean is unchanged.
+    arrays = {f"param/{key}": value for key, value in model.params.items()}
+    arrays.update((f"running/{key}", value) for key, value in model.running.items())
+    for i, (filters, _) in enumerate(config.conv_blocks):
+        bias = rng.normal(0.0, 1.0, filters)
+        arrays[f"param/conv{i}_b"] = bias
+        arrays[f"running/bn{i}_mean"] = model.running[f"bn{i}_mean"] + bias
+    meta = {"config": asdict(config), "actions": ["still", "wave", "jump"]}
+    path = tmp_path / "first.npz"
+    write_archive(path, "posehar-classifier/1", meta, arrays)
+
+    with caplog.at_level("WARNING", logger="posehar.classifier"):
+        back, actions = load_model(path)
+    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "first.npz" in warnings[0].getMessage()
+    assert actions == ["still", "wave", "jump"]
+    assert set(back.params) == set(model.params)
+    series = [s for s, _ in data]
+    np.testing.assert_allclose(predict_proba(back, series), predict_proba(model, series),
+                               rtol=0, atol=1e-12)
+
+    # Each stored bias is an entry like any other, and only /1 may hold one.
+    for fmt, edit in (("posehar-classifier/1", {"param/conv1_b": np.zeros(4)}),
+                      ("posehar-classifier/1", {"param/conv0_b": np.array(["x"] * 4)}),
+                      ("posehar-classifier/2", {})):
+        write_archive(path, fmt, meta, {**arrays, **edit})
+        with pytest.raises(ParseError, match="first.npz"):
+            load_model(path)
+    del arrays["param/conv0_b"]
+    write_archive(path, "posehar-classifier/1", meta, arrays)
+    with pytest.raises(ParseError, match="lacks entry param/conv0_b"):
+        load_model(path)
+
+
 def test_load_model_checks_entries_against_config(tmp_path):
     model = init_model(ClassifierConfig(**TOY))
     path = tmp_path / "model.npz"
@@ -441,3 +497,11 @@ def test_config_validation():
         ClassifierConfig(channels=3, classes=2, dropout=1.0)
     config = ClassifierConfig(channels=3, classes=2)
     assert config.feature_dim == 64 + 32
+
+
+@pytest.mark.parametrize("setting", [{"learning_rate": -0.01}, {"learning_rate": 0.0},
+                                     {"learning_rate": float("nan")}, {"rng_seed": -1}])
+def test_config_refuses_ascent_and_negative_seeds(setting):
+    # a negative rate trains by gradient ascent and a zero rate not at all
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        ClassifierConfig(channels=3, classes=2, **setting)

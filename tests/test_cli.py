@@ -297,6 +297,33 @@ def test_train_rejects_bad_classifier_settings(workdir, tmp_path):
                  "--out", str(tmp_path / "model.npz")]) == 2
 
 
+@pytest.mark.parametrize("section, command, flag, records", [
+    ("classifier", "train", "--embedded", "emb"),
+    ("augment", "augment", "--manifest", "norm"),
+    ("som", "build-libraries", "--manifest", "norm"),
+])
+def test_negative_section_seed_is_a_config_error(workdir, tmp_path, capsys, caplog,
+                                                 section, command, flag, records):
+    # the global seed is checked on its own; a section may override it
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {"rng_seed": -1}}))
+    assert main(["--config", str(config), command, flag, str(workdir / records / "manifest.json"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == ""
+    assert "rng_seed must be non-negative" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rate", [-0.01, 0])
+def test_train_refuses_a_learning_rate_that_is_not_positive(workdir, tmp_path, rate):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": {"learning_rate": rate}}))
+    assert main(["--config", str(config), "train",
+                 "--embedded", str(workdir / "emb/manifest.json"),
+                 "--out", str(tmp_path / "model.npz")]) == 2
+    assert not (tmp_path / "model.npz").exists()
+
+
 def run_missing_model(command, tmp_path):
     """Run ``predict`` on a model file that does not exist."""
     return subprocess.run(
@@ -580,6 +607,33 @@ def test_lattice_wider_than_the_pose_vector_is_a_config_error(tmp_path, capsys, 
                  "--manifest", str(tmp_path / "absent.json")]) == 2
     assert capsys.readouterr().out == ""
     assert "must be in 1..26" in caplog.text
+
+
+@pytest.mark.parametrize("command", [["build-libraries"], ["evaluate"]])
+def test_lattice_above_the_unit_cap_is_a_config_error(tmp_path, capsys, caplog, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"som": {"q": 4, "m": 20}, "pca_components": 20}))
+    # the manifest does not exist: the lattice is refused before any data is read
+    assert main(["--config", str(path), *command, "--out", str(tmp_path / "out"),
+                 "--manifest", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().out == ""
+    assert "exceeds 4096 units" in caplog.text
+
+
+def test_evaluate_sizes_the_classifier_before_fitting(workdir, tmp_path, capsys, caplog,
+                                                      monkeypatch):
+    def no_fitting(*args, **kwargs):
+        raise AssertionError("fitted before the classifier size was checked")
+
+    monkeypatch.setattr("posehar.evaluate.build_bundle", no_fitting)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "mode": "advanced",
+                                  "classifier": {"recurrent_units": 10**12}}))
+    assert main(["--config", str(config), "evaluate",
+                 "--manifest", str(workdir / "raw/manifest.json")]) == 2
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "classifier recurrent_units too large" in errors[0]
 
 
 @pytest.mark.parametrize("classifier, setting", [

@@ -2,10 +2,12 @@
 
 Each byte mutant of a ``.seq`` record (raw and normalized), an ``.emb``
 record, a detector frame, a manifest, the config file, ``bundle.npz`` or
-``model.npz`` is fed to the subcommand that reads it, in process. A
-malformed input must end in a documented exit code (0 when the damage is
-harmless, 2 for configuration, 3 for data), never in an uncaught exception.
-Entry-level mutants of the two archives (an entry dropped, set to NaN, of
+``model.npz`` (in the current format, and as a ``posehar-classifier/1``
+model whose conv biases ``load_model`` folds away) is fed to the subcommand
+that reads it, in process. A malformed input must end in a documented exit
+code (0 when the damage is harmless, 2 for configuration, 3 for data), never
+in an uncaught exception.
+Entry-level mutants of the archives (an entry dropped, set to NaN, of
 the wrong dtype or shape, an extra entry, or meta sizes no machine could
 allocate) are always data errors.
 """
@@ -85,8 +87,10 @@ def run(tmp_path_factory):
                  str(root / "norm/manifest.json"), "--out", str(root / "embadv")]) == 0
     assert main(config + ["train", "--embedded", str(root / "embadv/manifest.json"),
                           "--out", model]) == 0
+    first = str(root / "archive/model1.npz")
+    write_first_format_model(model, first)
     out = str(root / "out")
-    return root, {
+    commands = {
         "raw": ["preprocess", "--manifest", str(root / "raw/manifest.json"), "--out", out],
         "norm": ["embed", "--mode", "basic", "--manifest", str(root / "norm/manifest.json"),
                  "--out", out],
@@ -95,9 +99,28 @@ def run(tmp_path_factory):
         "det": ["ingest", "--manifest", str(root / "det/manifest.json"), "--out", out],
         "config": config + ["build-libraries", "--manifest",
                             str(root / "norm/manifest.json"), "--out", str(root / "b.npz")],
-        "archive": ["predict", "--mode", "advanced", "--bundle", bundle, "--model", model,
-                    "--input", str(root / "raw/00000_wave-one-arm_a00.seq")],
+        **{name: ["predict", "--mode", "advanced", "--bundle", bundle, "--model", path,
+                  "--input", str(root / "raw/00000_wave-one-arm_a00.seq")]
+           for name, path in (("model", model), ("model1", first))},
     }
+    assert main(commands["model1"]) == 0
+    return root, commands
+
+
+def write_first_format_model(source: str, path: str) -> None:
+    """Rewrite a model as the same network in the posehar-classifier/1
+    layout: a conv bias per block, and running means shifted by it."""
+    with np.load(source) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    rng = np.random.default_rng(1)
+    for i, (filters, _) in enumerate(meta["config"]["conv_blocks"]):
+        bias = rng.normal(0.0, 1.0, filters)
+        arrays[f"param/conv{i}_b"] = bias
+        arrays[f"running/bn{i}_mean"] = arrays[f"running/bn{i}_mean"] + bias
+    arrays["meta"] = np.array(json.dumps({**meta, "format": "posehar-classifier/1"}))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 # (input file, command that reads it)
@@ -112,7 +135,9 @@ TARGETS = [
     ("det/manifest.json", "det"),
     ("config.json", "config"),
 ]
-ARCHIVES = ["archive/bundle.npz", "archive/model.npz"]
+# (archive, command that reads it)
+ARCHIVES = [("archive/bundle.npz", "model"), ("archive/model.npz", "model"),
+            ("archive/model1.npz", "model1")]
 BYTE_MUTANTS_PER_ARCHIVE = 30
 
 
@@ -170,12 +195,12 @@ def test_mutated_archives_exit_cleanly(run, caplog):
     rng = random.Random(SEED)
     started = time.perf_counter()
     failures = []
-    for name in ARCHIVES:
+    for name, command in ARCHIVES:
         path = root / name
         original = path.read_bytes()
         for n in range(BYTE_MUTANTS_PER_ARCHIVE):
             path.write_bytes(mutate(original, rng))
-            code = exit_code(commands["archive"])
+            code = exit_code(commands[command])
             if code not in (0, 2, 3):
                 failures.append(f"{name} mutant {n}: {code}")
             caplog.clear()
@@ -185,7 +210,7 @@ def test_mutated_archives_exit_cleanly(run, caplog):
         for label, edited in entry_mutants(arrays):
             with open(path, "wb") as fh:
                 np.savez(fh, **edited)
-            code = exit_code(commands["archive"])
+            code = exit_code(commands[command])
             errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
             if code != 3 or len(errors) != 1 or str(path) not in errors[0]:
                 failures.append(f"{name} {label}: {code} {errors}")

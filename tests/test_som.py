@@ -1,5 +1,6 @@
 """Self-organizing map training, prototype libraries, bundle persistence."""
 
+import itertools
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from posehar.pca import FEATURE_DIM, fit_pca, project, unroll
 from posehar.pose import N_LANDMARKS, ROOT
 from posehar.preprocess import LabeledSequence, NormalizedSequence
 from posehar.som import (
+    MAX_UNITS,
     ModelBundle,
     PoseLibrary,
     SomConfig,
@@ -32,6 +34,10 @@ def test_lattice_row_major():
     np.testing.assert_array_equal(grid[:4], [[0, 0], [0, 1], [0, 2], [1, 0]])
     assert lattice(4, 3).shape == (64, 3)
     assert lattice(1, 5).shape == (1, 5)
+    for q, m in ((4, 3), (3, 2), (2, 5), (1, 1), (5, 4)):
+        grid = lattice(q, m)
+        assert grid.flags.c_contiguous
+        assert grid.tolist() == [list(unit) for unit in itertools.product(range(q), repeat=m)]
 
 
 def test_quantization_error_oracle():
@@ -419,3 +425,16 @@ def test_som_config_validation():
         with pytest.raises(ValueError):
             SomConfig(**schedule)
     assert SomConfig(q=4, m=3).n_units == 64
+    with pytest.raises(ValueError, match="rng_seed"):
+        SomConfig(rng_seed=-1)
+    with pytest.raises(ValueError, match=f"must be in 1..{FEATURE_DIM}"):
+        SomConfig(q=1, m=FEATURE_DIM + 1)
+    assert SomConfig(q=2, m=12).n_units == MAX_UNITS
+    assert SomConfig(q=MAX_UNITS, m=1).n_units == MAX_UNITS
+    assert SomConfig(q=1, m=FEATURE_DIM).n_units == 1
+
+
+@pytest.mark.parametrize("q, m", [(4, 20), (2, 13), (MAX_UNITS + 1, 1), (10**12, 13)])
+def test_som_config_refuses_a_lattice_above_the_cap(q, m):
+    with pytest.raises(ValueError, match=f"exceeds {MAX_UNITS} units"):
+        SomConfig(q=q, m=m)
