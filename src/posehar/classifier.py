@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -44,12 +44,24 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _integer(value) -> bool:
+    """An int or numpy integer; true/false is no number."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# The type check of each scalar field, by its annotation.
+_FIELD_KINDS = {"int": _integer, "bool": lambda v: isinstance(v, (bool, np.bool_)),
+                "float": lambda v: _integer(v) or isinstance(v, (float, np.floating))}
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Architecture and training knobs.
 
     conv_blocks lists (filters, kernel width) per block. channels and
-    classes have no defaults: they are properties of the data.
+    classes have no defaults: they are properties of the data. A field of
+    the wrong type raises TypeError; numpy integers and bools are stored as
+    plain ones, so the config stays JSON.
     """
 
     channels: int
@@ -66,8 +78,19 @@ class ClassifierConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "conv_blocks",
-                           tuple((int(f), int(k)) for f, k in self.conv_blocks))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in _FIELD_KINDS and not _FIELD_KINDS[f.type](value):
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type in ("int", "bool"):
+                object.__setattr__(self, f.name, int(value) if f.type == "int" else bool(value))
+        blocks = self.conv_blocks
+        if not (isinstance(blocks, (list, tuple)) and all(
+                isinstance(block, (list, tuple)) and len(block) == 2
+                and all(map(_integer, block)) for block in blocks)):
+            raise TypeError(f"conv_blocks must list (filters, width) integer pairs, "
+                            f"got {blocks!r}")
+        object.__setattr__(self, "conv_blocks", tuple((int(f), int(k)) for f, k in blocks))
         if self.channels < 1 or self.classes < 2:
             raise ValueError("need at least one channel and two classes")
         if not self.conv_blocks or min(min(block) for block in self.conv_blocks) < 1:
@@ -210,15 +233,20 @@ def _conv_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y, xp
 
 
-def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, input_grad: bool
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weight gradient of :func:`_conv_same` and, when ``input_grad``, the
+    gradient of its unpadded input (else None: block 0's input is the data)."""
     kernel = w.shape[2]
     T = dy.shape[2]
-    left = (kernel - 1) // 2
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
     for k in range(kernel):
         dw[:, :, k] = np.tensordot(dy, xp[:, :, k : k + T], axes=((0, 2), (0, 2)))
+    if not input_grad:
+        return dw, None
+    left = (kernel - 1) // 2
+    dxp = np.zeros_like(xp)
+    for k in range(kernel):
         dxp[:, :, k : k + T] += np.matmul(w[:, :, k].T, dy)
     return dw, dxp[:, :, left : left + T]
 
@@ -259,7 +287,10 @@ def _lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarra
     """LSTM over (B, C, T) input; the state holds across masked steps, so the
     last of the hidden states (B, T, U) is each sample's last valid one. The
     cache holds the input, the gates ``act`` (T, 4, B, U; i, f, g, o), the
-    carried cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new cell."""
+    carried cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new cell.
+
+    A step that no sample pads skips the carry: ``1 * a + 0 * b`` is ``a``
+    for finite ``b``, up to the sign of a zero."""
     B, _, T = x.shape
     units = wh.shape[0]
     xw = x.transpose(0, 2, 1) @ wx
@@ -267,20 +298,26 @@ def _lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarra
     # Sigmoid gates as 0.5 * (1 + tanh(z / 2)), which cannot overflow, and g as
     # tanh(z), in one pass: tanh(z * s) * s + (1 - s) with s 0.5 or 1 is exact.
     s = np.repeat([0.5, 0.5, 1.0, 0.5], units)
+    s1 = 1.0 - s
+    full = (mask == 1.0).all(axis=0)
     act = np.empty((T, 4, B, units))
     cells = np.zeros((T + 1, B, units))
     tcs = np.empty((T, B, units))
     hidden = np.empty((B, T, units))
     h = np.zeros((B, units))
     for t in range(T):
-        z = np.tanh((xw[:, t] + h @ wh) * s) * s + (1.0 - s)
+        z = np.tanh((xw[:, t] + h @ wh) * s) * s + s1
         act[t] = z.reshape(B, 4, units).swapaxes(0, 1)
         gi, gf, gg, go = act[t]
         c_new = gf * cells[t] + gi * gg
         tcs[t] = np.tanh(c_new)
-        m = mask[:, t : t + 1]
-        cells[t + 1] = m * c_new + (1.0 - m) * cells[t]
-        h = m * (go * tcs[t]) + (1.0 - m) * h
+        if full[t]:
+            cells[t + 1] = c_new
+            h = go * tcs[t]
+        else:
+            m = mask[:, t : t + 1]
+            cells[t + 1] = m * c_new + (1.0 - m) * cells[t]
+            h = m * (go * tcs[t]) + (1.0 - m) * h
         hidden[:, t] = h
     return hidden, (x, act, cells, tcs)
 
@@ -288,26 +325,41 @@ def _lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarra
 def _lstm_backward(d_hidden: np.ndarray, mask: np.ndarray, hidden: np.ndarray, cache,
                    wh: np.ndarray):
     """Gradients of lstm_wx, lstm_wh and lstm_b: the reverse loop carries only
-    the recurrence, then each is one product over every step's gate gradients."""
+    the recurrence, then each is one product over every step's gate gradients.
+    As in the forward pass, a step that no sample pads skips the carry."""
     x, act, cells, tcs = cache
     T, _, B, units = act.shape
+    full = (mask == 1.0).all(axis=0)
+    # The factors that depend on the step alone, for every step at once:
+    # 1 - g for the sigmoid gates, 1 - g * g for g, and 1 - tanh(c)^2.
+    slope = 1.0 - act
+    slope[:, 2] = 1.0 - act[:, 2] * act[:, 2]
+    dtanh = 1.0 - tcs * tcs
     dgates = np.empty((T, B, 4 * units))
     dh = dc = np.zeros((B, units))
     for t in range(T - 1, -1, -1):
         gi, gf, gg, go = act[t]
-        tc = tcs[t]
-        m = mask[:, t : t + 1]
+        si, sf, sg, so = slope[t]
         dht = d_hidden[:, t] + dh
-        dh_new = m * dht
-        dc_new = m * dc + dh_new * go * (1.0 - tc * tc)
+        if full[t]:
+            dh_new = dht
+            dc_new = dc + dht * go * dtanh[t]
+        else:
+            m = mask[:, t : t + 1]
+            dh_new = m * dht
+            dc_new = m * dc + dh_new * go * dtanh[t]
         np.concatenate([
-            dc_new * gg * gi * (1.0 - gi),
-            dc_new * cells[t] * gf * (1.0 - gf),
-            dc_new * gi * (1.0 - gg * gg),
-            dh_new * tc * go * (1.0 - go),
+            dc_new * gg * gi * si,
+            dc_new * cells[t] * gf * sf,
+            dc_new * gi * sg,
+            dh_new * tcs[t] * go * so,
         ], axis=1, out=dgates[t])
-        dh = (1.0 - m) * dht + dgates[t] @ wh.T
-        dc = (1.0 - m) * dc + dc_new * gf
+        if full[t]:
+            dh = dgates[t] @ wh.T
+            dc = dc_new * gf
+        else:
+            dh = (1.0 - m) * dht + dgates[t] @ wh.T
+            dc = (1.0 - m) * dc + dc_new * gf
     flat = dgates.reshape(T * B, 4 * units)
     dwx = x.transpose(1, 2, 0).reshape(-1, T * B) @ flat
     # Step t's previous hidden state is hidden[:, t - 1]; step 0's is zero.
@@ -446,7 +498,8 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
         xp, bn_cache, relu_mask = cache["blocks"][i]
         du = da * mask3 * relu_mask
         dz, grads[f"bn{i}_gamma"], grads[f"bn{i}_beta"] = _bn_backward(du, bn_cache)
-        grads[f"conv{i}_w"], da = _conv_backward(dz, xp, params[f"conv{i}_w"])
+        grads[f"conv{i}_w"], da = _conv_backward(dz, xp, params[f"conv{i}_w"],
+                                                 input_grad=i > 0)
     return loss, grads, cache["batch_stats"]
 
 

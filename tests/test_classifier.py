@@ -24,6 +24,7 @@ from posehar.classifier import (
     save_model,
     train,
 )
+from posehar import classifier as clf
 from posehar.archive import write_archive
 from posehar.errors import DataError, NonFiniteInput, NumericError, ParseError, ShapeMismatch
 
@@ -200,6 +201,176 @@ def test_lstm_matches_the_per_step_oracle():
     np.testing.assert_allclose(hidden, ref_hidden, rtol=0, atol=1e-12)
     for name, got, want in zip(("dwx", "dwh", "db"), grads, ref_grads):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+# Bit-identity oracle: verbatim copies of the conv backward pass that always
+# computes its input gradient and of the LSTM that applies the padding carry
+# ``m * a + (1 - m) * b`` on every step. Skipping that work where its result
+# is discarded or exactly ``a`` must leave every output bit for bit the same.
+def carry_conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    kernel = w.shape[2]
+    T = dy.shape[2]
+    left = (kernel - 1) // 2
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for k in range(kernel):
+        dw[:, :, k] = np.tensordot(dy, xp[:, :, k : k + T], axes=((0, 2), (0, 2)))
+        dxp[:, :, k : k + T] += np.matmul(w[:, :, k].T, dy)
+    return dw, dxp[:, :, left : left + T]
+
+
+def carry_lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarray,
+                       b: np.ndarray):
+    """LSTM over (B, C, T) input; the state holds across masked steps, so the
+    last of the hidden states (B, T, U) is each sample's last valid one. The
+    cache holds the input, the gates ``act`` (T, 4, B, U; i, f, g, o), the
+    carried cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new cell."""
+    B, _, T = x.shape
+    units = wh.shape[0]
+    xw = x.transpose(0, 2, 1) @ wx
+    xw += b
+    # Sigmoid gates as 0.5 * (1 + tanh(z / 2)), which cannot overflow, and g as
+    # tanh(z), in one pass: tanh(z * s) * s + (1 - s) with s 0.5 or 1 is exact.
+    s = np.repeat([0.5, 0.5, 1.0, 0.5], units)
+    act = np.empty((T, 4, B, units))
+    cells = np.zeros((T + 1, B, units))
+    tcs = np.empty((T, B, units))
+    hidden = np.empty((B, T, units))
+    h = np.zeros((B, units))
+    for t in range(T):
+        z = np.tanh((xw[:, t] + h @ wh) * s) * s + (1.0 - s)
+        act[t] = z.reshape(B, 4, units).swapaxes(0, 1)
+        gi, gf, gg, go = act[t]
+        c_new = gf * cells[t] + gi * gg
+        tcs[t] = np.tanh(c_new)
+        m = mask[:, t : t + 1]
+        cells[t + 1] = m * c_new + (1.0 - m) * cells[t]
+        h = m * (go * tcs[t]) + (1.0 - m) * h
+        hidden[:, t] = h
+    return hidden, (x, act, cells, tcs)
+
+
+def carry_lstm_backward(d_hidden: np.ndarray, mask: np.ndarray, hidden: np.ndarray, cache,
+                        wh: np.ndarray):
+    """Gradients of lstm_wx, lstm_wh and lstm_b: the reverse loop carries only
+    the recurrence, then each is one product over every step's gate gradients."""
+    x, act, cells, tcs = cache
+    T, _, B, units = act.shape
+    dgates = np.empty((T, B, 4 * units))
+    dh = dc = np.zeros((B, units))
+    for t in range(T - 1, -1, -1):
+        gi, gf, gg, go = act[t]
+        tc = tcs[t]
+        m = mask[:, t : t + 1]
+        dht = d_hidden[:, t] + dh
+        dh_new = m * dht
+        dc_new = m * dc + dh_new * go * (1.0 - tc * tc)
+        np.concatenate([
+            dc_new * gg * gi * (1.0 - gi),
+            dc_new * cells[t] * gf * (1.0 - gf),
+            dc_new * gi * (1.0 - gg * gg),
+            dh_new * tc * go * (1.0 - go),
+        ], axis=1, out=dgates[t])
+        dh = (1.0 - m) * dht + dgates[t] @ wh.T
+        dc = (1.0 - m) * dc + dc_new * gf
+    flat = dgates.reshape(T * B, 4 * units)
+    dwx = x.transpose(1, 2, 0).reshape(-1, T * B) @ flat
+    # Step t's previous hidden state is hidden[:, t - 1]; step 0's is zero.
+    dwh = hidden.transpose(2, 1, 0)[:, :-1].reshape(units, -1) @ flat[B:]
+    return dwx, dwh, flat.sum(axis=0)
+
+
+def oracle_mask(kind, B, T, rng):
+    """A (B, T) validity mask: no padding, ragged lengths (the longest is
+    T, as pad_batch makes them), or ragged with interior holes."""
+    if kind == "full":
+        return np.ones((B, T))
+    lengths = rng.integers(1, T + 1, B)
+    lengths[rng.integers(B)] = T
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(float)
+    if kind == "holed":
+        mask[:, 1:] *= rng.random((B, T - 1)) >= 0.3
+    return mask
+
+
+ORACLE_SHAPES = [(B, T) for B in (1, 6, 16) for T in (1, 40, 240)]
+
+
+@pytest.mark.parametrize("kind", ["full", "ragged", "holed"])
+@pytest.mark.parametrize("B, T", ORACLE_SHAPES)
+def test_kernels_are_bit_identical_to_the_carry_oracle(kind, B, T):
+    rng = np.random.default_rng([86, B, T])
+    C, units = 24, 8
+    mask = oracle_mask(kind, B, T, rng)
+    x = rng.normal(0.0, 1.0, (B, C, T)) * mask[:, None, :]
+    wx = rng.normal(0.0, 0.5, (C, 4 * units))
+    wh = rng.normal(0.0, 0.5, (units, 4 * units))
+    b = rng.normal(0.0, 0.5, 4 * units)
+    d_hidden = rng.normal(0.0, 1.0, (B, T, units))
+    hidden, cache = _lstm_forward(x, mask, wx, wh, b)
+    want_hidden, want_cache = carry_lstm_forward(x, mask, wx, wh, b)
+    assert np.array_equal(hidden, want_hidden)
+    for got, want in zip(cache, want_cache):
+        assert np.array_equal(got, want)
+    for got, want in zip(_lstm_backward(d_hidden, mask, hidden, cache, wh),
+                         carry_lstm_backward(d_hidden, mask, hidden, cache, wh)):
+        assert np.array_equal(got, want)
+
+    w = rng.normal(0.0, 0.5, (8, C, 7))
+    _, xp = clf._conv_same(x, w)
+    dy = rng.normal(0.0, 1.0, (B, 8, T))
+    want_dw, want_dx = carry_conv_backward(dy, xp, w)
+    dw, dx = clf._conv_backward(dy, xp, w, True)
+    assert np.array_equal(dw, want_dw) and np.array_equal(dx, want_dx)
+    dw, dx = clf._conv_backward(dy, xp, w, False)
+    assert np.array_equal(dw, want_dw) and dx is None
+
+
+@pytest.mark.parametrize("attention", [True, False])
+@pytest.mark.parametrize("kind", ["full", "ragged", "holed"])
+@pytest.mark.parametrize("B, T", ORACLE_SHAPES)
+def test_training_step_is_bit_identical_to_the_carry_oracle(monkeypatch, kind, B, T,
+                                                            attention):
+    rng = np.random.default_rng([87, B, T])
+    config = ClassifierConfig(channels=24, classes=4, conv_blocks=((8, 7), (6, 3)),
+                              recurrent_units=8, attention=attention, dropout=0.3)
+    model = init_model(config)
+    mask = oracle_mask(kind, B, T, rng)
+    batch = PaddedBatch(rng.normal(0.0, 1.0, (B, 24, T)) * mask[:, None, :], mask,
+                        rng.integers(0, 4, B))
+    loss, grads, stats = loss_and_grad(model, batch, np.random.default_rng(1))
+    probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
+    with monkeypatch.context() as patched:
+        patched.setattr(clf, "_conv_backward",
+                        lambda dy, xp, w, input_grad: carry_conv_backward(dy, xp, w))
+        patched.setattr(clf, "_lstm_forward", carry_lstm_forward)
+        patched.setattr(clf, "_lstm_backward", carry_lstm_backward)
+        want_loss, want_grads, want_stats = loss_and_grad(model, batch,
+                                                          np.random.default_rng(1))
+        want_probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for key in grads:
+        assert np.array_equal(grads[key], want_grads[key]), key
+    for got, want in zip(stats, want_stats):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(probs, want_probs)
+
+
+def test_block_zero_input_gradient_is_never_computed(monkeypatch):
+    # Block 0's input is the data: its gradient would be thrown away.
+    calls = []
+    conv_backward = clf._conv_backward
+
+    def spy(dy, xp, w, input_grad):
+        calls.append((w.shape, input_grad))
+        return conv_backward(dy, xp, w, input_grad)
+
+    monkeypatch.setattr(clf, "_conv_backward", spy)
+    model = init_model(ClassifierConfig(**TOY))
+    loss_and_grad(model, toy_batch(np.random.default_rng(88)))
+    assert calls == [((3, 4, 2), True), ((4, 3, 3), False)]
 
 
 def test_padding_cannot_change_anything():
@@ -505,3 +676,45 @@ def test_config_refuses_ascent_and_negative_seeds(setting):
     # a negative rate trains by gradient ascent and a zero rate not at all
     with pytest.raises(ValueError, match=next(iter(setting))):
         ClassifierConfig(channels=3, classes=2, **setting)
+
+
+@pytest.mark.parametrize("setting", [
+    {"conv_blocks": [[6, 3.7]]}, {"conv_blocks": [[True, "3"]]}, {"conv_blocks": [[6]]},
+    {"conv_blocks": "63"}, {"batch_size": 2.5}, {"recurrent_units": True},
+    {"attention": 1}, {"class_weighting": "yes"}, {"dropout": "0.1"},
+    {"learning_rate": False},
+], ids=["fractional width", "bool and string block", "block without width",
+        "string blocks", "fractional batch_size", "bool units", "int attention",
+        "string class_weighting", "string dropout", "bool learning_rate"])
+def test_config_checks_field_types(setting):
+    # int() once turned a width of 3.7 into 3 and [True, "3"] into (1, 3)
+    with pytest.raises(TypeError, match=next(iter(setting))):
+        ClassifierConfig(channels=3, classes=2, **setting)
+
+
+def test_config_stores_numpy_scalars_as_plain_ones():
+    config = ClassifierConfig(channels=np.int64(3), classes=2,
+                              conv_blocks=[(np.int32(4), 3)], attention=np.bool_(False))
+    assert type(config.channels) is int and config.attention is False
+    assert config.conv_blocks == ((4, 3),) and type(config.conv_blocks[0][0]) is int
+
+
+def write_model_with_config(path, **changes):
+    """A toy model archive whose meta config has ``changes`` applied."""
+    model = init_model(ClassifierConfig(**TOY))
+    arrays = {f"param/{key}": value for key, value in model.params.items()}
+    arrays.update((f"running/{key}", value) for key, value in model.running.items())
+    write_archive(path, "posehar-classifier/2",
+                  {"config": {**asdict(model.config), **changes}}, arrays)
+    return path
+
+
+@pytest.mark.parametrize("changes", [
+    {"batch_size": 2.5},                          # once loaded, then failed in predict
+    {"conv_blocks": [[4, 3.7], [3, 2]]},          # once loaded as a width-3 block
+    {"attention": "no"},
+], ids=["fractional batch_size", "fractional conv width", "string attention"])
+def test_load_model_refuses_a_config_field_of_the_wrong_type(tmp_path, changes):
+    path = write_model_with_config(tmp_path / "model.npz", **changes)
+    with pytest.raises(ParseError, match="model.npz: not a valid classifier model"):
+        load_model(path)

@@ -190,8 +190,11 @@ def set_meta(change):
     set_entry("param/out_w", lambda value: value.astype(str)),
     set_meta(lambda meta: meta.update(actions=meta["actions"][:1])),
     set_meta(lambda meta: meta["config"].update(attention=False)),
+    set_meta(lambda meta: meta["config"].update(batch_size=2.5)),
+    set_meta(lambda meta: meta["config"].update(conv_blocks=[[6, 3.5]])),
 ], ids=["garbage", "missing out_w", "nan out_b", "nan bn0_var", "negative bn0_var",
-        "huge recurrent_units", "string out_w", "short actions", "attn_v without attention"])
+        "huge recurrent_units", "string out_w", "short actions", "attn_v without attention",
+        "fractional batch_size", "fractional conv width"])
 def test_predict_rejects_corrupt_model(workdir, tmp_path, capsys, caplog, edit):
     model = corrupt_copy(workdir / "model.npz", tmp_path / "model.npz", edit)
     emb = sorted((workdir / "emb").glob("*.emb"))[0]
@@ -312,6 +315,20 @@ def test_negative_section_seed_is_a_config_error(workdir, tmp_path, capsys, capl
     assert capsys.readouterr().out == ""
     assert "rng_seed must be non-negative" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blocks", [[[6, 3.7]], [[True, "3"]]],
+                         ids=["fractional width", "bool and string entries"])
+def test_train_refuses_a_conv_block_that_is_not_two_integers(workdir, tmp_path, caplog,
+                                                             blocks):
+    # int() once made these a width-3 and a (1, 3) block, and training went on
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": {"conv_blocks": blocks}}))
+    assert main(["--config", str(config), "train",
+                 "--embedded", str(workdir / "emb/manifest.json"),
+                 "--out", str(tmp_path / "model.npz")]) == 2
+    assert "conv_blocks must list (filters, width) integer pairs" in caplog.text
+    assert not (tmp_path / "model.npz").exists()
 
 
 @pytest.mark.parametrize("rate", [-0.01, 0])
