@@ -4,19 +4,20 @@ Two branches read the (channels, T) series in parallel:
 
 * a convolutional branch: stacked blocks of same-padded 1D convolution,
   batch normalization, and ReLU, followed by global average pooling;
-* a recurrent branch: an LSTM whose state only advances on valid steps,
-  summarized by additive attention over the hidden states (or by the last
-  valid hidden state when attention is off).
+* a recurrent branch: an LSTM summarized by additive attention over the
+  hidden states (or by each sample's last valid hidden state when attention
+  is off).
 
 The two summaries are concatenated, passed through dropout (training only,
 inverted scaling) and one affine layer, and normalized by softmax.
 
-Variable-length batches are padded and carry a validity mask. Every part of
-the network is masked so that padding cannot influence any output: block
-activations are multiplied by the mask, batch-norm statistics cover valid
-positions only, pooling divides by the true length, the LSTM holds its state
-across padded steps, and attention gives padding zero weight. Training runs
-Adam on softmax cross-entropy with early stopping on validation accuracy.
+Variable-length batches are padded after each sample's valid steps and carry
+a validity mask. Every part of the network is masked so that padding cannot
+influence any output: block activations are multiplied by the mask,
+batch-norm statistics cover valid positions only, pooling divides by the true
+length, and no head reads the LSTM's padded steps (attention gives them zero
+weight). Training runs Adam on softmax cross-entropy with early stopping on
+validation accuracy.
 
 All arithmetic is float64.
 """
@@ -121,7 +122,8 @@ class ClassifierModel:
 
 @dataclass(frozen=True)
 class PaddedBatch:
-    """Zero-padded series with a validity mask (1 on real steps)."""
+    """Zero-padded series with a validity mask: each row is ones on the real
+    steps, then zeros on the padding. Other masks are refused."""
 
     series: np.ndarray          # (B, C, T)
     mask: np.ndarray            # (B, T) float64
@@ -282,15 +284,13 @@ def _bn_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndar
     return dx * mask3, dgamma, dbeta
 
 
-def _lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarray,
-                  b: np.ndarray):
-    """LSTM over (B, C, T) input; the state holds across masked steps, so the
-    last of the hidden states (B, T, U) is each sample's last valid one. The
+def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
+    """LSTM over (B, C, T) input, giving the hidden states (B, T, U). The
     cache holds the input, the gates ``act`` (T, 4, B, U; i, f, g, o), the
-    carried cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new cell.
+    cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new cell.
 
-    A step that no sample pads skips the carry: ``1 * a + 0 * b`` is ``a``
-    for finite ``b``, up to the sign of a zero."""
+    Every step updates the state. Padding follows each sample's valid steps,
+    so a valid step's state never depends on a padded one."""
     B, _, T = x.shape
     units = wh.shape[0]
     xw = x.transpose(0, 2, 1) @ wx
@@ -299,7 +299,6 @@ def _lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarra
     # tanh(z), in one pass: tanh(z * s) * s + (1 - s) with s 0.5 or 1 is exact.
     s = np.repeat([0.5, 0.5, 1.0, 0.5], units)
     s1 = 1.0 - s
-    full = (mask == 1.0).all(axis=0)
     act = np.empty((T, 4, B, units))
     cells = np.zeros((T + 1, B, units))
     tcs = np.empty((T, B, units))
@@ -309,27 +308,22 @@ def _lstm_forward(x: np.ndarray, mask: np.ndarray, wx: np.ndarray, wh: np.ndarra
         z = np.tanh((xw[:, t] + h @ wh) * s) * s + s1
         act[t] = z.reshape(B, 4, units).swapaxes(0, 1)
         gi, gf, gg, go = act[t]
-        c_new = gf * cells[t] + gi * gg
-        tcs[t] = np.tanh(c_new)
-        if full[t]:
-            cells[t + 1] = c_new
-            h = go * tcs[t]
-        else:
-            m = mask[:, t : t + 1]
-            cells[t + 1] = m * c_new + (1.0 - m) * cells[t]
-            h = m * (go * tcs[t]) + (1.0 - m) * h
+        cells[t + 1] = gf * cells[t] + gi * gg
+        tcs[t] = np.tanh(cells[t + 1])
+        h = go * tcs[t]
         hidden[:, t] = h
     return hidden, (x, act, cells, tcs)
 
 
-def _lstm_backward(d_hidden: np.ndarray, mask: np.ndarray, hidden: np.ndarray, cache,
-                   wh: np.ndarray):
+def _lstm_backward(d_hidden: np.ndarray, hidden: np.ndarray, cache, wh: np.ndarray):
     """Gradients of lstm_wx, lstm_wh and lstm_b: the reverse loop carries only
     the recurrence, then each is one product over every step's gate gradients.
-    As in the forward pass, a step that no sample pads skips the carry."""
+
+    ``d_hidden`` must be zero on padded steps. Padding follows each sample's
+    valid steps, so the loop then carries zeros until it reaches the sample's
+    last valid step, and padded steps add nothing to the gradients."""
     x, act, cells, tcs = cache
     T, _, B, units = act.shape
-    full = (mask == 1.0).all(axis=0)
     # The factors that depend on the step alone, for every step at once:
     # 1 - g for the sigmoid gates, 1 - g * g for g, and 1 - tanh(c)^2.
     slope = 1.0 - act
@@ -341,25 +335,15 @@ def _lstm_backward(d_hidden: np.ndarray, mask: np.ndarray, hidden: np.ndarray, c
         gi, gf, gg, go = act[t]
         si, sf, sg, so = slope[t]
         dht = d_hidden[:, t] + dh
-        if full[t]:
-            dh_new = dht
-            dc_new = dc + dht * go * dtanh[t]
-        else:
-            m = mask[:, t : t + 1]
-            dh_new = m * dht
-            dc_new = m * dc + dh_new * go * dtanh[t]
+        dc_new = dc + dht * go * dtanh[t]
         np.concatenate([
             dc_new * gg * gi * si,
             dc_new * cells[t] * gf * sf,
             dc_new * gi * sg,
-            dh_new * tcs[t] * go * so,
+            dht * tcs[t] * go * so,
         ], axis=1, out=dgates[t])
-        if full[t]:
-            dh = dgates[t] @ wh.T
-            dc = dc_new * gf
-        else:
-            dh = (1.0 - m) * dht + dgates[t] @ wh.T
-            dc = (1.0 - m) * dc + dc_new * gf
+        dh = dgates[t] @ wh.T
+        dc = dc_new * gf
     flat = dgates.reshape(T * B, 4 * units)
     dwx = x.transpose(1, 2, 0).reshape(-1, T * B) @ flat
     # Step t's previous hidden state is hidden[:, t - 1]; step 0's is zero.
@@ -383,13 +367,16 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
         raise ShapeMismatch(
             f"model expects {config.channels} channels, series has {x.shape[1]}")
     mask = batch.mask
-    if (mask.sum(axis=1) < 1).any():
-        raise ShapeMismatch("every sample needs at least one valid step")
+    counts = mask.sum(axis=1)
+    valid_first = np.arange(mask.shape[1]) < counts[:, None]
+    if (counts < 1).any() or not np.array_equal(mask, valid_first):
+        raise ShapeMismatch("every mask row must be one or more ones followed by zeros")
     mask3 = mask[:, None, :]
     count = float(mask.sum())
 
     cache: dict = {"blocks": [], "batch_stats": []}
-    a = x * mask3
+    x = x * mask3
+    a = x
     for i in range(len(config.conv_blocks)):
         z, xp = _conv_same(a, params[f"conv{i}_w"])
         if train:
@@ -403,18 +390,18 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
         a = np.where(relu_mask, u, 0.0) * mask3
         if train:
             cache["blocks"].append((xp, bn_cache, relu_mask))
-    counts = mask.sum(axis=1)
     pooled = (a * mask3).sum(axis=2) / counts[:, None]
 
-    hidden, lstm_cache = _lstm_forward(
-        x * mask3, mask, params["lstm_wx"], params["lstm_wh"], params["lstm_b"])
+    hidden, lstm_cache = _lstm_forward(x, params["lstm_wx"], params["lstm_wh"],
+                                       params["lstm_b"])
+    last = (np.arange(len(counts)), counts.astype(np.intp) - 1)
     if config.attention:
         scores = hidden @ params["attn_v"]
         alpha = _masked_softmax(scores, mask)
         context = (alpha[:, :, None] * hidden).sum(axis=1)
     else:
         alpha = None
-        context = hidden[:, -1]
+        context = hidden[last]
 
     features = np.concatenate([pooled, context], axis=1)
     drop_mask = None
@@ -429,8 +416,8 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
 
-    cache.update(mask=mask, counts=counts, hidden=hidden, lstm=lstm_cache, alpha=alpha,
-                 features=features, drop_mask=drop_mask, pooled_dim=pooled.shape[1])
+    cache.update(mask=mask, counts=counts, last=last, hidden=hidden, lstm=lstm_cache,
+                 alpha=alpha, features=features, drop_mask=drop_mask, pooled_dim=pooled.shape[1])
     return probs, cache
 
 
@@ -477,7 +464,6 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
 
     # Recurrent branch.
     hidden = cache["hidden"]
-    mask = cache["mask"]
     if config.attention:
         alpha = cache["alpha"]
         dalpha = np.einsum("bu,btu->bt", dcontext, hidden)
@@ -487,12 +473,12 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
         d_hidden += dscores[:, :, None] * params["attn_v"][None, None, :]
     else:
         d_hidden = np.zeros_like(hidden)
-        d_hidden[:, -1] = dcontext
+        d_hidden[cache["last"]] = dcontext
     grads["lstm_wx"], grads["lstm_wh"], grads["lstm_b"] = _lstm_backward(
-        d_hidden, mask, hidden, cache["lstm"], params["lstm_wh"])
+        d_hidden, hidden, cache["lstm"], params["lstm_wh"])
 
     # Convolutional branch.
-    mask3 = mask[:, None, :]
+    mask3 = cache["mask"][:, None, :]
     da = dpooled[:, :, None] * mask3 / cache["counts"][:, None, None]
     for i in range(len(config.conv_blocks) - 1, -1, -1):
         xp, bn_cache, relu_mask = cache["blocks"][i]

@@ -48,7 +48,10 @@ PROTOCOL_KINDS = ("split", "loao", "kfold")
 
 @dataclass(frozen=True)
 class Protocol:
-    """How samples are partitioned into train / validation / test."""
+    """How samples are partitioned into train / validation / test.
+
+    A group list that is not a list of names raises TypeError; lists that
+    share a group raise ValueError."""
 
     kind: str = "kfold"
     folds: int = 10
@@ -69,9 +72,16 @@ class Protocol:
                                      or self.val_groups or self.test_groups):
             raise ValueError(f"{self.kind} protocol takes no group_by or group lists")
         check_val_fraction(self.val_fraction)
-        object.__setattr__(self, "train_groups", tuple(self.train_groups))
-        object.__setattr__(self, "val_groups", tuple(self.val_groups))
-        object.__setattr__(self, "test_groups", tuple(self.test_groups))
+        for name in ("train_groups", "val_groups", "test_groups"):
+            groups = getattr(self, name)
+            # A string is iterable too, and would be split into characters.
+            listed = isinstance(groups, (list, tuple)) and all(isinstance(g, str) for g in groups)
+            if not listed:
+                raise TypeError(f"{name} must be a list of group names, got {groups!r}")
+            object.__setattr__(self, name, tuple(groups))
+        train, val, test = map(set, (self.train_groups, self.val_groups, self.test_groups))
+        if train & test or val & test or train & val:
+            raise ValueError("split group lists overlap")
 
 
 @dataclass(frozen=True)
@@ -146,8 +156,6 @@ def _split_groups(samples: Sequence[Sample],
                   protocol: Protocol) -> tuple[list[int], list[int], list[int]]:
     groups = (set(protocol.train_groups), set(protocol.val_groups),
               set(protocol.test_groups))
-    if groups[0] & groups[2] or groups[1] & groups[2] or groups[0] & groups[1]:
-        raise ValueError("split group lists overlap")
     keys = [s.actor if protocol.group_by == "actor" else s.dataset for s in samples]
     train, val, test = ([i for i, k in enumerate(keys) if k in g] for g in groups)
     if not train or not test:

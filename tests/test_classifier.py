@@ -186,27 +186,29 @@ def test_lstm_matches_the_per_step_oracle():
     lengths = (9, 3, 6, 1, 7)
     B, C, T, units = len(lengths), 6, max(lengths), 5
     mask = (np.arange(T)[None, :] < np.array(lengths)[:, None]).astype(float)
+    valid = mask == 1.0
     x = rng.normal(0.0, 1.0, (B, C, T)) * mask[:, None, :]
     wx = rng.normal(0.0, 1.0, (C, 4 * units))
     wh = rng.normal(0.0, 1.0, (units, 4 * units))
     b = rng.normal(0.0, 1.0, 4 * units)
-    # the last step's gradient also reaches the samples that ended earlier
+    # the last-state head's gradient lands on each sample's last valid step
     d_hidden = rng.normal(0.0, 1.0, (B, T, units)) * mask[:, :, None]
-    d_hidden[:, -1] = rng.normal(0.0, 1.0, (B, units))
+    d_hidden[np.arange(B), np.array(lengths) - 1] = rng.normal(0.0, 1.0, (B, units))
 
-    hidden, cache = _lstm_forward(x, mask, wx, wh, b)
-    grads = _lstm_backward(d_hidden, mask, hidden, cache, wh)
+    hidden, cache = _lstm_forward(x, wx, wh, b)
+    grads = _lstm_backward(d_hidden, hidden, cache, wh)
     ref_hidden, ref_grads = reference_lstm(x, mask, wx, wh, b, d_hidden)
 
-    np.testing.assert_allclose(hidden, ref_hidden, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hidden[valid], ref_hidden[valid], rtol=0, atol=1e-12)
     for name, got, want in zip(("dwx", "dwh", "db"), grads, ref_grads):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 # Bit-identity oracle: verbatim copies of the conv backward pass that always
 # computes its input gradient and of the LSTM that applies the padding carry
-# ``m * a + (1 - m) * b`` on every step. Skipping that work where its result
-# is discarded or exactly ``a`` must leave every output bit for bit the same.
+# ``m * a + (1 - m) * b`` on every step. Skipping the discarded input gradient,
+# and running the LSTM through the padding that follows each sample's valid
+# steps, must leave every output bit for bit the same.
 def carry_conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     kernel = w.shape[2]
@@ -283,7 +285,8 @@ def carry_lstm_backward(d_hidden: np.ndarray, mask: np.ndarray, hidden: np.ndarr
 
 def oracle_mask(kind, B, T, rng):
     """A (B, T) validity mask: no padding, ragged lengths (the longest is
-    T, as pad_batch makes them), or ragged with interior holes."""
+    T, as pad_batch makes them), or ragged with interior holes (which
+    pad_batch never makes)."""
     if kind == "full":
         return np.ones((B, T))
     lengths = rng.integers(1, T + 1, B)
@@ -307,14 +310,21 @@ def test_kernels_are_bit_identical_to_the_carry_oracle(kind, B, T):
     wx = rng.normal(0.0, 0.5, (C, 4 * units))
     wh = rng.normal(0.0, 0.5, (units, 4 * units))
     b = rng.normal(0.0, 0.5, 4 * units)
-    d_hidden = rng.normal(0.0, 1.0, (B, T, units))
-    hidden, cache = _lstm_forward(x, mask, wx, wh, b)
+    # The kernels read no mask: they agree with the carry on each sample's
+    # leading run of valid steps (all of them, for a mask pad_batch makes),
+    # given no gradient arrives after it.
+    valid = np.cumprod(mask, axis=1) == 1.0
+    d_hidden = rng.normal(0.0, 1.0, (B, T, units)) * valid[:, :, None]
+    hidden, cache = _lstm_forward(x, wx, wh, b)
     want_hidden, want_cache = carry_lstm_forward(x, mask, wx, wh, b)
-    assert np.array_equal(hidden, want_hidden)
-    for got, want in zip(cache, want_cache):
-        assert np.array_equal(got, want)
-    for got, want in zip(_lstm_backward(d_hidden, mask, hidden, cache, wh),
-                         carry_lstm_backward(d_hidden, mask, hidden, cache, wh)):
+    assert np.array_equal(hidden[valid], want_hidden[valid])
+    assert np.array_equal(cache[0], want_cache[0])
+    # gates (T, 4, B, U), new cells and their tanh (T, B, U), by sample and step
+    for got, want in zip((cache[1], cache[2][1:], cache[3]),
+                         (want_cache[1], want_cache[2][1:], want_cache[3])):
+        assert np.array_equal(np.moveaxis(got, -2, 0)[valid], np.moveaxis(want, -2, 0)[valid])
+    for got, want in zip(_lstm_backward(d_hidden, hidden, cache, wh),
+                         carry_lstm_backward(d_hidden, mask, want_hidden, want_cache, wh)):
         assert np.array_equal(got, want)
 
     w = rng.normal(0.0, 0.5, (8, C, 7))
@@ -339,13 +349,21 @@ def test_training_step_is_bit_identical_to_the_carry_oracle(monkeypatch, kind, B
     mask = oracle_mask(kind, B, T, rng)
     batch = PaddedBatch(rng.normal(0.0, 1.0, (B, 24, T)) * mask[:, None, :], mask,
                         rng.integers(0, 4, B))
+    if kind == "holed" and T > 1:
+        # A hole was the one mask where the carry changed a result; the LSTM
+        # no longer carries, so the batch is refused.
+        with pytest.raises(ShapeMismatch, match="ones followed by zeros"):
+            loss_and_grad(model, batch, np.random.default_rng(1))
+        return
     loss, grads, stats = loss_and_grad(model, batch, np.random.default_rng(1))
     probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
     with monkeypatch.context() as patched:
         patched.setattr(clf, "_conv_backward",
                         lambda dy, xp, w, input_grad: carry_conv_backward(dy, xp, w))
-        patched.setattr(clf, "_lstm_forward", carry_lstm_forward)
-        patched.setattr(clf, "_lstm_backward", carry_lstm_backward)
+        patched.setattr(clf, "_lstm_forward",
+                        lambda x, wx, wh, b: carry_lstm_forward(x, mask, wx, wh, b))
+        patched.setattr(clf, "_lstm_backward", lambda d_hidden, hidden, cache, wh:
+                        carry_lstm_backward(d_hidden, mask, hidden, cache, wh))
         want_loss, want_grads, want_stats = loss_and_grad(model, batch,
                                                           np.random.default_rng(1))
         want_probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
@@ -371,6 +389,20 @@ def test_block_zero_input_gradient_is_never_computed(monkeypatch):
     model = init_model(ClassifierConfig(**TOY))
     loss_and_grad(model, toy_batch(np.random.default_rng(88)))
     assert calls == [((3, 4, 2), True), ((4, 3, 3), False)]
+
+
+@pytest.mark.parametrize("mask", [
+    [[1, 1, 0], [0, 0, 0]],
+    [[0, 1, 1], [1, 1, 1]],
+    [[1, 0.5, 0], [1, 1, 1]],
+], ids=["empty row", "leading padding", "fractional"])
+def test_mask_rows_must_be_valid_steps_then_padding(mask):
+    # masks pad_batch never builds; interior holes are checked by the carry
+    # oracle's holed cases above
+    mask = np.array(mask, dtype=float)
+    batch = PaddedBatch(np.ones((2, 3, 3)) * mask[:, None, :], mask, np.array([0, 1]))
+    with pytest.raises(ShapeMismatch, match="ones followed by zeros"):
+        loss_and_grad(init_model(ClassifierConfig(**TOY)), batch)
 
 
 def test_padding_cannot_change_anything():
@@ -401,9 +433,10 @@ def test_padding_cannot_change_anything():
     assert loss_c == loss_b
 
 
-def test_eval_outputs_independent_of_batch_padding():
+@pytest.mark.parametrize("attention", [True, False])
+def test_eval_outputs_independent_of_batch_padding(attention):
     rng = np.random.default_rng(75)
-    config = ClassifierConfig(**TOY)
+    config = ClassifierConfig(**{**TOY, "attention": attention})
     model = init_model(config)
     model.running["bn0_mean"] = rng.normal(0.0, 0.1, 4)
     model.running["bn0_var"] = rng.uniform(0.5, 1.5, 4)

@@ -577,6 +577,22 @@ def test_evaluate_rejects_protocol_settings_its_kind_ignores(workdir, tmp_path, 
     assert "loao protocol takes no group_by or group lists" in caplog.text
 
 
+@pytest.mark.parametrize("groups, message", [
+    ({"train_groups": ["a0", "a1"], "test_groups": ["a1"]}, "split group lists overlap"),
+    ({"train_groups": "a0", "test_groups": ["a1"]}, "train_groups must be a list of group names"),
+    ({"train_groups": ["a0"], "test_groups": [2]}, "test_groups must be a list of group names"),
+], ids=["overlap", "string", "number"])
+def test_bad_split_group_lists_are_config_errors(tmp_path, capsys, caplog, groups, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": {"kind": "split", **groups}}))
+    # the manifest does not exist: the protocol is refused before any data is read
+    assert main(["--config", str(config), "evaluate",
+                 "--manifest", str(tmp_path / "absent.json")]) == 2
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and message in errors[0]
+
+
 @pytest.mark.parametrize("label", ["a/b", "a\\b", "nul\0", ".."])
 def test_label_that_could_act_as_a_path_is_a_data_error(workdir, tmp_path, capsys, caplog,
                                                         label):

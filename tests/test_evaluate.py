@@ -42,6 +42,11 @@ def test_protocol_validation():
         Protocol(group_by="viewpoint")
     with pytest.raises(ValueError):
         Protocol(val_fraction=0.0)
+    for overlap in ({"train_groups": ("a0", "a1"), "test_groups": ("a1",)},
+                    {"val_groups": ("a1",), "test_groups": ("a1",)},
+                    {"train_groups": ("a1",), "val_groups": ("a1",)}):
+        with pytest.raises(ValueError, match="split group lists overlap"):
+            Protocol(kind="split", **overlap)
 
 
 @pytest.mark.parametrize("kind", ["loao", "kfold"])
@@ -51,6 +56,14 @@ def test_protocol_refuses_settings_its_kind_ignores(kind):
         with pytest.raises(ValueError, match="takes no group_by or group lists"):
             Protocol(kind=kind, **ignored)
     Protocol(kind="split", group_by="dataset", test_groups=("x",))
+
+
+@pytest.mark.parametrize("field", ["train_groups", "val_groups", "test_groups"])
+@pytest.mark.parametrize("groups", ["a1", ("a1", 2), 5], ids=["string", "number", "scalar"])
+def test_group_lists_must_be_lists_of_names(field, groups):
+    with pytest.raises(TypeError, match=f"{field} must be a list of group names"):
+        Protocol(kind="split", **{field: groups})
+    assert getattr(Protocol(kind="split", **{field: ["a1"]}), field) == ("a1",)
 
 
 def assert_fold_sane(fold, n):

@@ -37,3 +37,14 @@ def test_maps_are_trained_by_one_loop():
     assert "rng.permutation(" in ast.get_source_segment(text, functions["_schedule"])
     loops = (ast.For, ast.While, ast.comprehension)
     assert not any(isinstance(node, loops) for node in ast.walk(functions["train_som"]))
+
+
+def test_lstm_kernels_read_no_mask():
+    """Padding always follows each sample's valid steps, so the recurrence
+    needs no mask: neither LSTM kernel takes one."""
+    path = Path(posehar.__file__).parent / "classifier.py"
+    functions = {node.name: node for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_lstm_forward", "_lstm_backward"):
+        params = [arg.arg for arg in ast.walk(functions[name].args) if isinstance(arg, ast.arg)]
+        assert params and "mask" not in params, name
