@@ -144,7 +144,10 @@ def _protocol(args, config: dict) -> eval_mod.Protocol:
     section = _section(config, "protocol", args, ("folds",))
     if getattr(args, "protocol", None):
         section["kind"] = args.protocol
-    return _settings(eval_mod.Protocol, "protocol", section)
+    protocol = _settings(eval_mod.Protocol, "protocol", section)
+    if protocol.kind == "split" and not (protocol.train_groups and protocol.test_groups):
+        raise ConfigError("split protocol needs train_groups and test_groups")
+    return protocol
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptySubset, MissingLibrary
+from .errors import EmptySubset, MissingLibrary, ShapeMismatch
 from .pose import N_LANDMARKS, SUBSET_NAMES, SUBSETS, Sample
 from .preprocess import NormalizedSequence
 from .som import PoseLibrary
@@ -42,7 +42,8 @@ EMBED_MODES = ("basic", "advanced")
 MODES = (*EMBED_MODES, "baseline")
 
 # Frames per pass of the distance kernel. Its (frames, prototypes) rows stay
-# cache-sized; 64 measured faster than 16 or 32.
+# cache-sized; at serving widths 64 measured as fast as 32, and faster than
+# 16 or 128.
 _CHUNK = 64
 
 
@@ -75,50 +76,86 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
     """Subset distances of (F, 14, 2) frames to the nearest prototype of each
     (P_i, 14, 2) prototype block, as (blocks, 5, F).
 
-    The blocks are laid out as one planar (2, 14, sum P_i) x/y array and the
-    frames are walked in chunks. Per landmark, in ascending order, one
-    contiguous (chunk, sum P_i) row of Euclidean distances is added into the
-    running sum of every subset holding that landmark; the first row of a
-    subset is copied, not added. This is the order of the per-prototype
-    double loop, so every channel is bit-identical to it: keep ``dx**2 +
-    dy**2`` under ``sqrt`` in float64, and include landmarks that always sit
-    at the origin, such as the root.
+    The blocks are stacked into one (sum P_i) prototype axis with per-block
+    start offsets, and the frames are walked in chunks. Per landmark, in
+    ascending order, one contiguous (chunk, sum P_i) row of Euclidean
+    distances is added into the running sum of every subset holding that
+    landmark; the row is written straight into the sum of a subset it
+    starts. ``np.minimum.reduceat`` takes each block's minimum of a subset's
+    sums, which is then divided by the subset's landmark count. This keeps
+    the float operations of the per-prototype double loop, so every channel
+    equals it bit for bit: keep ``dx**2 + dy**2`` under ``sqrt`` in float64,
+    and include landmarks that always sit at the origin, such as the root.
+
+    Two steps are exact rewrites, not approximations:
+
+    * The differences ``p - q`` of one landmark's frame coordinates p and
+      prototype coordinates q come from the k=2 matrix product
+      ``[p, 1] @ [1, -q]``. Both of its products are exact, so the one
+      rounding of their sum is ``fl(p - q)``, whatever the BLAS kernel,
+      its FMA use or its thread count. Only the sign of a zero can differ,
+      and squaring drops it. (The ``|f|^2 + |q|^2 - 2 f.q`` expansion is a
+      different thing: its products round, so it moves the last bit.)
+    * Dividing after the minimum gives the minimum of the divided sums,
+      because ``fl(x / k)`` is monotone non-decreasing in x for k > 0.
     """
-    planar = np.concatenate(blocks, dtype=np.float64).transpose(2, 1, 0).copy()
+    protos = np.concatenate(blocks, dtype=np.float64)
     offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]])
-    points = np.ascontiguousarray(frames.transpose(2, 1, 0), dtype=np.float64)
-    n_frames, width = frames.shape[0], planar.shape[2]
+    n_frames, width = frames.shape[0], protos.shape[0]
+    # For axis a (x or y) of landmark r: left[a, r] holds rows [p, 1], and
+    # right[r, a] the rows [1, ...] and [-q, ...].
+    left = np.ones((2, N_LANDMARKS, n_frames, 2))
+    left[..., 0] = frames.transpose(2, 1, 0)
+    right = np.ones((N_LANDMARKS, 2, 2, width))
+    np.negative(protos.transpose(1, 2, 0), out=right[:, :, 1])
 
     out = np.full((len(blocks), len(SUBSET_NAMES), n_frames), EMPTY_SUBSET_SENTINEL)
     rows = [_available_rows(subset, missing) for subset in SUBSET_NAMES]
     live = [s for s in range(len(SUBSET_NAMES)) if rows[s]]
-    members = [(r, [s for s in live if r in rows[s]]) for r in range(N_LANDMARKS)]
-    members = [(r, subsets) for r, subsets in members if subsets]
+    # Per landmark: the subsets it starts, then the subsets it adds to.
+    plan = []
+    for r in range(N_LANDMARKS):
+        holding = [s for s in live if r in rows[s]]
+        starts = [s for s in holding if rows[s][0] == r]
+        if holding:
+            plan.append((r, starts, [s for s in holding if s not in starts]))
 
     chunk = min(_CHUNK, n_frames)
-    dx_buffer = np.empty((chunk, width))
-    dy_buffer = np.empty((chunk, width))
+    diff_buffer = np.empty((2, chunk, width))
+    dist_buffer = np.empty((chunk, width))
     sums = np.empty((len(SUBSET_NAMES), chunk, width))
     for start in range(0, n_frames, _CHUNK):
         stop = min(start + _CHUNK, n_frames)
         n = stop - start
-        dx, dy = dx_buffer[:n], dy_buffer[:n]
-        for r, subsets in members:
-            np.subtract(points[0, r, start:stop, None], planar[0, r], out=dx)
-            np.subtract(points[1, r, start:stop, None], planar[1, r], out=dy)
-            np.square(dx, out=dx)
-            np.square(dy, out=dy)
-            np.add(dx, dy, out=dx)
-            np.sqrt(dx, out=dx)
-            for s in subsets:
-                if r == rows[s][0]:
-                    sums[s, :n] = dx
-                else:
-                    sums[s, :n] += dx
+        diff = diff_buffer[:, :n]
+        for r, starts, adds in plan:
+            np.matmul(left[0, r, start:stop], right[r, 0], out=diff[0])
+            np.matmul(left[1, r, start:stop], right[r, 1], out=diff[1])
+            np.square(diff, out=diff)
+            dist = sums[starts[0], :n] if starts else dist_buffer[:n]
+            np.add(diff[0], diff[1], out=dist)
+            np.sqrt(dist, out=dist)
+            for s in starts[1:]:
+                sums[s, :n] = dist
+            for s in adds:
+                sums[s, :n] += dist
         for s in live:
-            means = np.divide(sums[s, :n], len(rows[s]), out=sums[s, :n])
-            out[:, s, start:stop] = np.minimum.reduceat(means, offsets, axis=1).T
+            nearest = np.minimum.reduceat(sums[s, :n], offsets, axis=1)
+            np.divide(nearest.T, len(rows[s]), out=out[:, s, start:stop])
     return out
+
+
+def _landmark_array(array: np.ndarray, what: str, stacked: bool = False) -> np.ndarray:
+    """``array`` as float64 (14, 2) landmark coordinates, or as a (P >= 1,
+    14, 2) stack of them when ``stacked``; any other shape raises
+    ShapeMismatch naming it."""
+    values = np.asarray(array, dtype=np.float64)
+    lead = values.shape[:1] if stacked else ()
+    if values.shape != (*lead, N_LANDMARKS, 2) or values.size == 0:
+        form = "(P >= 1, 14, 2)" if stacked else "(14, 2)"
+        raise ShapeMismatch(f"{what} must be {form} landmark coordinates, "
+                            f"got shape {values.shape}")
+    return values
 
 
 def subset_distance(frame: np.ndarray, prototype: np.ndarray, subset: str,
@@ -126,15 +163,16 @@ def subset_distance(frame: np.ndarray, prototype: np.ndarray, subset: str,
     """Distance between one frame and one prototype under one subset.
 
     ``frame`` and ``prototype`` are (14, 2) root-centered landmark
-    coordinates, such as a row of :attr:`PoseLibrary.landmarks`. Raises
-    EmptySubset when every landmark of the subset is missing.
+    coordinates, such as a row of :attr:`PoseLibrary.landmarks`; another
+    shape raises ShapeMismatch. Raises EmptySubset when every landmark of
+    the subset is missing.
     """
     if subset not in SUBSETS:
         raise ValueError(f"unknown subset {subset!r}")
     if not _available_rows(subset, missing):
         raise EmptySubset(f"all landmarks of subset {subset} are persistently missing")
-    frame = np.asarray(frame, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
-    proto = np.asarray(prototype, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
+    frame = _landmark_array(frame, "frame")[None]
+    proto = _landmark_array(prototype, "prototype")[None]
     return float(_nearest_distances(frame, [proto], missing)[0, SUBSET_NAMES.index(subset), 0])
 
 
@@ -144,10 +182,13 @@ def embed_frame(frame: np.ndarray, library: PoseLibrary | np.ndarray,
 
     Each entry is the minimum over the whole stacked library, given as a
     PoseLibrary or as its (P, 14, 2) landmark array, of the subset distance;
-    subsets with no available landmark yield the empty-subset sentinel.
+    subsets with no available landmark yield the empty-subset sentinel. A
+    frame that is not (14, 2), or an array that is not (P >= 1, 14, 2),
+    raises ShapeMismatch.
     """
     protos = library if isinstance(library, np.ndarray) else library.landmarks
-    frame = np.asarray(frame, dtype=np.float64).reshape(1, N_LANDMARKS, 2)
+    protos = _landmark_array(protos, "library", stacked=True)
+    frame = _landmark_array(frame, "frame")[None]
     return _nearest_distances(frame, [protos], missing)[0, :, 0]
 
 

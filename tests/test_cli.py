@@ -581,7 +581,9 @@ def test_evaluate_rejects_protocol_settings_its_kind_ignores(workdir, tmp_path, 
     ({"train_groups": ["a0", "a1"], "test_groups": ["a1"]}, "split group lists overlap"),
     ({"train_groups": "a0", "test_groups": ["a1"]}, "train_groups must be a list of group names"),
     ({"train_groups": ["a0"], "test_groups": [2]}, "test_groups must be a list of group names"),
-], ids=["overlap", "string", "number"])
+    ({"train_groups": ["a0"]}, "split protocol needs train_groups and test_groups"),
+    ({"test_groups": ["a0"], "val_groups": ["a1"]}, "split protocol needs train_groups and test_groups"),
+], ids=["overlap", "string", "number", "no test groups", "no train groups"])
 def test_bad_split_group_lists_are_config_errors(tmp_path, capsys, caplog, groups, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"protocol": {"kind": "split", **groups}}))

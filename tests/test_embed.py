@@ -1,5 +1,6 @@
 """Distance channels checked against a plain double-loop oracle."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from posehar.embed import (
     embed_sequence,
     subset_distance,
 )
-from posehar.errors import EmptySubset, MissingLibrary
+from posehar.errors import EmptySubset, MissingLibrary, ShapeMismatch
 from posehar.pca import unroll
 from posehar.pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Sample
 from posehar.preprocess import NormalizedSequence
@@ -212,6 +213,85 @@ def test_embed_sequence_matches_oracle_across_chunks():
                     want = oracle_nearest(source[max(t - shift, 0)], landmarks, missing)
                     assert np.array_equal(values[row : row + 5, t], want), (frames, kind, action, t)
                 row += 5
+
+
+def extreme_coordinates(rng, shape):
+    """Coordinates of either sign from 1e-300 to 1e300 in magnitude, with
+    subnormals and zeros of both signs mixed in."""
+    values = rng.uniform(1.0, 10.0, shape) * 10.0 ** rng.integers(-300, 300, shape)
+    values *= rng.choice([-1.0, 1.0], shape)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308]
+    pick = rng.random(shape) < 0.2
+    values[pick] = rng.choice(special, int(pick.sum()))
+    return values
+
+
+def library_of(landmarks, action="a", kind="spatial"):
+    """A PoseLibrary holding the given (P, 14, 2) landmarks (root at 0)."""
+    count = len(landmarks)
+    return PoseLibrary(action, kind, unroll(landmarks), np.zeros((count, 3)),
+                       np.ones(count, dtype=np.int64), np.full(count, "front"))
+
+
+@pytest.mark.parametrize("width", [1, 2, 9, 64])
+def test_embed_frame_is_exact_on_extreme_coordinates(width):
+    """The kernel's differences come from a matrix product; its one rounding
+    must equal the subtraction's at any magnitude, on subnormals, signed
+    zeros and exact ties, for a single frame (a matrix-vector product)."""
+    rng = np.random.default_rng(72 + width)
+    protos = extreme_coordinates(rng, (width, N_LANDMARKS, 2))
+    frames = [extreme_coordinates(rng, (N_LANDMARKS, 2)),
+              protos[-1].copy(),                      # an exact tie
+              np.nextafter(protos[0], np.inf),        # one step off
+              -protos[0]]
+    with np.errstate(over="ignore", under="ignore"):
+        for frame in frames:
+            for missing in (frozenset(), frozenset({3, 4, 5}), frozenset({1, 9, 13})):
+                assert np.array_equal(embed_frame(frame, protos, missing),
+                                      oracle_nearest(frame, protos, missing))
+
+
+@pytest.mark.parametrize("frames", [63, 64, 65, 129])
+def test_embed_sequence_is_exact_on_extreme_coordinates(frames):
+    rng = np.random.default_rng(frames)
+    xy = extreme_coordinates(rng, (frames, N_LANDMARKS, 2))
+    seq = NormalizedSequence(xy, frozenset({11}))
+    libraries = {}
+    for kind, source in (("spatial", seq.xy), ("temporal", seq.deriv)):
+        landmarks = extreme_coordinates(rng, (7, N_LANDMARKS, 2))
+        landmarks[:3] = source[rng.choice(len(source), 3)]   # ties, root aside
+        libraries[kind] = {"a": library_of(landmarks, "a", kind),
+                           "b": library_of(landmarks[4:5], "b", kind)}
+    with np.errstate(over="ignore", under="ignore"):
+        values = embed_sequence(seq, libraries["spatial"], libraries["temporal"],
+                                "advanced").values
+        row = 56
+        for kind, source, shift in (("spatial", seq.xy, 0), ("temporal", seq.deriv, 1)):
+            for action in ("a", "b"):
+                landmarks = libraries[kind][action].landmarks
+                for t in range(frames):
+                    want = oracle_nearest(source[max(t - shift, 0)], landmarks,
+                                          seq.persistent_missing)
+                    assert np.array_equal(values[row : row + 5, t], want), (kind, action, t)
+                row += 5
+
+
+@pytest.mark.parametrize("frame_shape, library_shape", [
+    ((N_LANDMARKS, 2), (0, N_LANDMARKS, 2)),
+    ((N_LANDMARKS, 2), (3, 13, 2)),
+    ((13, 2), (3, N_LANDMARKS, 2)),
+], ids=["empty library", "13-landmark library", "13-landmark frame"])
+def test_embed_frame_refuses_wrong_landmark_shapes(frame_shape, library_shape):
+    wrong = library_shape if frame_shape == (N_LANDMARKS, 2) else frame_shape
+    with pytest.raises(ShapeMismatch, match=re.escape(f"got shape {wrong}")):
+        embed_frame(np.zeros(frame_shape), np.zeros(library_shape))
+
+
+def test_subset_distance_refuses_wrong_landmark_shapes():
+    for frame_shape, proto_shape in (((13, 2), (N_LANDMARKS, 2)), ((N_LANDMARKS, 2), (28,))):
+        wrong = proto_shape if frame_shape == (N_LANDMARKS, 2) else frame_shape
+        with pytest.raises(ShapeMismatch, match=re.escape(f"got shape {wrong}")):
+            subset_distance(np.zeros(frame_shape), np.zeros(proto_shape), "J")
 
 
 def test_embed_sequence_working_set():

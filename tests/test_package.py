@@ -48,3 +48,21 @@ def test_lstm_kernels_read_no_mask():
     for name in ("_lstm_forward", "_lstm_backward"):
         params = [arg.arg for arg in ast.walk(functions[name].args) if isinstance(arg, ast.arg)]
         assert params and "mask" not in params, name
+
+
+def test_distance_kernel_takes_differences_from_a_product():
+    """The distance kernel gets its frame-minus-prototype differences from a
+    k=2 matrix product, not a broadcast subtraction, and divides each
+    subset's sums only after their per-block minimum."""
+    path = Path(posehar.__file__).parent / "embed.py"
+    kernel = next(node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_nearest_distances")
+    lines: dict[str, list[int]] = {}
+    for node in ast.walk(kernel):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            lines.setdefault(node.func.attr, []).append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            lines.setdefault("divide", []).append(node.lineno)
+    assert "subtract" not in lines and "matmul" in lines
+    assert lines["reduceat"] and lines["divide"]
+    assert min(lines["divide"]) > max(lines["reduceat"])
