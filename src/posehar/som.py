@@ -9,23 +9,18 @@ the surviving prototypes of all viewpoints of an action gives that action's
 library; pose libraries come from pose vectors, motion libraries from
 derivative vectors.
 
-Training is the classic online scheme: per step, the best-matching unit is
-the nearest unit in data space (ties to the lowest unit index), and every
-unit moves toward the sample weighted by a Gaussian neighborhood kernel on
-the lattice. Learning rate and radius both shrink as exp(-t / T) with t the
-global step counter and T the total number of steps.
-
-All maps of a bundle train in lockstep (:func:`train_soms`): one step loop
-over a (cells, U, d) weight tensor, longest cell first, updates every cell
-still running. Each cell keeps its own seed, sample order, total and
-initial weights, and numpy applies to each element the IEEE operations of
-the one-map loop in the same order, so every map is bit-identical to
-training it alone; :func:`train_som` is the one-cell case.
+Training is Kohonen's batch map (Kohonen, Self-Organizing Maps, 3rd ed.,
+2001). Each epoch e assigns every sample to its nearest unit in data space
+(ties to the lowest unit index), then sets every unit at once to the
+neighborhood-weighted mean of the samples,
+sum_v H[u, v] S_v / sum_v H[u, v] n_v, where S_v and n_v are the sum and
+count of the samples unit v won and H is a Gaussian kernel on the lattice
+whose radius shrinks as radius0 * exp(-(e + 1) / epochs). A unit that no
+winner's neighborhood reaches keeps its weights.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import os
 from dataclasses import asdict, dataclass, field
@@ -42,7 +37,9 @@ log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "posehar-bundle/1"
 # Largest lattice, q ** m units: 64 times the default 4 ** 3. Training keeps
-# a (U, U) float64 table of lattice distances, 128 MiB at this size.
+# a (U, U) float64 table of lattice distances, 128 MiB at this size, next to
+# (N, U) sample-to-unit distances; each epoch's neighborhood kernel spans
+# only the winning units, (min(U, N), U).
 MAX_UNITS = 4096
 LIBRARY_KINDS = ("spatial", "temporal")
 LIBRARY_ARRAYS = ("full", "reduced", "weight", "viewpoint")
@@ -53,18 +50,17 @@ PCA_ARRAYS = ("mean", "components", "eigenvalues", "total_variance")
 class SomConfig:
     """Lattice geometry and training schedule of one map.
 
-    q is the units-per-side of the m-dimensional lattice. The default radius
-    starts at q / 2; learning rate and radius both decay as
-    exp(-step / total steps). ``init`` is "axes" (units span the leading principal
-    axes of the training data, the default) or "random" (seeded Gaussian
-    draws around the data mean). m is at most the pose-vector width and
-    the lattice at most ``MAX_UNITS`` units.
+    q is the units-per-side of the m-dimensional lattice. The neighborhood
+    radius of epoch e is radius0 * exp(-(e + 1) / epochs), with radius0
+    q / 2 by default. ``init`` is "axes" (units span the leading principal
+    axes of the training data, the default) or "random" (Gaussian draws
+    around the data mean, seeded by ``rng_seed``). m is at most the
+    pose-vector width and the lattice at most ``MAX_UNITS`` units.
     """
 
     q: int = 4
     m: int = 3
     epochs: int = 20
-    lr0: float = 0.5
     radius0: float | None = None
     init: str = "axes"
     rng_seed: int = 0
@@ -80,8 +76,8 @@ class SomConfig:
                              f"{MAX_UNITS} units")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if not self.lr0 > 0 or (self.radius0 is not None and not self.radius0 > 0):
-            raise ValueError("lr0 and radius0 must be positive")
+        if self.radius0 is not None and not self.radius0 > 0:
+            raise ValueError("radius0 must be positive")
         if self.init not in ("axes", "random"):
             raise ValueError(f"unsupported init {self.init!r}")
         if self.rng_seed < 0:
@@ -109,8 +105,7 @@ def lattice(q: int, m: int) -> np.ndarray:
 def quantization_error(data: np.ndarray, weights: np.ndarray) -> float:
     """Mean distance from each sample to its nearest unit."""
     data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    d2 = ((data[:, None, :] - weights[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min(axis=1)).mean())
+    return float(np.sqrt(_squared_distances(data, weights).min(axis=1)).mean())
 
 
 def _init_weights(data: np.ndarray, grid: np.ndarray, config: SomConfig) -> np.ndarray:
@@ -133,82 +128,52 @@ def _init_weights(data: np.ndarray, grid: np.ndarray, config: SomConfig) -> np.n
     return mean + (fractions * spread) @ axes
 
 
-def _schedule(sizes: Sequence[int], config: SomConfig) -> np.ndarray:
-    """Sample order of every map as a (steps, cells) index array into the
-    cells' concatenated rows, for ``sizes`` sorted longest first.
-
-    Cell c draws a fresh permutation of its own rows per epoch from its own
-    ``default_rng(rng_seed)``; its column is 0 past its last step.
-    """
-    schedule = np.zeros((config.epochs * sizes[0], len(sizes)), dtype=np.intp)
-    offset = 0
-    for c, n in enumerate(sizes):
-        rng = np.random.default_rng(config.rng_seed)
-        for epoch in range(config.epochs):
-            schedule[epoch * n : (epoch + 1) * n, c] = rng.permutation(n) + offset
-        offset += n
-    return schedule
+def _squared_distances(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(N, U) squared distances from each row to each unit, summed over the
+    columns in order: the same float operations as
+    ``((data[:, None] - weights[None]) ** 2).sum(axis=2)`` without its
+    (N, U, d) temporary."""
+    d2 = np.zeros((data.shape[0], weights.shape[0]))
+    for column, unit_column in zip(data.T, weights.T, strict=True):
+        diff = np.subtract.outer(column, unit_column)
+        diff *= diff
+        d2 += diff
+    return d2
 
 
-def train_soms(datas: Sequence[np.ndarray], config: SomConfig) -> list[SomFit]:
-    """Train one map per (N_c, d) array, all in one shared step loop.
-
-    The maps live in one (cells, U, d) tensor, longest cell first, so the
-    cells still running at step t are the prefix ``weights[:a]``; a cell
-    drops out once its own epochs * N_c steps are done. Every cell keeps its
-    own seed, schedule, total and initial weights, so each fit is
-    bit-identical to ``train_soms([data], config)`` on that cell alone.
-    """
-    datas = [np.ascontiguousarray(data, dtype=np.float64) for data in datas]
-    for data in datas:
-        if data.ndim != 2 or data.shape[0] < 1:
-            raise ValueError(f"expected (N, d) training data, got {data.shape}")
-    if len({data.shape[1] for data in datas}) > 1:
-        raise ValueError("every map's training data must have the same width d")
-    if not datas:
-        return []
+def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
+    """Train one map on (N, d) vectors with the batch map. Deterministic:
+    there is no sample order, and ``rng_seed`` only draws a random init."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.ndim != 2 or data.shape[0] < 1:
+        raise ValueError(f"expected (N, d) training data, got {data.shape}")
     grid = lattice(config.q, config.m)
     grid_d2 = np.zeros((grid.shape[0], grid.shape[0]))   # squared lattice distances
     for axis in grid.T:
         diff = axis[:, None] - axis[None, :]
         grid_d2 += diff * diff
     radius0 = config.radius0 if config.radius0 is not None else config.q / 2.0
-
-    order = sorted(range(len(datas)), key=lambda c: -datas[c].shape[0])
-    sizes = [datas[c].shape[0] for c in order]
-    totals = config.epochs * np.array(sizes)
-    weights = np.stack([_init_weights(datas[c], grid, config) for c in order])
+    weights = _init_weights(data, grid, config)
     initial = weights.copy()
-    flat = np.concatenate([datas[c] for c in order])
-    schedule = _schedule(sizes, config)
-
-    # Each cell's float operations and their order are those of a one-map
-    # online loop (-t / total, -2.0 * radius * radius, argmin ties to the
-    # lowest unit); bit-identity with a map trained alone rests on that.
-    t = 0
-    for a in range(len(order), 0, -1):   # cells [:a] run until cell a-1 is done
-        active, total = weights[:a], totals[:a]
-        while t < total[-1]:
-            decay = np.exp(-t / total)
-            lr = config.lr0 * decay
-            radius = radius0 * decay
-            towards = flat[schedule[t, :a]][:, None, :] - active
-            best = np.argmin((towards * towards).sum(axis=2), axis=1)
-            kernel = np.exp(grid_d2[best] / (-2.0 * radius * radius)[:, None])
-            active += (lr[:, None] * kernel)[:, :, None] * towards
-            t += 1
-
-    fits: list[SomFit | None] = [None] * len(datas)
-    for k, c in enumerate(order):
-        d2 = ((datas[c][:, None, :] - weights[k][None, :, :]) ** 2).sum(axis=2)
-        fits[c] = SomFit(weights[k], d2.argmin(axis=1), initial[k])
-    return fits
-
-
-def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
-    """Train one map on (N, d) vectors. Deterministic under a fixed seed and
-    input order."""
-    return train_soms([data], config)[0]
+    for epoch in range(config.epochs):
+        radius = radius0 * np.exp(-(epoch + 1) / config.epochs)
+        best = _squared_distances(data, weights).argmin(axis=1)
+        counts = np.bincount(best, minlength=config.n_units)
+        won = np.flatnonzero(counts)
+        # Row sums and row count of each winning unit: (K, d + 1), K <= min(U, N).
+        totals = np.column_stack([np.bincount(best, column, config.n_units)[won]
+                                  for column in data.T] + [counts[won]])
+        kernel = np.exp(grid_d2[won] / (-2.0 * radius * radius))   # (K, U)
+        # Added winner by winner along the outer axis rather than by a BLAS
+        # product, whose rounding depends on its kernels: units can tie
+        # exactly (two winners, a symmetric lattice), and rounding then picks
+        # the next epoch's winner.
+        reached = np.stack([(kernel * total[:, None]).sum(axis=0) for total in totals.T],
+                           axis=1)
+        mass = reached[:, -1]
+        moved = mass > 0   # a unit beyond every winner's reach keeps its weights
+        weights[moved] = reached[moved, :-1] / mass[moved, None]
+    return SomFit(weights, _squared_distances(data, weights).argmin(axis=1), initial)
 
 
 # --------------------------------------------------------------------------
@@ -272,36 +237,33 @@ def _cell_frames(items: Sequence[LabeledSequence], kind: str) -> dict[tuple[str,
 
 def _build_libraries(items: Sequence[LabeledSequence], pcas: Mapping[str, PcaModel],
                      config: SomConfig) -> dict[str, dict[str, PoseLibrary]]:
-    """Libraries of every kind in ``pcas``, from one :func:`train_soms` call
-    over all their (kind, action, viewpoint) cells."""
+    """Libraries of every kind in ``pcas``, one map per non-empty
+    (kind, action, viewpoint) cell."""
     actions = sorted({item.action for item in items})
     viewpoints = sorted({item.viewpoint for item in items})
-    cells = []   # (kind, action, viewpoint, full, reduced) per non-empty cell
+    libraries: dict[str, dict[str, PoseLibrary]] = {kind: {} for kind in pcas}
     for kind, pca in pcas.items():
         frames = _cell_frames(items, kind)
-        for action, viewpoint in itertools.product(actions, viewpoints):
-            full = frames.get((action, viewpoint))
-            if full is None:
-                log.warning("no %s frames for action=%r viewpoint=%r; cell skipped",
-                            kind, action, viewpoint)
-                continue
-            cells.append((kind, action, viewpoint, full, project(pca, full)))
-    fits = train_soms([cell[-1] for cell in cells], config)
-
-    rows = {(kind, action): [] for kind in pcas for action in actions}
-    for (kind, action, viewpoint, full, reduced), fit in zip(cells, fits):
-        for unit in range(fit.weights.shape[0]):
-            members = fit.assignments == unit
-            count = int(members.sum())
-            if count:
-                rows[kind, action].append((full[members].mean(axis=0),
-                                           reduced[members].mean(axis=0), count, viewpoint))
-    libraries: dict[str, dict[str, PoseLibrary]] = {kind: {} for kind in pcas}
-    for (kind, action), found in rows.items():
-        if found:
-            libraries[kind][action] = PoseLibrary(action, kind, *map(np.array, zip(*found)))
-        else:
-            log.warning("action %r has no %s prototypes at all", action, kind)
+        for action in actions:
+            found = []   # (full, reduced, weight, viewpoint) per prototype
+            for viewpoint in viewpoints:
+                full = frames.get((action, viewpoint))
+                if full is None:
+                    log.warning("no %s frames for action=%r viewpoint=%r; cell skipped",
+                                kind, action, viewpoint)
+                    continue
+                reduced = project(pca, full)
+                fit = train_som(reduced, config)
+                for unit in range(fit.weights.shape[0]):
+                    members = fit.assignments == unit
+                    count = int(members.sum())
+                    if count:
+                        found.append((full[members].mean(axis=0),
+                                      reduced[members].mean(axis=0), count, viewpoint))
+            if found:
+                libraries[kind][action] = PoseLibrary(action, kind, *map(np.array, zip(*found)))
+            else:
+                log.warning("action %r has no %s prototypes at all", action, kind)
     return libraries
 
 
@@ -337,8 +299,7 @@ class ModelBundle:
 
 def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
                  som_config: SomConfig | None = None) -> ModelBundle:
-    """Fit both reduction models, then both library kinds in one lockstep
-    :func:`train_soms` call."""
+    """Fit both reduction models, then the libraries of both kinds."""
     som_config = som_config or SomConfig(m=n_components)
     if som_config.m != n_components:
         raise ValueError("som lattice dimensionality must equal the reduced dimension")

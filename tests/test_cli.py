@@ -405,15 +405,19 @@ def test_mismatched_lattice_and_components(workdir, tmp_path):
                  "--out", str(tmp_path / "b.npz")]) == 2
 
 
-@pytest.mark.parametrize("som", [{"lr0": -1, "radius0": 0}, {"lr0": 0}, {"radius0": -0.5}],
-                         ids=["negative lr0 and zero radius0", "zero lr0", "negative radius0"])
-def test_build_libraries_rejects_bad_som_schedule(workdir, tmp_path, som):
+# The batch map has no learning rate: any som.lr0 is an unknown key.
+@pytest.mark.parametrize("som", [{"lr0": -1, "radius0": 0}, {"lr0": 0}, {"radius0": -0.5},
+                                 {"lr0": 0.5}],
+                         ids=["negative lr0 and zero radius0", "zero lr0", "negative radius0",
+                              "former default lr0"])
+def test_build_libraries_rejects_bad_som_schedule(workdir, tmp_path, caplog, som):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"som": som}))
     assert main(["--config", str(config), "build-libraries",
                  "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "b.npz")]) == 2
     assert not (tmp_path / "b.npz").exists()
+    assert ("lr0" in caplog.text) == ("lr0" in som)
 
 
 def test_evaluate_rejects_mismatched_components_before_any_work(workdir, tmp_path, capsys):

@@ -3,7 +3,11 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import posehar
+from posehar.pose import N_LANDMARKS, ROOT
+from posehar.preprocess import LabeledSequence, NormalizedSequence
 
 
 def test_all_names_resolve_once():
@@ -26,17 +30,28 @@ def test_each_owned_call_is_made_by_one_module():
         assert users == [owner], f"{call} appears in {users}"
 
 
-def test_maps_are_trained_by_one_loop():
-    """Every map trains in the lockstep loop: sample orders are drawn in one
-    schedule builder, and ``train_som`` only delegates."""
-    path = Path(posehar.__file__).parent / "som.py"
-    text = path.read_text()
-    functions = {node.name: node for node in ast.walk(ast.parse(text))
-                 if isinstance(node, ast.FunctionDef)}
-    assert text.count("rng.permutation(") == 1
-    assert "rng.permutation(" in ast.get_source_segment(text, functions["_schedule"])
-    loops = (ast.For, ast.While, ast.comprehension)
-    assert not any(isinstance(node, loops) for node in ast.walk(functions["train_som"]))
+def test_build_bundle_trains_one_map_per_cell(monkeypatch):
+    """``build_bundle`` reaches the module-global ``train_som`` once per
+    non-empty (kind, action, viewpoint) cell, the call a tracer wraps."""
+    calls = []
+    train_som = posehar.som.train_som
+
+    def counted(data, config):
+        calls.append(len(data))
+        return train_som(data, config)
+
+    monkeypatch.setattr(posehar.som, "train_som", counted)
+    rng = np.random.default_rng(7)
+    items = []
+    for action, viewpoint, frames in (("wave", "front", 12), ("wave", "left", 9),
+                                      ("squat", "front", 5), ("march", "left", 1)):
+        xy = rng.normal(0.0, 0.6, (frames, N_LANDMARKS, 2))
+        xy[:, ROOT - 1] = 0.0
+        items.append(LabeledSequence(NormalizedSequence(xy, frozenset()),
+                                     action, viewpoint, "a1", "demo"))
+    posehar.build_bundle(items, 2, posehar.SomConfig(q=2, m=2, epochs=2))
+    # 4 pose cells, and 3 motion cells: a 1-frame record has no motion frame
+    assert sorted(calls) == sorted([12, 9, 5, 1] + [11, 8, 4])
 
 
 def test_lstm_kernels_read_no_mask():

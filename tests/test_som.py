@@ -24,7 +24,6 @@ from posehar.som import (
     quantization_error,
     save_bundle,
     train_som,
-    train_soms,
 )
 
 
@@ -46,6 +45,8 @@ def test_quantization_error_oracle():
     weights = rng.normal(0.0, 1.0, (6, 3))
     expect = np.mean([min(np.linalg.norm(x - w) for w in weights) for x in data])
     assert quantization_error(data, weights) == pytest.approx(expect, rel=1e-12)
+    with pytest.raises(ValueError):
+        quantization_error(data, weights[:, :2])   # widths differ
 
 
 def blobs(rng, centers, per_center=40, std=0.05):
@@ -99,59 +100,75 @@ def test_train_som_single_unit_tracks_tight_cluster():
     np.testing.assert_allclose(fit.weights[0], data.mean(axis=0), atol=0.02)
 
 
-def one_map_at_a_time(data, config):
-    """The per-sample loop that trained one map alone, kept as the oracle the
-    lockstep trainer must match bit for bit."""
-    data = np.ascontiguousarray(data, dtype=np.float64)
+def batch_map_by_loops(data, config):
+    """Kohonen's batch map as a loop over epochs, units and rows: the
+    reference that train_som must match."""
+    data = np.asarray(data, dtype=np.float64)
     grid = lattice(config.q, config.m)
     weights = _init_weights(data, grid, config)
     initial = weights.copy()
-    diff = grid[:, None, :] - grid[None, :, :]
-    grid_d2 = (diff * diff).sum(axis=2)
     radius0 = config.radius0 if config.radius0 is not None else config.q / 2.0
-    total = config.epochs * data.shape[0]
-    rng = np.random.default_rng(config.rng_seed)
-    step = 0
-    for _ in range(config.epochs):
-        for i in rng.permutation(data.shape[0]):
-            decay = np.exp(-step / total)
-            lr = config.lr0 * decay
-            radius = radius0 * decay
-            towards = data[i] - weights
-            best = int(np.argmin((towards * towards).sum(axis=1)))
-            kernel = np.exp(grid_d2[best] / (-2.0 * radius * radius))
-            weights += (lr * kernel)[:, None] * towards
-            step += 1
-    d2 = ((data[:, None, :] - weights[None, :, :]) ** 2).sum(axis=2)
-    return SomFit(weights, d2.argmin(axis=1), initial)
+
+    def nearest(row, weights):
+        distances = []
+        for unit in weights:
+            total = 0.0
+            for x, w in zip(row, unit):
+                total += (x - w) * (x - w)
+            distances.append(total)
+        return distances.index(min(distances))   # ties to the lowest unit
+
+    for epoch in range(config.epochs):
+        radius = radius0 * np.exp(-(epoch + 1) / config.epochs)
+        best = [nearest(row, weights) for row in data]
+        winners = sorted(set(best))
+        sums = {v: np.zeros(data.shape[1]) for v in winners}
+        for row, v in zip(data, best):
+            sums[v] = sums[v] + row
+        updated = weights.copy()
+        for u in range(len(grid)):
+            numerator, mass = np.zeros(data.shape[1]), 0.0
+            for v in winners:
+                h = np.exp(((grid[u] - grid[v]) ** 2).sum() / (-2.0 * radius * radius))
+                numerator = numerator + h * sums[v]
+                mass = mass + h * best.count(v)
+            if mass > 0:
+                updated[u] = numerator / mass
+        weights = updated
+    return SomFit(weights, np.array([nearest(row, weights) for row in data]), initial)
 
 
 @pytest.mark.parametrize("init", ["axes", "random"])
 @pytest.mark.parametrize("q, m", [(4, 3), (3, 2)])
-def test_lockstep_maps_equal_maps_trained_alone(init, q, m):
+def test_train_som_matches_batch_map_loops(init, q, m):
     rng = np.random.default_rng(53)
-    # cells of 1, 2, 7 and 150 samples drop out of the shared loop at
-    # different steps; the single-sample cells are listed first and last
-    sizes = (1, 7, 150, 2, 150, 7, 1)
-    datas = [rng.normal(rng.normal(0.0, 2.0, m), rng.uniform(0.1, 1.5), (n, m))
-             for n in sizes]
     config = SomConfig(q=q, m=m, epochs=3, init=init, rng_seed=8)
-    fits = train_soms(datas, config)
-    assert len(fits) == len(datas)
-    for data, fit in zip(datas, fits):
-        alone = one_map_at_a_time(data, config)
-        assert fit.assignments.shape == (data.shape[0],)
-        for name in ("weights", "initial_weights", "assignments"):
-            np.testing.assert_array_equal(getattr(fit, name), getattr(alone, name))
-    assert train_soms([], config) == []
+    for n in (1, 2, 7, 150):
+        data = rng.normal(rng.normal(0.0, 2.0, m), rng.uniform(0.1, 1.5), (n, m))
+        fit, loops = train_som(data, config), batch_map_by_loops(data, config)
+        np.testing.assert_allclose(fit.weights, loops.weights, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(fit.initial_weights, loops.initial_weights)
+        np.testing.assert_array_equal(fit.assignments, loops.assignments)
 
 
-def test_lockstep_rejects_maps_of_different_widths():
-    config = SomConfig(q=2, m=2, epochs=1)
-    with pytest.raises(ValueError, match="same width"):
-        train_soms([np.zeros((3, 2)), np.zeros((3, 3))], config)
+def test_train_som_rejects_empty_data():
     with pytest.raises(ValueError, match="training data"):
-        train_soms([np.zeros((3, 2)), np.zeros((0, 2))], config)
+        train_som(np.zeros((0, 2)), SomConfig(q=2, m=2, epochs=1))
+
+
+def test_tiny_radius_moves_only_winners():
+    # The neighborhood of a unit reaches no other unit, so a unit that never
+    # wins has no neighborhood mass at all and must keep its initial weights.
+    point = np.array([0.7, -1.2])
+    config = SomConfig(q=4, m=2, epochs=5, radius0=1e-3, init="random", rng_seed=3)
+    with np.errstate(divide="raise", invalid="raise"):
+        fit = train_som(np.repeat(point[None], 9, axis=0), config)
+    assert np.isfinite(fit.weights).all()
+    winner = int(((fit.initial_weights - point) ** 2).sum(axis=1).argmin())
+    np.testing.assert_array_equal(fit.assignments, winner)
+    np.testing.assert_allclose(fit.weights[winner], point, rtol=0.0, atol=1e-15)
+    others = np.arange(config.n_units) != winner
+    np.testing.assert_array_equal(fit.weights[others], fit.initial_weights[others])
 
 
 def make_item(rng, action, viewpoint, frames=20):
@@ -397,6 +414,14 @@ def test_load_bundle_rejects_what_its_meta_does_not_imply(tmp_path, edit):
         load_bundle(corrupt_bundle(tmp_path, edit))
 
 
+def test_load_bundle_reads_a_bundle_fitted_with_a_learning_rate(tmp_path):
+    # Bundles fitted by the online trainer record its som.lr0 in their meta.
+    path = corrupt_bundle(tmp_path, edit_meta(lambda meta: meta["config"]["som"].update(lr0=0.5)))
+    bundle = load_bundle(path)
+    assert bundle.config["som"]["lr0"] == 0.5
+    assert set(bundle.spatial) == {"march", "wave"}
+
+
 @pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04garbage"])
 def test_load_bundle_rejects_non_archives(tmp_path, content):
     path = tmp_path / "bundle.npz"
@@ -421,9 +446,9 @@ def test_som_config_validation():
         SomConfig(epochs=0)
     with pytest.raises(ValueError):
         SomConfig(init="kmeans")
-    for schedule in ({"lr0": 0.0}, {"lr0": float("nan")}, {"radius0": 0.0}):
-        with pytest.raises(ValueError):
-            SomConfig(**schedule)
+    for radius0 in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="radius0"):
+            SomConfig(radius0=radius0)
     assert SomConfig(q=4, m=3).n_units == 64
     with pytest.raises(ValueError, match="rng_seed"):
         SomConfig(rng_seed=-1)
