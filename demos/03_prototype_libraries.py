@@ -2,8 +2,8 @@
 
 Frames from every sequence of one (action, viewpoint) cell are projected
 onto the leading principal axes and clustered on a small lattice map; each
-non-empty cluster's mean becomes one prototype. A bundle holds the two
-reduction models plus the pose and motion libraries of every action.
+non-empty cluster's mean becomes one prototype. A bundle holds the pose
+and motion libraries of every action.
 """
 
 import tempfile

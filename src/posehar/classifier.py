@@ -390,7 +390,7 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
         a = np.where(relu_mask, u, 0.0) * mask3
         if train:
             cache["blocks"].append((xp, bn_cache, relu_mask))
-    pooled = (a * mask3).sum(axis=2) / counts[:, None]
+    pooled = a.sum(axis=2) / counts[:, None]   # a is already masked
 
     hidden, lstm_cache = _lstm_forward(x, params["lstm_wx"], params["lstm_wh"],
                                        params["lstm_b"])

@@ -35,7 +35,7 @@ from .preprocess import LabeledSequence
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT = "posehar-bundle/1"
+BUNDLE_FORMAT = "posehar-bundle/2"
 # Largest lattice, q ** m units: 64 times the default 4 ** 3. Training keeps
 # a (U, U) float64 table of lattice distances, 128 MiB at this size, next to
 # (N, U) sample-to-unit distances; each epoch's neighborhood kernel spans
@@ -43,7 +43,6 @@ BUNDLE_FORMAT = "posehar-bundle/1"
 MAX_UNITS = 4096
 LIBRARY_KINDS = ("spatial", "temporal")
 LIBRARY_ARRAYS = ("full", "reduced", "weight", "viewpoint")
-PCA_ARRAYS = ("mean", "components", "eigenvalues", "total_variance")
 
 
 @dataclass(frozen=True)
@@ -141,6 +140,17 @@ def _squared_distances(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _unit_sums(assignments: np.ndarray, data: np.ndarray,
+               n_units: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The units that won a row (ascending), and each one's row sum (K, d),
+    added in row order as ``mean(axis=0)`` does for d > 1, and row count (K,)."""
+    counts = np.bincount(assignments, minlength=n_units)
+    won = np.flatnonzero(counts)
+    sums = np.column_stack([np.bincount(assignments, column, n_units)[won]
+                            for column in data.T])
+    return won, sums, counts[won]
+
+
 def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
     """Train one map on (N, d) vectors with the batch map. Deterministic:
     there is no sample order, and ``rng_seed`` only draws a random init."""
@@ -158,11 +168,8 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
     for epoch in range(config.epochs):
         radius = radius0 * np.exp(-(epoch + 1) / config.epochs)
         best = _squared_distances(data, weights).argmin(axis=1)
-        counts = np.bincount(best, minlength=config.n_units)
-        won = np.flatnonzero(counts)
-        # Row sums and row count of each winning unit: (K, d + 1), K <= min(U, N).
-        totals = np.column_stack([np.bincount(best, column, config.n_units)[won]
-                                  for column in data.T] + [counts[won]])
+        won, sums, counts = _unit_sums(best, data, config.n_units)
+        totals = np.column_stack([sums, counts])   # (K, d + 1), K <= min(U, N)
         kernel = np.exp(grid_d2[won] / (-2.0 * radius * radius))   # (K, U)
         # Added winner by winner along the outer axis rather than by a BLAS
         # product, whose rounding depends on its kernels: units can tie
@@ -221,63 +228,40 @@ class PoseLibrary:
         return int(self.full.shape[0])
 
 
-def _unrolled(items: Sequence[LabeledSequence], kind: str) -> list[np.ndarray]:
-    """Each item's pose (spatial) or motion (temporal) frames as (T, 26) rows."""
-    return [unroll(item.seq.xy if kind == "spatial" else item.seq.deriv) for item in items]
-
-
-def _cell_frames(items: Sequence[LabeledSequence], kind: str) -> dict[tuple[str, str], np.ndarray]:
-    """The unrolled frames of each non-empty (action, viewpoint) cell, in item order."""
-    chunks: dict[tuple[str, str], list[np.ndarray]] = {}
-    for item, frames in zip(items, _unrolled(items, kind)):
-        if frames.shape[0]:
-            chunks.setdefault((item.action, item.viewpoint), []).append(frames)
-    return {cell: np.vstack(parts) for cell, parts in chunks.items()}
-
-
-def _build_libraries(items: Sequence[LabeledSequence], pcas: Mapping[str, PcaModel],
-                     config: SomConfig) -> dict[str, dict[str, PoseLibrary]]:
-    """Libraries of every kind in ``pcas``, one map per non-empty
-    (kind, action, viewpoint) cell."""
-    actions = sorted({item.action for item in items})
-    viewpoints = sorted({item.viewpoint for item in items})
-    libraries: dict[str, dict[str, PoseLibrary]] = {kind: {} for kind in pcas}
-    for kind, pca in pcas.items():
-        frames = _cell_frames(items, kind)
-        for action in actions:
-            found = []   # (full, reduced, weight, viewpoint) per prototype
-            for viewpoint in viewpoints:
-                full = frames.get((action, viewpoint))
-                if full is None:
-                    log.warning("no %s frames for action=%r viewpoint=%r; cell skipped",
-                                kind, action, viewpoint)
-                    continue
-                reduced = project(pca, full)
-                fit = train_som(reduced, config)
-                for unit in range(fit.weights.shape[0]):
-                    members = fit.assignments == unit
-                    count = int(members.sum())
-                    if count:
-                        found.append((full[members].mean(axis=0),
-                                      reduced[members].mean(axis=0), count, viewpoint))
-            if found:
-                libraries[kind][action] = PoseLibrary(action, kind, *map(np.array, zip(*found)))
-            else:
-                log.warning("action %r has no %s prototypes at all", action, kind)
-    return libraries
-
-
 def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
                   config: SomConfig) -> dict[str, PoseLibrary]:
-    """Cluster each (action, viewpoint) cell and stack prototypes per action.
-
-    Cells without any frame are skipped with a warning; actions whose every
-    cell is empty get no library at all, which the embedding stage reports
-    as MissingLibrary if it is ever asked for them.
-    """
+    """Cluster each (action, viewpoint) cell of pose (spatial) or motion
+    (temporal) frames on its own map and stack the prototypes per action.
+    Empty cells are skipped with a warning; an action without any frame gets
+    no library, which embedding reports as MissingLibrary if asked for it."""
     if kind not in LIBRARY_KINDS:
         raise ValueError(f"kind must be one of {LIBRARY_KINDS}")
-    return _build_libraries(items, {kind: pca}, config)[kind]
+    cells: dict[tuple[str, str], list[np.ndarray]] = {}
+    for item in items:
+        frames = unroll(item.seq.xy if kind == "spatial" else item.seq.deriv)
+        if frames.shape[0]:
+            cells.setdefault((item.action, item.viewpoint), []).append(frames)
+    viewpoints = sorted({item.viewpoint for item in items})
+    libraries: dict[str, PoseLibrary] = {}
+    for action in sorted({item.action for item in items}):
+        parts = []   # (full, reduced, weight, viewpoint) arrays per cell
+        for viewpoint in viewpoints:
+            if (action, viewpoint) not in cells:
+                log.warning("no %s frames for action=%r viewpoint=%r; cell skipped",
+                            kind, action, viewpoint)
+                continue
+            full = np.vstack(cells[action, viewpoint])
+            reduced = project(pca, full)
+            _, sums, counts = _unit_sums(train_som(reduced, config).assignments,
+                                         np.hstack([full, reduced]), config.n_units)
+            means = sums / counts[:, None]   # each won unit's members, in both spaces
+            parts.append((means[:, :FEATURE_DIM], means[:, FEATURE_DIM:], counts,
+                          np.full(counts.shape, viewpoint)))
+        if parts:
+            libraries[action] = PoseLibrary(action, kind, *map(np.concatenate, zip(*parts)))
+        else:
+            log.warning("action %r has no %s prototypes at all", action, kind)
+    return libraries
 
 
 # --------------------------------------------------------------------------
@@ -286,95 +270,88 @@ def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Everything the embedding stage needs, as produced from training data."""
+    """Everything the embedding stage needs: the pose (spatial) and motion
+    (temporal) library of each action, the sorted action names, and the
+    settings that built them (``pca_components`` and ``som``)."""
 
-    spatial_pca: PcaModel
-    temporal_pca: PcaModel
     spatial: Mapping[str, PoseLibrary]
     temporal: Mapping[str, PoseLibrary]
     actions: tuple[str, ...]
-    viewpoints: tuple[str, ...]
     config: dict
 
 
 def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
                  som_config: SomConfig | None = None) -> ModelBundle:
-    """Fit both reduction models, then the libraries of both kinds."""
+    """Per kind, fit a PCA model on every frame of that kind and build the
+    libraries with it. The models are not kept: each prototype is already
+    stored in both the full and the reduced space."""
     som_config = som_config or SomConfig(m=n_components)
     if som_config.m != n_components:
         raise ValueError("som lattice dimensionality must equal the reduced dimension")
-    pcas = {kind: fit_pca(np.vstack(_unrolled(items, kind)), n_components)
-            for kind in LIBRARY_KINDS}
-    libraries = _build_libraries(items, pcas, som_config)
+    libraries = {}
+    for kind in LIBRARY_KINDS:
+        frames = np.vstack([unroll(item.seq.xy if kind == "spatial" else item.seq.deriv)
+                            for item in items])
+        libraries[kind] = build_library(items, kind, fit_pca(frames, n_components), som_config)
     return ModelBundle(
-        spatial_pca=pcas["spatial"],
-        temporal_pca=pcas["temporal"],
         spatial=libraries["spatial"],
         temporal=libraries["temporal"],
         actions=tuple(sorted({item.action for item in items})),
-        viewpoints=tuple(sorted({item.viewpoint for item in items})),
         config={"pca_components": n_components, "som": asdict(som_config)},
     )
 
 
 def save_bundle(path: str | os.PathLike, bundle: ModelBundle) -> None:
-    """Write a bundle as a ``posehar-bundle/1`` archive (see :mod:`posehar.archive`)."""
+    """Write a bundle as a ``posehar-bundle/2`` archive (see :mod:`posehar.archive`)."""
     meta = {
         "actions": list(bundle.actions),
-        "viewpoints": list(bundle.viewpoints),
         "config": bundle.config,
         "libraries": {kind: sorted(getattr(bundle, kind)) for kind in LIBRARY_KINDS},
     }
-    arrays = {f"pca/{kind}/{name}": np.asarray(getattr(getattr(bundle, f"{kind}_pca"), name))
-              for kind in LIBRARY_KINDS for name in PCA_ARRAYS}
-    arrays.update((f"lib/{kind}/{action}/{name}", getattr(library, name))
-                  for kind in LIBRARY_KINDS for action, library in getattr(bundle, kind).items()
-                  for name in LIBRARY_ARRAYS)
+    arrays = {f"lib/{kind}/{action}/{name}": getattr(library, name)
+              for kind in LIBRARY_KINDS for action, library in getattr(bundle, kind).items()
+              for name in LIBRARY_ARRAYS}
     write_archive(path, BUNDLE_FORMAT, meta, arrays)
-
-
-def _load_pca(path, arrays: dict, kind: str, m: int) -> PcaModel:
-    mean, components, eigenvalues, total_variance = (
-        entry(path, arrays, f"pca/{kind}/{name}", shape)
-        for name, shape in zip(PCA_ARRAYS, ((FEATURE_DIM,), (m, FEATURE_DIM), (m,), ())))
-    return PcaModel(mean, components, eigenvalues, float(total_variance))
 
 
 def load_bundle(path: str | os.PathLike) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`.
 
     Beyond the checks every archive gets, the meta entry must give an
-    integer ``pca_components`` m and list the actions, viewpoints and
-    libraries as strings, and the archive must hold exactly the PCA models
-    and libraries the meta implies, with their dtypes and shapes: (26,),
-    (m, 26), (m,) and a scalar per PCA model, (P, 26), (P, m), (P,)
-    integer and (P,) string arrays per library. Anything else raises
-    ParseError naming the file.
+    integer ``pca_components`` m and list the actions and the libraries of
+    each kind as strings, and the archive must hold exactly the libraries
+    the meta lists, each as (P, 26) float, (P, m) float, (P,) integer and
+    (P,) string arrays. Anything else raises ParseError naming the file.
+
+    A ``posehar-bundle/1`` archive also holds the two PCA models
+    (``pca/<kind>/*``) and a ``viewpoints`` meta list, which nothing reads.
+    It loads with a warning: its ``pca/`` entries are dropped after the
+    checks every archive gets.
     """
-    meta, arrays = read_archive(path, {BUNDLE_FORMAT})
+    meta, arrays = read_archive(path, {BUNDLE_FORMAT, "posehar-bundle/1"})
+    if meta["format"] != BUNDLE_FORMAT:
+        log.warning("%s: posehar-bundle/1 bundle; its PCA models are ignored", path)
+        for name in [name for name in arrays if name.startswith("pca/")]:
+            del arrays[name]
     try:
         m = meta["config"]["pca_components"]
         if type(m) is not int:
             raise ParseError(f"{path}: meta pca_components must be an integer")
-        names = {key: meta[key] for key in ("actions", "viewpoints")}
+        names = {"actions": meta["actions"]}
         names.update((kind, meta["libraries"][kind]) for kind in LIBRARY_KINDS)
         if not all(isinstance(value, list) and all(isinstance(v, str) for v in value)
                    for value in names.values()):
-            raise ParseError(f"{path}: meta actions, viewpoints and libraries must list strings")
+            raise ParseError(f"{path}: meta actions and libraries must list strings")
         shapes = ((None, FEATURE_DIM), (None, m), (None,), (None,))
         libraries = {kind: {action: PoseLibrary(action, kind, *(
             entry(path, arrays, f"lib/{kind}/{action}/{name}", shape, dtype)
             for name, shape, dtype in zip(LIBRARY_ARRAYS, shapes, "ffiU")))
             for action in names[kind]} for kind in LIBRARY_KINDS}
-        pcas = {kind: _load_pca(path, arrays, kind, m) for kind in LIBRARY_KINDS}
         no_more(path, arrays)
         return ModelBundle(
-            spatial_pca=pcas["spatial"],
-            temporal_pca=pcas["temporal"],
             spatial=libraries["spatial"],
             temporal=libraries["temporal"],
             actions=tuple(names["actions"]),
-            viewpoints=tuple(names["viewpoints"]),
             config=meta["config"],
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -226,6 +226,19 @@ def test_embed_rejects_corrupt_bundle(workdir, tmp_path, capsys, caplog, edit):
     assert one_line_error(caplog, bundle)
 
 
+def test_predict_rejects_a_pca_entry_in_a_current_bundle(workdir, tmp_path, capsys, caplog):
+    # posehar-bundle/2 stores no PCA model; only a /1 file may carry one.
+    bundle = corrupt_copy(workdir / "bundle.npz", tmp_path / "bundle.npz",
+                          lambda arrays: arrays.update({"pca/spatial/mean": np.zeros(26)}))
+    norm = sorted((workdir / "norm").glob("*.seq"))[0]
+    code = main(["predict", "--model", str(workdir / "model.npz"), "--mode", "advanced",
+                 "--bundle", str(bundle), "--input", str(norm)])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, bundle)
+    assert "unexpected entries pca/spatial/mean" in caplog.text
+
+
 def test_evaluate_writes_report(workdir, capsys):
     out = workdir / "report.json"
     code = main(["--config", str(workdir / "config.json"), "evaluate",

@@ -219,8 +219,8 @@ def test_build_library_prototypes_are_cluster_means():
     assert len(expected) == len(library)
     for full, reduced, (full_mean, reduced_mean) in zip(library.full, library.reduced,
                                                          expected):
-        np.testing.assert_allclose(full, full_mean, atol=1e-12)
-        np.testing.assert_allclose(reduced, reduced_mean, atol=1e-12)
+        np.testing.assert_array_equal(full, full_mean)
+        np.testing.assert_array_equal(reduced, reduced_mean)
 
 
 def test_build_library_skips_empty_cells():
@@ -246,6 +246,12 @@ def test_landmark_array_restores_root():
     np.testing.assert_array_equal(unroll(landmarks), library.full)
 
 
+def kind_frames(items, kind):
+    """The unrolled pose (spatial) or motion (temporal) frames of ``items``."""
+    return np.vstack([unroll(item.seq.xy if kind == "spatial" else item.seq.deriv)
+                      for item in items])
+
+
 def test_bundle_roundtrip(tmp_path):
     rng = np.random.default_rng(49)
     items = [make_item(rng, action, viewpoint)
@@ -256,12 +262,13 @@ def test_bundle_roundtrip(tmp_path):
     back = load_bundle(path)
 
     assert back.actions == ("squat", "wave")
-    assert back.viewpoints == ("front", "left")
+    assert back.config == bundle.config
     assert back.config["pca_components"] == 2
-    np.testing.assert_array_equal(back.spatial_pca.mean, bundle.spatial_pca.mean)
-    np.testing.assert_array_equal(back.spatial_pca.components, bundle.spatial_pca.components)
-    np.testing.assert_array_equal(back.temporal_pca.eigenvalues, bundle.temporal_pca.eigenvalues)
     for kind in ("spatial", "temporal"):
+        # The bundle keeps no PCA model: the reduced prototypes live in the
+        # space of the model fitted on every frame of the kind, and their
+        # weighted mean is the mean projection of each action's frames.
+        pca = fit_pca(kind_frames(items, kind), 2)
         orig, loaded = getattr(bundle, kind), getattr(back, kind)
         assert set(orig) == set(loaded)
         for action in orig:
@@ -272,6 +279,9 @@ def test_bundle_roundtrip(tmp_path):
                 assert getattr(a, name).dtype == getattr(b, name).dtype
             assert a.weight.dtype == np.int64
             assert a.viewpoint.dtype.kind == "U"
+            scores = project(pca, kind_frames([i for i in items if i.action == action], kind))
+            np.testing.assert_allclose((b.weight[:, None] * b.reduced).sum(axis=0)
+                                       / b.weight.sum(), scores.mean(axis=0), atol=1e-10)
 
 
 def test_bundle_libraries_equal_libraries_built_per_kind():
@@ -282,7 +292,7 @@ def test_bundle_libraries_equal_libraries_built_per_kind():
     config = SomConfig(q=3, m=2, epochs=4, rng_seed=2)
     bundle = build_bundle(items, 2, config)
     for kind in ("spatial", "temporal"):
-        alone = build_library(items, kind, getattr(bundle, f"{kind}_pca"), config)
+        alone = build_library(items, kind, fit_pca(kind_frames(items, kind), 2), config)
         together = getattr(bundle, kind)
         assert list(together) == list(alone)
         for action in alone:
@@ -383,19 +393,6 @@ def test_load_bundle_rejects_corrupt_libraries(tmp_path, edit):
         load_bundle(path)
 
 
-@pytest.mark.parametrize("name, change", [
-    ("pca/spatial/mean", lambda value: value * np.nan),
-    ("pca/spatial/mean", lambda value: value[:-1]),
-    ("pca/temporal/components", lambda value: value[:1]),
-    ("pca/temporal/eigenvalues", lambda value: value.astype(str)),
-    ("pca/spatial/total_variance", lambda value: np.stack([value, value])),
-], ids=["nan mean", "short mean", "one component", "string eigenvalues", "vector total"])
-def test_load_bundle_checks_pca_entries(tmp_path, name, change):
-    path = corrupt_bundle(tmp_path, lambda arrays: arrays.update({name: change(arrays[name])}))
-    with pytest.raises(ParseError, match=f"corrupt.npz: {name}"):
-        load_bundle(path)
-
-
 def edit_meta(change):
     def edit(arrays):
         meta = json.loads(str(arrays["meta"]))
@@ -414,12 +411,63 @@ def test_load_bundle_rejects_what_its_meta_does_not_imply(tmp_path, edit):
         load_bundle(corrupt_bundle(tmp_path, edit))
 
 
-def test_load_bundle_reads_a_bundle_fitted_with_a_learning_rate(tmp_path):
-    # Bundles fitted by the online trainer record its som.lr0 in their meta.
-    path = corrupt_bundle(tmp_path, edit_meta(lambda meta: meta["config"]["som"].update(lr0=0.5)))
+def test_saved_bundle_holds_only_its_libraries(tmp_path):
+    path = corrupt_bundle(tmp_path, lambda arrays: None)
+    with np.load(path) as data:
+        names = set(data.files)
+        meta = json.loads(str(data["meta"]))
+    assert set(meta) == {"format", "actions", "config", "libraries"}
+    assert meta["format"] == "posehar-bundle/2"
+    assert names == {"meta"} | {f"lib/{kind}/{action}/{name}"
+                                for kind, actions in meta["libraries"].items()
+                                for action in actions
+                                for name in ("full", "reduced", "weight", "viewpoint")}
+    assert meta["libraries"] == {"spatial": ["march", "wave"], "temporal": ["march", "wave"]}
+
+
+def as_format_1(arrays):
+    """Rewrite a saved bundle in the posehar-bundle/1 layout: the PCA model of
+    each kind, a ``viewpoints`` meta list and the online trainer's som.lr0."""
+    meta = json.loads(str(arrays["meta"]))
+    meta["format"] = "posehar-bundle/1"
+    meta["viewpoints"] = ["front"]
+    meta["config"]["som"]["lr0"] = 0.5
+    arrays["meta"] = np.array(json.dumps(meta))
+    rng = np.random.default_rng(55)
+    for kind in ("spatial", "temporal"):
+        pca = fit_pca(rng.normal(0.0, 1.0, (10, FEATURE_DIM)), 2)
+        arrays.update({f"pca/{kind}/mean": pca.mean, f"pca/{kind}/components": pca.components,
+                       f"pca/{kind}/eigenvalues": pca.eigenvalues,
+                       f"pca/{kind}/total_variance": np.array(pca.total_variance)})
+
+
+def test_load_bundle_reads_a_bundle_fitted_with_a_learning_rate(tmp_path, caplog):
+    # posehar-bundle/1 files come from the online trainer, which recorded
+    # its som.lr0, and hold PCA models that nothing reads.
+    current = load_bundle(corrupt_bundle(tmp_path, lambda arrays: None))
+    path = corrupt_bundle(tmp_path, as_format_1)
+    with np.load(path) as data:
+        assert sum(name.startswith("pca/") for name in data.files) == 8
+    caplog.clear()
     bundle = load_bundle(path)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and "posehar-bundle/1" in warnings[0] and str(path) in warnings[0]
     assert bundle.config["som"]["lr0"] == 0.5
-    assert set(bundle.spatial) == {"march", "wave"}
+    assert bundle.actions == current.actions
+    for kind in ("spatial", "temporal"):
+        old, new = getattr(bundle, kind), getattr(current, kind)
+        assert list(old) == list(new) == ["march", "wave"]
+        for action in new:
+            for name in ("full", "reduced", "weight", "viewpoint"):
+                np.testing.assert_array_equal(getattr(old[action], name),
+                                              getattr(new[action], name))
+
+
+def test_load_bundle_rejects_pca_entries_in_format_2(tmp_path):
+    path = corrupt_bundle(tmp_path, lambda arrays: arrays.update(
+        {"pca/spatial/mean": np.zeros(FEATURE_DIM)}))
+    with pytest.raises(ParseError, match="corrupt.npz: unexpected entries pca/spatial/mean"):
+        load_bundle(path)
 
 
 @pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04garbage"])
