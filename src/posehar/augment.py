@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import check_settings
 from .pose import FLIP_VIEWPOINT, MIRROR, N_LANDMARKS, ROOT, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
 
@@ -37,7 +38,7 @@ class AugmentConfig:
     z is the number of noised copies per sequence, sigma the noise standard
     deviation (in normalized pose units). Noise streams are derived from
     (rng_seed, sample index, copy index), so results do not depend on
-    processing order.
+    processing order. The constructor refuses what a config file may not hold.
     """
 
     z: int = 0
@@ -47,12 +48,11 @@ class AugmentConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.z < 0:
             raise ValueError("z must be non-negative")
         if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 def flip(item: LabeledSequence) -> LabeledSequence:

@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .archive import entry, no_more, read_archive, write_archive
 from .errors import (ConfigError, Diverged, NonFiniteInput, NonFiniteLoss, ParseError,
-                     ShapeMismatch)
+                     ShapeMismatch, check_settings, is_integer)
 
 log = logging.getLogger(__name__)
 
@@ -45,24 +45,13 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _integer(value) -> bool:
-    """An int or numpy integer; true/false is no number."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-# The type check of each scalar field, by its annotation.
-_FIELD_KINDS = {"int": _integer, "bool": lambda v: isinstance(v, (bool, np.bool_)),
-                "float": lambda v: _integer(v) or isinstance(v, (float, np.floating))}
-
-
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Architecture and training knobs.
 
     conv_blocks lists (filters, kernel width) per block. channels and
-    classes have no defaults: they are properties of the data. A field of
-    the wrong type raises TypeError; numpy integers and bools are stored as
-    plain ones, so the config stays JSON.
+    classes have no defaults: they are properties of the data. The
+    constructor refuses what a config file may not hold.
     """
 
     channels: int
@@ -79,16 +68,11 @@ class ClassifierConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in _FIELD_KINDS and not _FIELD_KINDS[f.type](value):
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type in ("int", "bool"):
-                object.__setattr__(self, f.name, int(value) if f.type == "int" else bool(value))
+        check_settings(self)
         blocks = self.conv_blocks
         if not (isinstance(blocks, (list, tuple)) and all(
                 isinstance(block, (list, tuple)) and len(block) == 2
-                and all(map(_integer, block)) for block in blocks)):
+                and all(map(is_integer, block)) for block in blocks)):
             raise TypeError(f"conv_blocks must list (filters, width) integer pairs, "
                             f"got {blocks!r}")
         object.__setattr__(self, "conv_blocks", tuple((int(f), int(k)) for f, k in blocks))
@@ -105,8 +89,6 @@ class ClassifierConfig:
             raise ValueError("patience must be >= 0 and max_epochs >= 1")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @property
     def feature_dim(self) -> int:

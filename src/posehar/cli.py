@@ -24,9 +24,8 @@ import argparse
 import functools
 import json
 import logging
-import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from . import evaluate as eval_mod
 from . import io as io_mod
 from . import som as som_mod
 from . import synth as synth_mod
-from .errors import ConfigError, EmptySequence, ParseError, PoseHarError
+from .errors import ConfigError, EmptySequence, ParseError, PoseHarError, field_value
 from .pose import VIEWPOINTS, Sample
 from .preprocess import preprocess_sample
 
@@ -46,10 +45,6 @@ log = logging.getLogger(__name__)
 
 # The top-level keys a config file may hold.
 _CONFIG_KEYS = ("seed", "mode", "pca_components", "augment", "som", "classifier", "protocol")
-
-# The JSON value types a settings field accepts, by its annotation.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
-               "bool": (bool,), "str": (str,)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -70,11 +65,8 @@ def _load_config(path: str | None) -> dict:
 
 def _seed(args, config: dict) -> int:
     seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = config.get("seed", 0)
-    if not _typed(seed, "int") or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    seed = config.get("seed", 0) if seed is None else seed
+    return _settings(field_value, "global", {"value": seed}, name="seed", annotation="int")
 
 
 def _mode(args, config: dict, choices: tuple[str, ...] = embed_mod.MODES) -> str:
@@ -96,27 +88,12 @@ def _section(config: dict, name: str, args=None, flags: tuple[str, ...] = ()) ->
     return section
 
 
-def _typed(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field of this annotation. Only the
-    annotations in ``_JSON_TYPES`` are checked; true/false is no number."""
-    kinds = _JSON_TYPES.get(annotation)
-    if kinds is None:
-        return True
-    if isinstance(value, bool):
-        return bool in kinds
-    return isinstance(value, kinds) and not (isinstance(value, float) and not math.isfinite(value))
-
-
-def _settings(cls, what: str, section: dict, **fixed):
-    """Build one settings dataclass from a config section (plus ``fixed``
-    fields); a bad key, type or value is a ConfigError."""
-    for f in fields(cls):
-        if f.name in section and not _typed(section[f.name], f.type):
-            raise ConfigError(f"bad {what} settings: {f.name} must be {f.type}, "
-                              f"got {section[f.name]!r}")
+def _settings(build, what: str, section: dict, **fixed):
+    """``build(**fixed, **section)``: one settings dataclass, or one checked
+    value; a bad key, type or value is a ConfigError."""
     try:
-        return cls(**fixed, **section)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return build(**fixed, **section)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} settings: {exc}") from exc
 
 
@@ -131,13 +108,10 @@ def _pipeline_config(args, config: dict) -> eval_mod.PipelineConfig:
     seed = _seed(args, config)
     section = _section(config, "som", args, ("q", "m", "epochs"))
     som = _settings(som_mod.SomConfig, "som", {"rng_seed": seed, **section})
-    classifier = _section(config, "classifier")
-    # Checked now with stand-in sizes; each fold builds its own from the data.
-    _settings(clf.ClassifierConfig, "classifier", classifier, channels=1, classes=2)
     return _settings(eval_mod.PipelineConfig, "pipeline", {
         "mode": _mode(args, config), "augment": _augment_config(args, config, seed),
         "som": som, "pca_components": config.get("pca_components", som.m),
-        "classifier": classifier, "seed": seed})
+        "classifier": _section(config, "classifier"), "seed": seed})
 
 
 def _protocol(args, config: dict) -> eval_mod.Protocol:

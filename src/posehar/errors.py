@@ -1,4 +1,4 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and :func:`check_settings`, the one type rule of settings.
 
 Every error raised by this package derives from :class:`PoseHarError`. The
 three category classes carry the process exit code used by the command line
@@ -7,6 +7,10 @@ divergence exits 4.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
+
+import numpy as np
 
 
 class PoseHarError(Exception):
@@ -79,3 +83,40 @@ class NonFiniteLoss(NumericError):
 
 class Diverged(NumericError):
     """Training produced non-finite parameters or loss."""
+
+
+# The types a settings field takes, by its annotation; a bool is no number.
+_TYPES = {"int": (int, np.integer), "float": (int, np.integer, float, np.floating),
+          "bool": (bool, np.bool_), "str": (str,)}
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer; true/false is no number."""
+    return isinstance(value, _TYPES["int"]) and not isinstance(value, bool)
+
+
+def field_value(name: str, annotation: str, value):
+    """``value`` as a plain Python scalar, under the rule of :func:`check_settings`."""
+    kind = annotation.removesuffix(" | None")
+    if kind not in _TYPES or (value is None and kind != annotation):
+        return value
+    if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+        raise TypeError(f"{name} must be {annotation}, got {value!r}")
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if name in ("seed", "rng_seed") and value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return value
+
+
+def check_settings(settings) -> None:
+    """The type rule of every settings dataclass, by field annotation: an
+    ``int`` is a Python or numpy integer, never a bool; a ``float`` such an
+    integer or a finite float; a ``bool`` a Python or numpy bool; a ``str``
+    a str; ``X | None`` also takes None. A wrong type is a TypeError; a
+    non-finite float or a negative ``seed`` or ``rng_seed`` is a ValueError.
+    Values are stored as plain Python scalars, so settings serialize to JSON."""
+    for f in fields(settings):
+        value = field_value(f.name, f.type, getattr(settings, f.name))
+        object.__setattr__(settings, f.name, value)

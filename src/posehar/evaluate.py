@@ -36,7 +36,7 @@ import numpy as np
 from .augment import AugmentConfig, augment_set, noise_sample
 from .classifier import ClassifierConfig, init_model, predict, train
 from .embed import MODES, baseline_channels, channel_names, embed_sequence
-from .errors import TooFewSamples
+from .errors import TooFewSamples, check_settings
 from .pose import Sample
 from .preprocess import preprocess_sample
 from .som import SomConfig, build_bundle
@@ -48,10 +48,9 @@ PROTOCOL_KINDS = ("split", "loao", "kfold")
 
 @dataclass(frozen=True)
 class Protocol:
-    """How samples are partitioned into train / validation / test.
-
-    A group list that is not a list of names raises TypeError; lists that
-    share a group raise ValueError."""
+    """How samples are partitioned into train / validation / test. The
+    constructor refuses what a config file may not hold: a group list that is
+    not a list of names is a TypeError, overlapping lists a ValueError."""
 
     kind: str = "kfold"
     folds: int = 10
@@ -62,6 +61,7 @@ class Protocol:
     val_fraction: float = 0.15
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         if self.kind == "kfold" and self.folds < 2:
@@ -271,6 +271,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_settings(self)
+        checked = ClassifierConfig(channels=1, classes=2, **self.classifier)  # stand-in sizes
+        self.classifier = {name: getattr(checked, name) for name in self.classifier}
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.pca_components != self.som.m:

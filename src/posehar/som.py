@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .archive import entry, no_more, read_archive, write_archive
-from .errors import ParseError
+from .errors import ParseError, check_settings
 from .pca import FEATURE_DIM, PcaModel, fit_pca, project, reroll, unroll
 from .preprocess import LabeledSequence
 
@@ -54,7 +54,8 @@ class SomConfig:
     q / 2 by default. ``init`` is "axes" (units span the leading principal
     axes of the training data, the default) or "random" (Gaussian draws
     around the data mean, seeded by ``rng_seed``). m is at most the
-    pose-vector width and the lattice at most ``MAX_UNITS`` units.
+    pose-vector width and the lattice at most ``MAX_UNITS`` units. The
+    constructor refuses what a config file may not hold.
     """
 
     q: int = 4
@@ -65,6 +66,7 @@ class SomConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.q < 1:
             raise ValueError("q must be positive")
         # m is also the PCA dimension, which the pose vector bounds.
@@ -79,8 +81,6 @@ class SomConfig:
             raise ValueError("radius0 must be positive")
         if self.init not in ("axes", "random"):
             raise ValueError(f"unsupported init {self.init!r}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
     @property
     def n_units(self) -> int:

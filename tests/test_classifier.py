@@ -26,7 +26,10 @@ from posehar.classifier import (
 )
 from posehar import classifier as clf
 from posehar.archive import write_archive
+from posehar.augment import AugmentConfig
 from posehar.errors import DataError, NonFiniteInput, NumericError, ParseError, ShapeMismatch
+from posehar.evaluate import PipelineConfig
+from posehar.som import SomConfig
 
 TOY = dict(channels=3, classes=3, conv_blocks=((4, 3), (3, 2)), recurrent_units=4,
            dropout=0.0, rng_seed=0)
@@ -730,6 +733,15 @@ def test_config_stores_numpy_scalars_as_plain_ones():
                               conv_blocks=[(np.int32(4), 3)], attention=np.bool_(False))
     assert type(config.channels) is int and config.attention is False
     assert config.conv_blocks == ((4, 3),) and type(config.conv_blocks[0][0]) is int
+    som = SomConfig(q=np.int64(2), m=np.int32(2), radius0=np.float32(1.5))
+    assert (type(som.q), type(som.m), type(som.radius0)) == (int, int, float)
+    augment = AugmentConfig(z=np.int64(1), sigma=np.float64(0.1), flip=np.bool_(True))
+    assert (type(augment.z), type(augment.sigma), augment.flip) == (int, float, True)
+    pipeline = PipelineConfig(som=som, pca_components=np.int64(2), seed=np.uint8(4),
+                              classifier={"max_epochs": np.int64(2), "dropout": np.float32(0.5)})
+    assert (type(pipeline.pca_components), type(pipeline.seed)) == (int, int)
+    assert pipeline.classifier == {"max_epochs": 2, "dropout": 0.5}
+    assert type(pipeline.classifier["max_epochs"]) is int
 
 
 def write_model_with_config(path, **changes):

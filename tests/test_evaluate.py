@@ -1,5 +1,7 @@
 """Protocol folds, metrics, and the experiment runner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,22 @@ def test_run_experiment_is_deterministic():
     b = run_experiment(samples, protocol, fast_pipeline("basic", seed=3))
     np.testing.assert_array_equal(a.confusion, b.confusion)
     assert a.per_fold == b.per_fold
+
+
+def test_report_of_numpy_integer_settings_serializes():
+    # numpy integers once reached the report's config and to_json raised
+    pipeline = PipelineConfig(
+        mode="basic", augment=AugmentConfig(z=np.int64(0), flip=np.bool_(False)),
+        som=SomConfig(q=np.int64(2), m=np.int64(2), epochs=np.int32(3)),
+        pca_components=np.int64(2), seed=np.int64(3),
+        classifier={"conv_blocks": [[np.int64(6), 3]], "recurrent_units": np.int64(6),
+                    "max_epochs": np.int64(1), "batch_size": np.int64(8)})
+    report = run_experiment(synth_samples(), Protocol(kind="kfold", folds=np.int64(3)),
+                            pipeline)
+    config = json.loads(report.to_json())["config"]
+    assert config["augment"]["z"] == 0 and config["seed"] == 3
+    assert config["classifier"]["conv_blocks"] == [[6, 3]]
+    assert config["protocol"]["folds"] == 3
 
 
 def test_run_experiment_drops_unseen_test_actions():

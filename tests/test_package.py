@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import posehar
 from posehar.pose import N_LANDMARKS, ROOT
@@ -18,9 +19,11 @@ def test_all_names_resolve_once():
 
 
 # Each call that carries a rule of its own, and the one module allowed to make
-# it: archives are read and written by one codec, and the motion frames of a
-# normalized sequence are derived in one place.
-OWNERS = {"np.load(": "archive.py", "np.savez(": "archive.py", "np.diff(": "preprocess.py"}
+# it: archives are read and written by one codec, the motion frames of a
+# normalized sequence are derived in one place, and the fields of a settings
+# dataclass are type-checked by one rule.
+OWNERS = {"np.load(": "archive.py", "np.savez(": "archive.py", "np.diff(": "preprocess.py",
+          "fields(": "errors.py"}
 
 
 def test_each_owned_call_is_made_by_one_module():
@@ -28,6 +31,25 @@ def test_each_owned_call_is_made_by_one_module():
     for call, owner in OWNERS.items():
         users = sorted(name for name, text in sources.items() if call in text)
         assert users == [owner], f"{call} appears in {users}"
+
+
+@pytest.mark.parametrize("cls, settings, error, field", [
+    (posehar.SomConfig, {"epochs": 2.5}, TypeError, "epochs"),
+    (posehar.SomConfig, {"radius0": float("inf")}, ValueError, "radius0"),
+    (posehar.SomConfig, {"q": True}, TypeError, "q"),
+    (posehar.AugmentConfig, {"sigma": float("nan"), "z": 1}, ValueError, "sigma"),
+    (posehar.AugmentConfig, {"flip": "no"}, TypeError, "flip"),
+    (posehar.ClassifierConfig, {"channels": 3, "classes": 2, "learning_rate": float("inf")},
+     ValueError, "learning_rate"),
+    (posehar.Protocol, {"folds": 2.5}, TypeError, "folds"),
+    (posehar.PipelineConfig, {"seed": -1}, ValueError, "seed"),
+    (posehar.PipelineConfig, {"classifier": {"dropout": 2.0}}, ValueError, "dropout"),
+], ids=["fractional epochs", "infinite radius0", "bool q", "nan sigma", "string flip",
+        "infinite learning_rate", "fractional folds", "negative seed", "classifier dropout"])
+def test_settings_refuse_a_bad_field_at_construction(cls, settings, error, field):
+    # each was once accepted from Python and failed later, or wrote NaN
+    with pytest.raises(error, match=field):
+        cls(**settings)
 
 
 def test_build_bundle_trains_one_map_per_cell(monkeypatch):
