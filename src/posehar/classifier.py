@@ -209,9 +209,10 @@ def _conv_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     kernel = w.shape[2]
     left = (kernel - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (left, kernel - 1 - left)))
-    T = x.shape[2]
-    y = np.zeros((x.shape[0], w.shape[0], T))
+    B, C, T = x.shape
+    xp = np.zeros((B, C, T + kernel - 1))
+    xp[:, :, left : left + T] = x
+    y = np.zeros((B, w.shape[0], T))
     for k in range(kernel):
         y += np.matmul(w[:, :, k], xp[:, :, k : k + T])
     return y, xp
@@ -279,21 +280,34 @@ def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     xw += b
     # Sigmoid gates as 0.5 * (1 + tanh(z / 2)), which cannot overflow, and g as
     # tanh(z), in one pass: tanh(z * s) * s + (1 - s) with s 0.5 or 1 is exact.
+    # The scaling stays inside the loop: folding it into wh and xw would
+    # round differently where a product is subnormal.
     s = np.repeat([0.5, 0.5, 1.0, 0.5], units)
-    s1 = 1.0 - s
+    s_gates, s1_gates = s.reshape(4, 1, units), (1.0 - s).reshape(4, 1, units)
     act = np.empty((T, 4, B, units))
     cells = np.zeros((T + 1, B, units))
     tcs = np.empty((T, B, units))
     hidden = np.empty((B, T, units))
+    # Each step's pre-activations, and the same memory seen gate-major.
+    z = np.empty((B, 4 * units))
+    z_gates = z.reshape(B, 4, units).swapaxes(0, 1)
+    gi_gg = np.empty((B, units))
     h = np.zeros((B, units))
-    for t in range(T):
-        z = np.tanh((xw[:, t] + h @ wh) * s) * s + s1
-        act[t] = z.reshape(B, 4, units).swapaxes(0, 1)
-        gi, gf, gg, go = act[t]
-        cells[t + 1] = gf * cells[t] + gi * gg
-        tcs[t] = np.tanh(cells[t + 1])
-        h = go * tcs[t]
-        hidden[:, t] = h
+    for xw_t, gates, cell, new_cell, tc, h_new in zip(
+            xw.swapaxes(0, 1), act, cells[:-1], cells[1:], tcs, hidden.swapaxes(0, 1)):
+        np.matmul(h, wh, out=z)
+        z += xw_t
+        z *= s
+        np.tanh(z_gates, out=gates)
+        gates *= s_gates
+        gates += s1_gates
+        gi, gf, gg, go = gates
+        np.multiply(gf, cell, out=new_cell)
+        np.multiply(gi, gg, out=gi_gg)
+        new_cell += gi_gg
+        np.tanh(new_cell, out=tc)
+        np.multiply(go, tc, out=h_new)
+        h = h_new
     return hidden, (x, act, cells, tcs)
 
 

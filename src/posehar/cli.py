@@ -38,7 +38,7 @@ from . import io as io_mod
 from . import som as som_mod
 from . import synth as synth_mod
 from .errors import ConfigError, EmptySequence, ParseError, PoseHarError, field_value
-from .pose import VIEWPOINTS, Sample
+from .pose import Sample
 from .preprocess import preprocess_sample
 
 log = logging.getLogger(__name__)
@@ -132,9 +132,6 @@ def cmd_synth(args, config: dict) -> int:
     seed = _seed(args, config)
     archetypes = tuple(args.archetypes.split(",")) if args.archetypes else synth_mod.ARCHETYPES
     viewpoints = tuple(args.viewpoints.split(",")) if args.viewpoints else ("front",)
-    for v in viewpoints:
-        if v not in VIEWPOINTS:
-            raise ConfigError(f"unknown viewpoint {v!r}")
     try:
         samples = synth_mod.generate_corpus(
             args.actors, archetypes, viewpoints, seed=seed, frames=args.frames)
@@ -225,6 +222,8 @@ def cmd_train(args, config: dict) -> int:
         raise ConfigError(f"bad --val-fraction: {exc}") from exc
     seed = _seed(args, config)
     section = {"rng_seed": seed, **_section(config, "classifier")}
+    # Refuse bad settings before any data is read; the sizes stand in for the data's.
+    _settings(clf.ClassifierConfig, "classifier", section, channels=1, classes=2)
     records, actions = io_mod.load_embedded_dataset(args.embedded)
     class_of = {a: i for i, a in enumerate(actions)}
     pairs = [(values, class_of[action]) for values, action in records]

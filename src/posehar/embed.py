@@ -84,11 +84,16 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
     starts. ``np.minimum.reduceat`` takes each block's minimum of a subset's
     sums, which is then divided by the subset's landmark count. This keeps
     the float operations of the per-prototype double loop, so every channel
-    equals it bit for bit: keep ``dx**2 + dy**2`` under ``sqrt`` in float64,
-    and include landmarks that always sit at the origin, such as the root.
+    equals it bit for bit: keep ``dx**2 + dy**2`` under ``sqrt`` in float64.
 
-    Two steps are exact rewrites, not approximations:
+    Three steps are exact rewrites, not approximations:
 
+    * A landmark at the origin in every frame and every prototype, such as
+      the root after root-centering, gets no pass. Its distances are all
+      ``sqrt(+0) = +0``, and ``x + 0 == x`` for every sum ``x >= 0``. If it
+      would start a subset's sum, the next summed landmark starts it, as
+      the loop's ``0.0 + d`` is ``d``; a subset left with nothing to sum
+      reads 0.0. The divisor stays the subset's available landmark count.
     * The differences ``p - q`` of one landmark's frame coordinates p and
       prototype coordinates q come from the k=2 matrix product
       ``[p, 1] @ [1, -q]``. Both of its products are exact, so the one
@@ -103,7 +108,8 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
     offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]])
     n_frames, width = frames.shape[0], protos.shape[0]
     # For axis a (x or y) of landmark r: left[a, r] holds rows [p, 1], and
-    # right[r, a] the rows [1, ...] and [-q, ...].
+    # right[r, a] the rows [1, ...] and [-q, ...]. One stacked product takes
+    # both axes' differences of a landmark.
     left = np.ones((2, N_LANDMARKS, n_frames, 2))
     left[..., 0] = frames.transpose(2, 1, 0)
     right = np.ones((N_LANDMARKS, 2, 2, width))
@@ -111,12 +117,17 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
 
     out = np.full((len(blocks), len(SUBSET_NAMES), n_frames), EMPTY_SUBSET_SENTINEL)
     rows = [_available_rows(subset, missing) for subset in SUBSET_NAMES]
-    live = [s for s in range(len(SUBSET_NAMES)) if rows[s]]
+    nonzero = frames.any(axis=(0, 2)) | protos.any(axis=(0, 2))
+    summed = [[r for r in subset_rows if nonzero[r]] for subset_rows in rows]
+    live = [s for s in range(len(SUBSET_NAMES)) if summed[s]]
+    for s in range(len(SUBSET_NAMES)):
+        if rows[s] and not summed[s]:
+            out[:, s] = 0.0
     # Per landmark: the subsets it starts, then the subsets it adds to.
     plan = []
     for r in range(N_LANDMARKS):
-        holding = [s for s in live if r in rows[s]]
-        starts = [s for s in holding if rows[s][0] == r]
+        holding = [s for s in live if r in summed[s]]
+        starts = [s for s in holding if summed[s][0] == r]
         if holding:
             plan.append((r, starts, [s for s in holding if s not in starts]))
 
@@ -129,8 +140,7 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
         n = stop - start
         diff = diff_buffer[:, :n]
         for r, starts, adds in plan:
-            np.matmul(left[0, r, start:stop], right[r, 0], out=diff[0])
-            np.matmul(left[1, r, start:stop], right[r, 1], out=diff[1])
+            np.matmul(left[:, r, start:stop], right[r], out=diff)
             np.square(diff, out=diff)
             dist = sums[starts[0], :n] if starts else dist_buffer[:n]
             np.add(diff[0], diff[1], out=dist)

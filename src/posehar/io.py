@@ -9,8 +9,9 @@ Four kinds of input are understood, each by exactly one reader:
 * **Sequence records** (``.seq``): the package's own text format, one sample
   per file. First line is ``#posehar-seq v1`` plus a JSON header, then one
   line per frame holding 14 ``x y present`` triples. Floats are written with
-  ``repr`` and parsed with ``float``, so records round-trip float64 exactly
-  and identical inputs produce byte-identical files.
+  ``repr`` and parsed by ``np.loadtxt``, which rounds correctly as ``float``
+  does, so records round-trip float64 exactly and identical inputs produce
+  byte-identical files.
 * **Channel records** (``.emb``): the same codec as sequence records, with
   a ``#posehar-emb v1`` header naming the channels and one line per channel.
 * **Manifests** (``.json``): the dataset index declaring the action and
@@ -199,16 +200,30 @@ def _read_record(path: Path, magic: str) -> tuple[dict, list[str]]:
 
 
 def _parse_rows(path: Path, rows: list[str], width: int, unit: str) -> np.ndarray:
-    """Parse ``width`` finite floats per row; errors name the ``unit`` row."""
-    values = np.empty((len(rows), width))
-    for r, line in enumerate(rows):
-        fields = line.split()
-        if len(fields) != width:
-            raise ParseError(f"{path}, {unit} {r}: expected {width} values, got {len(fields)}")
-        try:
-            values[r] = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"{path}, {unit} {r}: {exc}") from exc
+    """Parse ``width`` finite floats per row; errors name the ``unit`` row.
+
+    ``np.loadtxt`` parses the rows in C. Like ``float`` it rounds correctly,
+    so both give the same bits for every token it reads; ``comments=None``
+    keeps a ``#`` from cutting a row short. Where it refuses the rows or
+    finds another width, the ``float`` loop runs instead: it still reads
+    the tokens only ``float`` accepts (``1_0``, non-ASCII digits) and names
+    the first bad row.
+    """
+    try:
+        values = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (len(rows), width):
+        values = np.empty((len(rows), width))
+        for r, line in enumerate(rows):
+            fields = line.split()
+            if len(fields) != width:
+                raise ParseError(
+                    f"{path}, {unit} {r}: expected {width} values, got {len(fields)}")
+            try:
+                values[r] = [float(f) for f in fields]
+            except ValueError as exc:
+                raise ParseError(f"{path}, {unit} {r}: {exc}") from exc
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
         raise ParseError(f"{path}, {unit} {int(np.argmin(finite))}: non-finite value")

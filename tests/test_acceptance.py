@@ -22,6 +22,7 @@ from posehar.classifier import (
 )
 from posehar.embed import (
     EMPTY_SUBSET_SENTINEL,
+    _nearest_distances,
     channel_names,
     embed_frame,
     embed_sequence,
@@ -222,6 +223,35 @@ def test_a03_embedding_matches_brute_force_oracle():
         want = oracle_embed(frame, protos, missing)
         assert np.array_equal(got, want)
     print("\nA3 PASS: 100 poses x 64 prototypes x 5 subsets, exact match")
+
+
+@pytest.mark.parametrize("moved", ["none", "frames", "library", "both", "elbow"])
+def test_a03_landmarks_at_the_origin_match_the_oracle(moved):
+    """The kernel skips a landmark at the origin in every frame and every
+    prototype of a call. A root moved off the origin in one frame or in one
+    hand-built prototype is summed again; a head missing leaves the root (or
+    the landmark after it) to start J; zeroed limb rows start their limb's
+    sum later, or leave it nothing to sum."""
+    rng = np.random.default_rng([103, len(moved)])
+    frames = rng.normal(0.0, 1.0, (9, N_LANDMARKS, 2))
+    protos = rng.normal(0.0, 1.0, (40, N_LANDMARKS, 2))
+    frames[:, ROOT - 1] = protos[:, ROOT - 1] = 0.0
+    if moved in ("frames", "both"):
+        frames[4, ROOT - 1] = (0.0, -0.75)
+    if moved in ("library", "both"):
+        protos[17, ROOT - 1] = (0.5, 0.0)
+    if moved == "elbow":   # right shoulder and elbow at the origin
+        frames[:, 2:4] = protos[:, 2:4] = -0.0
+    blocks = [protos[:1], protos[1:25], protos[25:]]
+    all_but_root = frozenset(j for j in range(1, N_LANDMARKS + 1) if j != ROOT)
+    for missing in (frozenset(), frozenset({1}), frozenset({1, 3}), frozenset({5}),
+                    frozenset({4, 5}), all_but_root):
+        got = _nearest_distances(frames, blocks, missing)
+        for t, frame in enumerate(frames):
+            want = [oracle_embed(frame, block, missing) for block in blocks]
+            assert np.array_equal(got[:, :, t], np.array(want)), (missing, t)
+            assert np.array_equal(embed_frame(frame, protos, missing),
+                                  oracle_embed(frame, protos, missing)), (missing, t)
 
 
 # --------------------------------------------------------------------------

@@ -313,6 +313,26 @@ def test_train_rejects_bad_classifier_settings(workdir, tmp_path):
                  "--out", str(tmp_path / "model.npz")]) == 2
 
 
+def test_train_refuses_bad_classifier_settings_before_reading_data(tmp_path, capsys, caplog):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classifier": {"dropout": 2.0}}))
+    # the embedded manifest does not exist: the settings are refused first
+    assert main(["--config", str(config), "train",
+                 "--embedded", str(tmp_path / "absent.json"),
+                 "--out", str(tmp_path / "model.npz")]) == 2
+    assert capsys.readouterr().out == ""
+    assert "dropout must be in [0, 1)" in caplog.text
+    assert "absent.json" not in caplog.text
+
+
+def test_synth_refuses_an_unknown_viewpoint(tmp_path, capsys, caplog):
+    assert main(["synth", "--out", str(tmp_path / "raw"),
+                 "--viewpoints", "front,above"]) == 2
+    assert capsys.readouterr().out == ""
+    assert "unknown viewpoint 'above'" in caplog.text
+    assert not (tmp_path / "raw").exists()
+
+
 @pytest.mark.parametrize("section, command, flag, records", [
     ("classifier", "train", "--embedded", "emb"),
     ("augment", "augment", "--manifest", "norm"),

@@ -289,6 +289,99 @@ def test_read_embedding_rejects_bad_values(tmp_path, value, message):
         read_embedding(path)
 
 
+def float_rows(path, rows, width, unit):
+    """The row parser before rows went through ``np.loadtxt``: ``split``,
+    then ``float`` per token. Kept as the oracle of values and messages."""
+    values = np.empty((len(rows), width))
+    for r, line in enumerate(rows):
+        fields = line.split()
+        if len(fields) != width:
+            raise ParseError(f"{path}, {unit} {r}: expected {width} values, got {len(fields)}")
+        try:
+            values[r] = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"{path}, {unit} {r}: {exc}") from exc
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise ParseError(f"{path}, {unit} {int(np.argmin(finite))}: non-finite value")
+    return values
+
+
+def extreme_floats(rng, count):
+    """Finite floats of either sign from the smallest subnormal to the
+    largest normal, with the edge values and both zeros."""
+    values = rng.uniform(1.0, 10.0, count) * 10.0 ** rng.integers(-323, 308, count)
+    values *= rng.choice([-1.0, 1.0], count)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1e-310, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    values[: len(edges)] = edges
+    return values
+
+
+def test_records_parse_bit_for_bit_like_float(tmp_path):
+    rng = np.random.default_rng(18)
+    values = extreme_floats(rng, 7 * 40).reshape(7, 40)
+    channels = EmbeddingChannels(values, tuple(f"ch/{i}" for i in range(7)))
+    write_embedding(tmp_path / "x.emb", channels, {"action": "wave"})
+    back, _ = read_embedding(tmp_path / "x.emb")
+    assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
+
+    xy = extreme_floats(rng, 9 * N_LANDMARKS * 2).reshape(9, N_LANDMARKS, 2)
+    write_sample(tmp_path / "x.seq", Sample(xy, rng.random((9, N_LANDMARKS)) < 0.8,
+                                            "wave", "front", "a1"))
+    assert np.array_equal(read_sample(tmp_path / "x.seq").xy.view(np.uint64),
+                          xy.view(np.uint64))
+
+
+# Tokens ``float`` and ``np.loadtxt`` may read differently: underscores and
+# non-ASCII digits (``float`` alone reads them), a comment mark, a decimal
+# comma, hex, non-finite literals and trailing junk.
+TOKENS = ["1_0", "#", "1,5", "0x1p3", "nan", "inf", "-Infinity", "1e999", "1.0x",
+          "\u0661\u0662", "\uff15", "1.5\u0661", "1e-400", "-0.0", "5e-324"]
+
+
+@pytest.mark.parametrize("rows", [
+    *(["1.0 2.0", f"3.0 {token}"] for token in TOKENS),
+    ["# 2.0", "3.0 4.0"],
+    ["1.0 2.0 # 5.0", "3.0 4.0"],
+    ["1 2 3", "4 5 6"],
+    ["1 2", "3 4 5"],
+    ["1 2", "3"],
+], ids=[*TOKENS, "leading #", "trailing #", "every row too wide", "one row too wide", "one row short"])
+def test_channel_rows_keep_the_float_results_and_messages(tmp_path, rows):
+    path = tmp_path / "t.emb"
+    path.write_text("#posehar-emb v1 {\"channels\": [\"a\", \"b\"], \"length\": 2}\n"
+                    + "\n".join(rows) + "\n", encoding="utf-8")
+    try:
+        want = float_rows(path, rows, 2, "channel")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_embedding(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(read_embedding(path)[0].values.view(np.uint64),
+                              want.view(np.uint64))
+
+
+@pytest.mark.parametrize("token", ["1_0", "#", "\u0661", "nan", "1.0x"])
+def test_frame_rows_keep_the_float_results_and_messages(tmp_path, token):
+    header = '#posehar-seq v1 {"action":"wave","actor":"a1","viewpoint":"front"}'
+    rows = [" ".join(["1.0 2.0 1"] * N_LANDMARKS)] * 3
+    rows[2] = rows[2].replace("2.0", token, 1)
+    path = tmp_path / "t.seq"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    try:
+        want = float_rows(path, rows, 3 * N_LANDMARKS, "frame")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read_sample(path)
+        assert str(got.value) == str(exc) and ", frame 2: " in str(exc)
+    else:
+        got = read_sample(path)
+        assert np.array_equal(got.xy.reshape(3, -1), want.reshape(3, N_LANDMARKS, 3)[:, :, :2]
+                              .reshape(3, -1))
+
+
 def test_every_manifest_kind_rejects_label_disagreement(tmp_path):
     rng = np.random.default_rng(17)
     item = random_normalized(rng)
