@@ -2,8 +2,8 @@
 
 Frames from every sequence of one (action, viewpoint) cell are projected
 onto the leading principal axes and clustered on a small lattice map; each
-non-empty cluster's mean becomes one prototype. A bundle holds the pose
-and motion libraries of every action.
+non-empty cluster's mean landmark coordinates become one prototype. A bundle
+holds the pose and motion libraries of every action.
 """
 
 import tempfile
@@ -48,7 +48,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "bundle.npz"
     save_bundle(path, bundle)
     reloaded = load_bundle(path)
-    same = all(np.array_equal(a.full, b.full)
+    same = all(np.array_equal(a.landmarks, b.landmarks)
                for a, b in zip(bundle.spatial.values(),
                                reloaded.spatial.values()))
     print(f"\nbundle round trip intact: {same} "

@@ -250,7 +250,7 @@ def embed_sequence(seq: NormalizedSequence,
     """Build the channel stack of one preprocessed sequence.
 
     In advanced mode both library mappings must provide every action they
-    declare; a missing action raises MissingLibrary.
+    declare, and at least one; a missing action raises MissingLibrary.
     """
     if mode not in EMBED_MODES:
         raise ValueError(f"embed_sequence handles {'/'.join(EMBED_MODES)}, not {mode!r}")
@@ -265,6 +265,8 @@ def embed_sequence(seq: NormalizedSequence,
         if spatial is None or temporal is None:
             raise MissingLibrary("advanced mode needs both library kinds")
         actions = tuple(sorted(set(spatial) | set(temporal)))
+        if not actions:
+            raise MissingLibrary("advanced mode needs a library for at least one action")
         for kind, libraries, frames in (("spatial", spatial, seq.xy),
                                         ("temporal", temporal, deriv)):
             for action in actions:

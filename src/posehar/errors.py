@@ -30,7 +30,7 @@ class NumericError(PoseHarError):
 
 
 class MalformedFrame(DataError):
-    """Detector frame does not hold exactly 18 keypoint triples."""
+    """Sample coordinates or presence flags of the wrong shape, or no frame."""
 
 
 class ParseError(DataError):

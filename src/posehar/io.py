@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .embed import EmbeddingChannels
-from .errors import MalformedFrame, ParseError, UnknownLabel
+from .errors import ParseError, UnknownLabel
 from .pose import N_LANDMARKS, ROOT, VIEWPOINTS, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
 
@@ -51,22 +50,6 @@ FACIAL_KEYPOINTS = (0, 14, 15, 16, 17)
 # neck, then right arm, left arm, right leg, left leg.
 BODY_KEYPOINTS = tuple(i for i in range(N_KEYPOINTS) if i not in FACIAL_KEYPOINTS)
 NECK_KEYPOINT = 1
-
-
-@dataclass(frozen=True)
-class RawDetectionFrame:
-    """One person's keypoints for one frame, straight from the detector."""
-
-    keypoints: np.ndarray   # (18, 3): x, y, confidence
-    frame_index: int = 0
-
-    def __post_init__(self) -> None:
-        kp = np.ascontiguousarray(self.keypoints, dtype=np.float64)
-        if kp.shape != (N_KEYPOINTS, 3):
-            raise MalformedFrame(
-                f"frame {self.frame_index}: expected {N_KEYPOINTS} keypoint triples, "
-                f"got shape {kp.shape}")
-        object.__setattr__(self, "keypoints", kp)
 
 
 def _read_text(path: Path) -> str:
@@ -89,26 +72,26 @@ def _strings(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def merge_head(frame: RawDetectionFrame,
+def merge_head(keypoints: np.ndarray,
                threshold: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Convert one detector frame to (14, 2) coordinates and (14,) presence.
+    """Convert one person's (18, 3) detector keypoints (x, y, confidence)
+    to (14, 2) coordinates and (14,) presence.
 
     A keypoint counts as detected when its confidence exceeds ``threshold``.
     The head landmark is the mean of the detected facial keypoints and is
     absent only when none of them was detected.
     """
-    kp = frame.keypoints
-    detected = kp[:, 2] > threshold
+    detected = keypoints[:, 2] > threshold
     xy = np.zeros((N_LANDMARKS, 2))
     present = np.zeros(N_LANDMARKS, dtype=bool)
 
     face = [i for i in FACIAL_KEYPOINTS if detected[i]]
     if face:
-        xy[0] = kp[face, :2].mean(axis=0)
+        xy[0] = keypoints[face, :2].mean(axis=0)
         present[0] = True
     for row, i in enumerate(BODY_KEYPOINTS, start=1):
         if detected[i]:
-            xy[row] = kp[i, :2]
+            xy[row] = keypoints[i, :2]
             present[row] = True
     return xy, present
 
@@ -168,7 +151,7 @@ def read_detector_clip(directory: str | os.PathLike,
         chosen = _select_person(people, last_root, threshold)
         if chosen[NECK_KEYPOINT, 2] > threshold:
             last_root = chosen[NECK_KEYPOINT, :2].copy()
-        xy[index], present[index] = merge_head(RawDetectionFrame(chosen, index), threshold)
+        xy[index], present[index] = merge_head(chosen, threshold)
     return xy, present
 
 

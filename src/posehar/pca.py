@@ -72,6 +72,17 @@ class PcaModel:
         return float(self.eigenvalues.sum() / self.total_variance)
 
 
+def principal_axes(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The mean of (N >= 2, d) data, the eigenvalues and eigenvectors of its
+    sample covariance (ddof 1) in ``np.linalg.eigh``'s ascending order, and
+    the indices that order them by decreasing eigenvalue."""
+    mean = data.mean(axis=0)
+    centered = data - mean
+    cov = centered.T @ centered / (data.shape[0] - 1)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    return mean, eigenvalues, eigenvectors, np.argsort(eigenvalues)[::-1]
+
+
 def fit_pca(data: np.ndarray, n_components: int = 3) -> PcaModel:
     """Fit a reduction model on (N, 26) training vectors.
 
@@ -88,11 +99,7 @@ def fit_pca(data: np.ndarray, n_components: int = 3) -> PcaModel:
         raise InsufficientData(
             f"need at least {n_components + 1} vectors to keep {n_components} components, "
             f"got {data.shape[0]}")
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (data.shape[0] - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1]
+    mean, eigenvalues, eigenvectors, order = principal_axes(data)
     kept = order[:n_components]
     components = eigenvectors[:, kept].T.copy()
     for row in components:

@@ -3,11 +3,11 @@
 For every (action, viewpoint) cell of the training data, the reduced frame
 vectors are clustered by a self-organizing map laid out as an m-dimensional
 lattice with q units per side (q^m units total). Units are then replaced by
-the arithmetic mean of their assigned members, in both the reduced space and
-the original 26-dimensional space, and empty units are discarded. Stacking
-the surviving prototypes of all viewpoints of an action gives that action's
-library; pose libraries come from pose vectors, motion libraries from
-derivative vectors.
+the arithmetic mean of their assigned members' landmark coordinates, and
+empty units are discarded: the reduced space only chooses the clusters.
+Stacking the surviving prototypes of all viewpoints of an action gives that
+action's library; pose libraries come from pose vectors, motion libraries
+from derivative vectors.
 
 Training is Kohonen's batch map (Kohonen, Self-Organizing Maps, 3rd ed.,
 2001). Each epoch e assigns every sample to its nearest unit in data space
@@ -23,26 +23,27 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .archive import entry, no_more, read_archive, write_archive
 from .errors import ParseError, check_settings
-from .pca import FEATURE_DIM, PcaModel, fit_pca, project, reroll, unroll
+from .pca import FEATURE_DIM, PcaModel, fit_pca, principal_axes, project, reroll, unroll
+from .pose import N_LANDMARKS
 from .preprocess import LabeledSequence
 
 log = logging.getLogger(__name__)
 
-BUNDLE_FORMAT = "posehar-bundle/2"
+BUNDLE_FORMAT = "posehar-bundle/3"
 # Largest lattice, q ** m units: 64 times the default 4 ** 3. Training keeps
 # a (U, U) float64 table of lattice distances, 128 MiB at this size, next to
 # (N, U) sample-to-unit distances; each epoch's neighborhood kernel spans
 # only the winning units, (min(U, N), U).
 MAX_UNITS = 4096
 LIBRARY_KINDS = ("spatial", "temporal")
-LIBRARY_ARRAYS = ("full", "reduced", "weight", "viewpoint")
+LIBRARY_ARRAYS = ("landmarks", "weight", "viewpoint")
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,16 @@ def quantization_error(data: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _init_weights(data: np.ndarray, grid: np.ndarray, config: SomConfig) -> np.ndarray:
-    mean = data.mean(axis=0)
     if config.init == "random":
         rng = np.random.default_rng([config.rng_seed, 1])
         std = data.std(axis=0)
         std[std == 0.0] = 1.0
-        return rng.normal(mean, std, (grid.shape[0], data.shape[1]))
+        return rng.normal(data.mean(axis=0), std, (grid.shape[0], data.shape[1]))
     # Linear lattice spanning the leading principal axes of this data slice.
     if data.shape[0] < 2:
-        return np.tile(mean, (grid.shape[0], 1))
-    centered = data - mean
-    cov = centered.T @ centered / (data.shape[0] - 1)
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    order = np.argsort(eigenvalues)[::-1][: config.m]
+        return np.tile(data.mean(axis=0), (grid.shape[0], 1))
+    mean, eigenvalues, eigenvectors, order = principal_axes(data)
+    order = order[: config.m]
     spread = 2.0 * np.sqrt(np.clip(eigenvalues[order], 0.0, None))
     axes = eigenvectors[:, order].T  # (m, d)
     fractions = (grid - (config.q - 1) / 2.0) / max(config.q - 1, 1)
@@ -191,49 +189,44 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
 class PoseLibrary:
     """All prototypes of one action, stacked over its viewpoints.
 
-    Row p of every array describes prototype p: ``full`` is the mean of its
-    members' unrolled vectors, ``reduced`` the mean of their projections,
-    ``weight`` the member count and ``viewpoint`` the cell it came from.
-    ``landmarks`` holds the same prototypes as (P, 14, 2) coordinates with
-    the root at the origin. All arrays are stored as read-only copies.
+    Row p of every array describes prototype p: ``landmarks`` is the mean
+    of its members' (14, 2) coordinates, root at the origin, ``weight`` the
+    member count and ``viewpoint`` the cell it came from. All arrays are
+    stored as read-only copies.
     """
 
     action: str
     kind: str
-    full: np.ndarray        # (P, 26) float64
-    reduced: np.ndarray     # (P, m) float64
+    landmarks: np.ndarray   # (P, 14, 2) float64
     weight: np.ndarray      # (P,) int64
     viewpoint: np.ndarray   # (P,) str
-    landmarks: np.ndarray = field(init=False, repr=False)   # (P, 14, 2)
 
     def __post_init__(self) -> None:
-        full, reduced, weight, viewpoint = (
-            np.array(getattr(self, name), dtype=dtype, order="C", copy=True)
-            for name, dtype in zip(LIBRARY_ARRAYS, (np.float64, np.float64, np.int64, str)))
-        rows = full.shape[0] if full.ndim == 2 else 0
-        if (rows < 1 or full.shape[1] != FEATURE_DIM or reduced.ndim != 2
-                or reduced.shape[0] != rows or weight.shape != (rows,)
-                or viewpoint.shape != (rows,)
-                or not (np.isfinite(full).all() and np.isfinite(reduced).all())):
+        arrays = [np.array(getattr(self, name), dtype=dtype, order="C", copy=True)
+                  for name, dtype in zip(LIBRARY_ARRAYS, (np.float64, np.int64, str))]
+        landmarks, weight, viewpoint = arrays
+        rows = landmarks.shape[0] if landmarks.ndim == 3 else 0
+        if (rows < 1 or landmarks.shape[1:] != (N_LANDMARKS, 2) or weight.shape != (rows,)
+                or viewpoint.shape != (rows,) or not np.isfinite(landmarks).all()):
             raise ValueError(
-                f"{self.kind} library {self.action!r} needs finite full (P >= 1, {FEATURE_DIM}) "
-                f"and reduced (P, m), weight (P,) and viewpoint (P,) arrays; got "
-                f"{full.shape}, {reduced.shape}, {weight.shape} and {viewpoint.shape}")
-        for name, value in zip(LIBRARY_ARRAYS + ("landmarks",),
-                               (full, reduced, weight, viewpoint, reroll(full))):
+                f"{self.kind} library {self.action!r} needs finite landmarks (P >= 1, "
+                f"{N_LANDMARKS}, 2), weight (P,) and viewpoint (P,) arrays; got "
+                f"{landmarks.shape}, {weight.shape} and {viewpoint.shape}")
+        for name, value in zip(LIBRARY_ARRAYS, arrays):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return int(self.full.shape[0])
+        return int(self.landmarks.shape[0])
 
 
 def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
                   config: SomConfig) -> dict[str, PoseLibrary]:
     """Cluster each (action, viewpoint) cell of pose (spatial) or motion
-    (temporal) frames on its own map and stack the prototypes per action.
-    Empty cells are skipped with a warning; an action without any frame gets
-    no library, which embedding reports as MissingLibrary if asked for it."""
+    (temporal) frames on its own map, trained on their projections, and
+    stack the prototypes per action. Empty cells are skipped with a warning;
+    an action without any frame gets no library, which embedding reports as
+    MissingLibrary if asked for it."""
     if kind not in LIBRARY_KINDS:
         raise ValueError(f"kind must be one of {LIBRARY_KINDS}")
     cells: dict[tuple[str, str], list[np.ndarray]] = {}
@@ -244,18 +237,16 @@ def build_library(items: Sequence[LabeledSequence], kind: str, pca: PcaModel,
     viewpoints = sorted({item.viewpoint for item in items})
     libraries: dict[str, PoseLibrary] = {}
     for action in sorted({item.action for item in items}):
-        parts = []   # (full, reduced, weight, viewpoint) arrays per cell
+        parts = []   # (landmarks, weight, viewpoint) arrays per cell
         for viewpoint in viewpoints:
             if (action, viewpoint) not in cells:
                 log.warning("no %s frames for action=%r viewpoint=%r; cell skipped",
                             kind, action, viewpoint)
                 continue
             full = np.vstack(cells[action, viewpoint])
-            reduced = project(pca, full)
-            _, sums, counts = _unit_sums(train_som(reduced, config).assignments,
-                                         np.hstack([full, reduced]), config.n_units)
-            means = sums / counts[:, None]   # each won unit's members, in both spaces
-            parts.append((means[:, :FEATURE_DIM], means[:, FEATURE_DIM:], counts,
+            _, sums, counts = _unit_sums(train_som(project(pca, full), config).assignments,
+                                         full, config.n_units)
+            parts.append((reroll(sums / counts[:, None]), counts,
                           np.full(counts.shape, viewpoint)))
         if parts:
             libraries[action] = PoseLibrary(action, kind, *map(np.concatenate, zip(*parts)))
@@ -283,8 +274,8 @@ class ModelBundle:
 def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
                  som_config: SomConfig | None = None) -> ModelBundle:
     """Per kind, fit a PCA model on every frame of that kind and build the
-    libraries with it. The models are not kept: each prototype is already
-    stored in both the full and the reduced space."""
+    libraries with it. The models are not kept: embedding compares frames
+    with the prototypes' landmarks, never with their projections."""
     som_config = som_config or SomConfig(m=n_components)
     if som_config.m != n_components:
         raise ValueError("som lattice dimensionality must equal the reduced dimension")
@@ -302,7 +293,7 @@ def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
 
 
 def save_bundle(path: str | os.PathLike, bundle: ModelBundle) -> None:
-    """Write a bundle as a ``posehar-bundle/2`` archive (see :mod:`posehar.archive`)."""
+    """Write a bundle as a ``posehar-bundle/3`` archive (see :mod:`posehar.archive`)."""
     meta = {
         "actions": list(bundle.actions),
         "config": bundle.config,
@@ -317,35 +308,42 @@ def save_bundle(path: str | os.PathLike, bundle: ModelBundle) -> None:
 def load_bundle(path: str | os.PathLike) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`.
 
-    Beyond the checks every archive gets, the meta entry must give an
-    integer ``pca_components`` m and list the actions and the libraries of
-    each kind as strings, and the archive must hold exactly the libraries
-    the meta lists, each as (P, 26) float, (P, m) float, (P,) integer and
-    (P,) string arrays. Anything else raises ParseError naming the file.
+    Beyond the checks every archive gets, the meta entry must hold a
+    ``config`` object and list the actions and the libraries of each kind
+    as strings, with at least one spatial library, and the archive must
+    hold exactly the libraries the meta lists, each as (P, 14, 2) float,
+    (P,) integer and (P,) string arrays. Anything else raises ParseError
+    naming the file.
 
-    A ``posehar-bundle/1`` archive also holds the two PCA models
-    (``pca/<kind>/*``) and a ``viewpoints`` meta list, which nothing reads.
-    It loads with a warning: its ``pca/`` entries are dropped after the
-    checks every archive gets.
+    A ``posehar-bundle/1`` or ``/2`` archive loads with one warning. Its
+    PCA models (``pca/<kind>/*``, /1 only) and ``reduced`` prototypes are
+    dropped after the checks every archive gets, and each (P, 26) float
+    ``full`` entry is read back as landmarks by :func:`posehar.pca.reroll`.
     """
-    meta, arrays = read_archive(path, {BUNDLE_FORMAT, "posehar-bundle/1"})
+    meta, arrays = read_archive(path, {BUNDLE_FORMAT, "posehar-bundle/1", "posehar-bundle/2"})
     if meta["format"] != BUNDLE_FORMAT:
-        log.warning("%s: posehar-bundle/1 bundle; its PCA models are ignored", path)
-        for name in [name for name in arrays if name.startswith("pca/")]:
-            del arrays[name]
+        log.warning("%s: %s bundle; only its full prototypes are read", path, meta["format"])
+        for name in list(arrays):
+            if name.startswith("pca/") or name.endswith("/reduced"):
+                del arrays[name]
+            # A full entry next to a landmarks entry stays, to be refused as unexpected.
+            elif name.endswith("/full") and (
+                    rolled := name.removesuffix("full") + "landmarks") not in arrays:
+                arrays[rolled] = reroll(entry(path, arrays, name, (None, FEATURE_DIM)))
     try:
-        m = meta["config"]["pca_components"]
-        if type(m) is not int:
-            raise ParseError(f"{path}: meta pca_components must be an integer")
+        if not isinstance(meta["config"], dict):
+            raise ParseError(f"{path}: meta config must be a JSON object")
         names = {"actions": meta["actions"]}
         names.update((kind, meta["libraries"][kind]) for kind in LIBRARY_KINDS)
         if not all(isinstance(value, list) and all(isinstance(v, str) for v in value)
                    for value in names.values()):
             raise ParseError(f"{path}: meta actions and libraries must list strings")
-        shapes = ((None, FEATURE_DIM), (None, m), (None,), (None,))
+        if not names["spatial"]:
+            raise ParseError(f"{path}: a bundle needs at least one spatial library")
+        shapes = ((None, N_LANDMARKS, 2), (None,), (None,))
         libraries = {kind: {action: PoseLibrary(action, kind, *(
             entry(path, arrays, f"lib/{kind}/{action}/{name}", shape, dtype)
-            for name, shape, dtype in zip(LIBRARY_ARRAYS, shapes, "ffiU")))
+            for name, shape, dtype in zip(LIBRARY_ARRAYS, shapes, "fiU")))
             for action in names[kind]} for kind in LIBRARY_KINDS}
         no_more(path, arrays)
         return ModelBundle(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_settings
 from .pose import N_LANDMARKS, VIEWPOINTS, Sample
 
 ARCHETYPES = ("still", "wave-one-arm", "wave-two-arms", "squat", "march")
@@ -65,7 +66,8 @@ _HIPS = (9, 12)
 
 @dataclass(frozen=True)
 class MotionSpec:
-    """Description of one synthetic clip."""
+    """Description of one synthetic clip. The constructor refuses a field of
+    the wrong type (``check_settings``) and a landmark outside 1..14."""
 
     archetype: str
     viewpoint: str = "front"
@@ -80,6 +82,7 @@ class MotionSpec:
     occlusions: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
+        check_settings(self)
         if self.archetype not in ARCHETYPES:
             raise ValueError(f"unknown archetype {self.archetype!r}")
         if self.viewpoint not in VIEWPOINTS:
@@ -88,8 +91,10 @@ class MotionSpec:
             raise ValueError("frames must be positive")
         if self.period < 2:
             raise ValueError("period must be at least 2")
-        object.__setattr__(self, "occlusions",
-                           tuple((int(j), int(a), int(b)) for j, a, b in self.occlusions))
+        occlusions = tuple((int(j), int(a), int(b)) for j, a, b in self.occlusions)
+        if any(not 1 <= j <= N_LANDMARKS for j, _, _ in occlusions):
+            raise ValueError(f"occluded landmarks must be in 1..{N_LANDMARKS}: {occlusions}")
+        object.__setattr__(self, "occlusions", occlusions)
 
 
 def _actor_body(rng: np.random.Generator) -> tuple[np.ndarray, float, float, float]:

@@ -28,7 +28,7 @@ from posehar.embed import (
     embed_sequence,
 )
 from posehar.evaluate import PipelineConfig, Protocol, run_experiment
-from posehar.pca import fit_pca, project, unroll
+from posehar.pca import fit_pca, project, reroll, unroll
 from posehar.pose import (
     MIRROR,
     N_LANDMARKS,
@@ -290,8 +290,8 @@ def test_a04_som_quantization_and_cluster_means():
             members = np.flatnonzero(refit.assignments == unit)
             if members.size == 0:
                 continue
-            proto_full = library.full[index]
-            proto_reduced = library.reduced[index]
+            proto_full = unroll(library.landmarks[index])
+            proto_reduced = project(pca, proto_full)
             proto_weight = library.weight[index]
             index += 1
             acc_full = np.zeros(full.shape[1])
@@ -489,10 +489,8 @@ def test_a09_augmentation_accounting():
 
 
 def random_library(rng, action, kind, count):
-    """``count`` random prototypes, drawn one prototype at a time."""
-    draws = [(rng.normal(0, 1, 26), rng.normal(0, 1, 3)) for _ in range(count)]
-    return PoseLibrary(action, kind, np.array([full for full, _ in draws]),
-                       np.array([reduced for _, reduced in draws]),
+    """``count`` random prototypes with the root at the origin."""
+    return PoseLibrary(action, kind, reroll(rng.normal(0, 1, (count, 26))),
                        np.ones(count, dtype=np.int64), np.full(count, "front"))
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from posehar.cli import main
 from posehar.io import write_dataset, write_manifest, write_sample
+from posehar.som import ModelBundle, save_bundle
 from posehar.synth import generate_corpus
 
 CONFIG = {
@@ -210,10 +211,10 @@ def drop_weight(arrays):
 
 
 def nan_prototypes(arrays):
-    arrays["lib/temporal/squat/full"] = arrays["lib/temporal/squat/full"] * np.nan
+    arrays["lib/temporal/squat/landmarks"] = arrays["lib/temporal/squat/landmarks"] * np.nan
 
 
-@pytest.mark.parametrize("edit", [None, lambda arrays: arrays.pop("lib/spatial/squat/full"),
+@pytest.mark.parametrize("edit", [None, lambda arrays: arrays.pop("lib/spatial/squat/landmarks"),
                                   drop_weight, nan_prototypes],
                          ids=["garbage", "missing entry", "short weight", "nan prototypes"])
 def test_embed_rejects_corrupt_bundle(workdir, tmp_path, capsys, caplog, edit):
@@ -226,8 +227,21 @@ def test_embed_rejects_corrupt_bundle(workdir, tmp_path, capsys, caplog, edit):
     assert one_line_error(caplog, bundle)
 
 
+def test_embed_rejects_a_bundle_without_libraries(workdir, tmp_path, capsys, caplog):
+    # It once saved and loaded, then failed inside the distance kernel.
+    bundle = tmp_path / "empty.npz"
+    save_bundle(bundle, ModelBundle({}, {}, (), {"pca_components": 3, "som": {}}))
+    code = main(["embed", "--manifest", str(workdir / "norm/manifest.json"),
+                 "--mode", "advanced", "--bundle", str(bundle),
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, bundle)
+    assert "needs at least one spatial library" in caplog.text
+
+
 def test_predict_rejects_a_pca_entry_in_a_current_bundle(workdir, tmp_path, capsys, caplog):
-    # posehar-bundle/2 stores no PCA model; only a /1 file may carry one.
+    # posehar-bundle/3 stores no PCA model; only a /1 file may carry one.
     bundle = corrupt_copy(workdir / "bundle.npz", tmp_path / "bundle.npz",
                           lambda arrays: arrays.update({"pca/spatial/mean": np.zeros(26)}))
     norm = sorted((workdir / "norm").glob("*.seq"))[0]

@@ -17,20 +17,15 @@ from posehar.embed import (
     subset_distance,
 )
 from posehar.errors import EmptySubset, MissingLibrary, ShapeMismatch
-from posehar.pca import unroll
 from posehar.pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Sample
 from posehar.preprocess import NormalizedSequence
 from posehar.som import PoseLibrary
 
 
 def make_library(rng, action="wave", kind="spatial", n_protos=4):
-    full, reduced = [], []
-    for _ in range(n_protos):   # one prototype's draws at a time
-        xy = rng.normal(0.0, 0.7, (N_LANDMARKS, 2))
-        xy[ROOT - 1] = 0.0
-        full.append(unroll(xy))
-        reduced.append(rng.normal(0.0, 1.0, 3))
-    return PoseLibrary(action, kind, np.array(full), np.array(reduced),
+    landmarks = rng.normal(0.0, 0.7, (n_protos, N_LANDMARKS, 2))
+    landmarks[:, ROOT - 1] = 0.0
+    return PoseLibrary(action, kind, landmarks,
                        np.ones(n_protos, dtype=np.int64), np.full(n_protos, "front"))
 
 
@@ -60,14 +55,10 @@ def test_subset_distance_matches_oracle():
     for missing in (frozenset(), frozenset({5}), frozenset({3, 4})):
         library = make_library(rng)
         frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-        for full, proto in zip(library.full, library.landmarks):
-            proto_xy = full.reshape(13, 2)
-            proto_full = np.zeros((N_LANDMARKS, 2))
-            rows = [j - 1 for j in range(1, N_LANDMARKS + 1) if j != ROOT]
-            proto_full[rows] = proto_xy
+        for proto in library.landmarks:
             for subset in SUBSET_NAMES:
                 got = subset_distance(frame, proto, subset, missing)
-                want = oracle_subset_distance(frame, proto_full, subset, missing)
+                want = oracle_subset_distance(frame, proto, subset, missing)
                 assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -227,9 +218,11 @@ def extreme_coordinates(rng, shape):
 
 
 def library_of(landmarks, action="a", kind="spatial"):
-    """A PoseLibrary holding the given (P, 14, 2) landmarks (root at 0)."""
+    """A PoseLibrary holding the given (P, 14, 2) landmarks, root set to 0."""
     count = len(landmarks)
-    return PoseLibrary(action, kind, unroll(landmarks), np.zeros((count, 3)),
+    landmarks = landmarks.copy()
+    landmarks[:, ROOT - 1] = 0.0
+    return PoseLibrary(action, kind, landmarks,
                        np.ones(count, dtype=np.int64), np.full(count, "front"))
 
 
@@ -321,6 +314,8 @@ def test_embed_sequence_missing_library():
         embed_sequence(seq, spatial, temporal, "advanced")
     with pytest.raises(MissingLibrary):
         embed_sequence(seq, None, None, "advanced")
+    with pytest.raises(MissingLibrary):   # a hand-built bundle without libraries
+        embed_sequence(seq, {}, {}, "advanced")
     with pytest.raises(ValueError):
         embed_sequence(seq, spatial, temporal, "baseline")
 

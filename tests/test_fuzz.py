@@ -8,8 +8,9 @@ that reads it, in process. A malformed input must end in a documented exit
 code (0 when the damage is harmless, 2 for configuration, 3 for data), never
 in an uncaught exception.
 Entry-level mutants of the archives (an entry dropped, set to NaN, of
-the wrong dtype or shape, an extra entry, or meta sizes no machine could
-allocate) are always data errors.
+the wrong dtype or shape, an extra entry, model meta sizes no machine could
+allocate, and bundle libraries whose arrays disagree or that carry an
+older format's entries) are always data errors.
 """
 
 import json
@@ -179,12 +180,17 @@ def entry_mutants(arrays: dict):
         yield f"{key} drop", {k: v for k, v in arrays.items() if k != key}
     yield "extra entry", {**arrays, "extra": np.zeros(1)}
     meta = json.loads(str(arrays["meta"]))
-    huge = 10**12
     if "libraries" in meta:
-        sizes = [("pca_components", huge)]
-    else:
-        sizes = [(name, huge) for name in ("channels", "classes", "recurrent_units")]
-        sizes.append(("conv_blocks", [[huge, huge]]))
+        lib = f"lib/spatial/{meta['libraries']['spatial'][0]}/"
+        landmarks = arrays[lib + "landmarks"]
+        yield "13-landmark prototypes", {**arrays, lib + "landmarks": landmarks[:, 1:]}
+        yield "prototype counts disagree", {**arrays, lib + "weight": arrays[lib + "weight"][1:]}
+        yield "full entry", {**arrays, lib + "full": landmarks[:, 1:].reshape(len(landmarks), -1)}
+        yield "reduced entry", {**arrays, lib + "reduced": np.zeros((len(landmarks), 3))}
+        return
+    huge = 10**12
+    sizes = [(name, huge) for name in ("channels", "classes", "recurrent_units")]
+    sizes.append(("conv_blocks", [[huge, huge]]))
     for name, size in sizes:
         config = {**meta["config"], name: size}
         yield f"meta {name}", {**arrays, "meta": np.array(json.dumps({**meta, "config": config}))}

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from posehar.embed import EmbeddingChannels
-from posehar.errors import MalformedFrame, ParseError, UnknownLabel
+from posehar.errors import ParseError, UnknownLabel
 from posehar.io import (
-    RawDetectionFrame,
     load_dataset,
     load_embedded_dataset,
     load_manifest,
@@ -124,7 +123,7 @@ def test_merge_head_averages_detected_face_points():
     kp[:, 2] = 0.9
     for i in range(18):
         kp[i, :2] = (10.0 * i, 5.0 * i)
-    xy, present = merge_head(RawDetectionFrame(kp))
+    xy, present = merge_head(kp)
     face = [0, 14, 15, 16, 17]
     np.testing.assert_allclose(xy[0], kp[face, :2].mean(axis=0))
     # neck keypoint becomes the root landmark
@@ -137,20 +136,15 @@ def test_merge_head_threshold_and_absence():
     kp[:, 2] = 0.4
     kp[0, 2] = 0.0
     kp[14, 2] = 0.6
-    xy, present = merge_head(RawDetectionFrame(kp), threshold=0.5)
+    xy, present = merge_head(kp, threshold=0.5)
     # only one facial keypoint clears the threshold; it alone defines the head
     np.testing.assert_array_equal(xy[0], kp[14, :2])
     assert present[0]
     assert not present[1:].any()
     # confidence exactly at the threshold does not count
     kp[14, 2] = 0.5
-    _, present = merge_head(RawDetectionFrame(kp), threshold=0.5)
+    _, present = merge_head(kp, threshold=0.5)
     assert not present.any()
-
-
-def test_raw_detection_frame_validates_shape():
-    with pytest.raises(MalformedFrame):
-        RawDetectionFrame(np.zeros((17, 3)))
 
 
 def write_clip(directory, frames):
@@ -196,6 +190,13 @@ def test_read_detector_clip_rejects_non_finite_values(tmp_path, literal):
     (tmp_path / "clip" / "frame_0001.json").write_text(
         '{"people": [{"pose_keypoints_2d": [' + ", ".join(values) + "]}]}")
     with pytest.raises(ParseError, match="frame_0001.json"):
+        read_detector_clip(tmp_path / "clip")
+
+
+def test_read_detector_clip_rejects_a_wrong_keypoint_count(tmp_path):
+    person = detector_frame(np.full((18, 2), 50.0), np.full(18, 0.8))
+    write_clip(tmp_path / "clip", [[person], [person[:17]]])
+    with pytest.raises(ParseError, match="frame_0001.json: not a recognizable keypoint export"):
         read_detector_clip(tmp_path / "clip")
 
 

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from posehar.archive import write_archive
 from posehar.errors import ParseError
 from posehar.pca import FEATURE_DIM, fit_pca, project, unroll
 from posehar.pose import N_LANDMARKS, ROOT
 from posehar.preprocess import LabeledSequence, NormalizedSequence
 from posehar.som import (
+    LIBRARY_ARRAYS,
     MAX_UNITS,
     ModelBundle,
     PoseLibrary,
@@ -98,6 +100,40 @@ def test_train_som_single_unit_tracks_tight_cluster():
     fit = train_som(data, SomConfig(q=1, m=1, epochs=20, rng_seed=1))
     assert fit.weights.shape == (1, 2)
     np.testing.assert_allclose(fit.weights[0], data.mean(axis=0), atol=0.02)
+
+
+def init_weights_before_shared_axes(data, grid, config):
+    """``_init_weights`` as it was before it shared ``pca.principal_axes``,
+    verbatim: the oracle its float operations must match bit for bit."""
+    mean = data.mean(axis=0)
+    if config.init == "random":
+        rng = np.random.default_rng([config.rng_seed, 1])
+        std = data.std(axis=0)
+        std[std == 0.0] = 1.0
+        return rng.normal(mean, std, (grid.shape[0], data.shape[1]))
+    # Linear lattice spanning the leading principal axes of this data slice.
+    if data.shape[0] < 2:
+        return np.tile(mean, (grid.shape[0], 1))
+    centered = data - mean
+    cov = centered.T @ centered / (data.shape[0] - 1)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    order = np.argsort(eigenvalues)[::-1][: config.m]
+    spread = 2.0 * np.sqrt(np.clip(eigenvalues[order], 0.0, None))
+    axes = eigenvectors[:, order].T  # (m, d)
+    fractions = (grid - (config.q - 1) / 2.0) / max(config.q - 1, 1)
+    return mean + (fractions * spread) @ axes
+
+
+@pytest.mark.parametrize("init", ["axes", "random"])
+@pytest.mark.parametrize("n", [1, 2, 7, 500])
+def test_init_weights_match_the_verbatim_oracle(init, n):
+    rng = np.random.default_rng(56)
+    for q, m, d in ((4, 3, 3), (3, 2, 26), (2, 1, 5)):
+        config = SomConfig(q=q, m=m, init=init, rng_seed=3)
+        data = rng.normal(rng.normal(0.0, 2.0, d), rng.uniform(0.1, 1.5, d), (n, d))
+        grid = lattice(q, m)
+        np.testing.assert_array_equal(_init_weights(data, grid, config),
+                                      init_weights_before_shared_axes(data, grid, config))
 
 
 def batch_map_by_loops(data, config):
@@ -192,10 +228,10 @@ def test_build_library_prototypes_partition_the_data():
     assert len(library) <= config.n_units
 
     # weighted prototype means recover the overall data mean in both spaces
-    full = library.full
+    full = unroll(library.landmarks)
     np.testing.assert_allclose((weights[:, None] * full).sum(axis=0) / weights.sum(),
                                vectors.mean(axis=0), atol=1e-10)
-    reduced = library.reduced
+    reduced = project(pca, full)
     scores = project(pca, vectors)
     np.testing.assert_allclose((weights[:, None] * reduced).sum(axis=0) / weights.sum(),
                                scores.mean(axis=0), atol=1e-10)
@@ -217,10 +253,11 @@ def test_build_library_prototypes_are_cluster_means():
         if members.sum():
             expected.append((vectors[members].mean(axis=0), scores[members].mean(axis=0)))
     assert len(expected) == len(library)
-    for full, reduced, (full_mean, reduced_mean) in zip(library.full, library.reduced,
-                                                         expected):
-        np.testing.assert_array_equal(full, full_mean)
-        np.testing.assert_array_equal(reduced, reduced_mean)
+    for landmarks, (full_mean, reduced_mean) in zip(library.landmarks, expected):
+        np.testing.assert_array_equal(unroll(landmarks), full_mean)
+        # Projection is affine, so it commutes with the mean up to rounding.
+        np.testing.assert_allclose(project(pca, unroll(landmarks)), reduced_mean,
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_build_library_skips_empty_cells():
@@ -243,7 +280,6 @@ def test_landmark_array_restores_root():
     landmarks = library.landmarks
     assert landmarks.shape == (len(library), N_LANDMARKS, 2)
     np.testing.assert_array_equal(landmarks[:, ROOT - 1], 0.0)
-    np.testing.assert_array_equal(unroll(landmarks), library.full)
 
 
 def kind_frames(items, kind):
@@ -265,22 +301,24 @@ def test_bundle_roundtrip(tmp_path):
     assert back.config == bundle.config
     assert back.config["pca_components"] == 2
     for kind in ("spatial", "temporal"):
-        # The bundle keeps no PCA model: the reduced prototypes live in the
-        # space of the model fitted on every frame of the kind, and their
-        # weighted mean is the mean projection of each action's frames.
+        # The bundle keeps no PCA model: projected by the model fitted on
+        # every frame of the kind, the prototypes' weighted mean is the mean
+        # projection of each action's frames.
         pca = fit_pca(kind_frames(items, kind), 2)
         orig, loaded = getattr(bundle, kind), getattr(back, kind)
         assert set(orig) == set(loaded)
         for action in orig:
             a, b = orig[action], loaded[action]
             assert len(a) == len(b)
-            for name in ("full", "reduced", "weight", "viewpoint", "landmarks"):
+            for name in LIBRARY_ARRAYS:
                 np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
                 assert getattr(a, name).dtype == getattr(b, name).dtype
+            assert a.landmarks.dtype == np.float64
             assert a.weight.dtype == np.int64
             assert a.viewpoint.dtype.kind == "U"
             scores = project(pca, kind_frames([i for i in items if i.action == action], kind))
-            np.testing.assert_allclose((b.weight[:, None] * b.reduced).sum(axis=0)
+            reduced = project(pca, unroll(b.landmarks))
+            np.testing.assert_allclose((b.weight[:, None] * reduced).sum(axis=0)
                                        / b.weight.sum(), scores.mean(axis=0), atol=1e-10)
 
 
@@ -296,7 +334,7 @@ def test_bundle_libraries_equal_libraries_built_per_kind():
         together = getattr(bundle, kind)
         assert list(together) == list(alone)
         for action in alone:
-            for name in ("full", "reduced", "weight", "viewpoint"):
+            for name in LIBRARY_ARRAYS:
                 np.testing.assert_array_equal(getattr(together[action], name),
                                               getattr(alone[action], name))
     assert "march" in bundle.spatial and "march" not in bundle.temporal
@@ -310,25 +348,24 @@ def test_load_bundle_rejects_other_archives(tmp_path):
         load_bundle(path)
 
 
-def library_arrays(rows=3, width=2):
+def library_arrays(rows=3):
     rng = np.random.default_rng(51)
-    return {"full": rng.normal(0.0, 1.0, (rows, FEATURE_DIM)),
-            "reduced": rng.normal(0.0, 1.0, (rows, width)),
+    return {"landmarks": rng.normal(0.0, 1.0, (rows, N_LANDMARKS, 2)),
             "weight": np.arange(1, rows + 1),
             "viewpoint": np.array(["front", "left", "front"][:rows])}
 
 
 @pytest.mark.parametrize("name, bad", [
-    ("full", np.zeros((0, FEATURE_DIM))),      # no prototype at all
-    ("full", np.zeros((3, FEATURE_DIM - 1))),  # wrong full width
-    ("full", np.zeros(FEATURE_DIM)),           # a single unstacked vector
-    ("reduced", np.zeros(3)),                  # 1-D reduced
-    ("reduced", np.zeros((2, 2))),             # row counts disagree
+    ("landmarks", np.zeros((0, N_LANDMARKS, 2))),      # no prototype at all
+    ("landmarks", np.zeros((3, N_LANDMARKS - 1, 2))),  # a landmark short
+    ("landmarks", np.zeros((N_LANDMARKS, 2))),         # a single unstacked prototype
+    ("landmarks", np.zeros((3, FEATURE_DIM))),         # unrolled vectors
+    ("landmarks", np.zeros((2, N_LANDMARKS, 2))),      # row counts disagree
     ("weight", np.ones(2)),
     ("weight", np.ones((3, 1))),
     ("viewpoint", np.array(["front"] * 4)),
-    ("full", np.full((3, FEATURE_DIM), np.nan)),
-    ("reduced", np.full((3, 2), np.inf)),
+    ("landmarks", np.full((3, N_LANDMARKS, 2), np.nan)),
+    ("landmarks", np.full((3, N_LANDMARKS, 2), np.inf)),
 ])
 def test_pose_library_rejects_bad_arrays(name, bad):
     arrays = library_arrays()
@@ -343,15 +380,14 @@ def test_pose_library_stores_read_only_copies():
     assert len(library) == 3
     assert library.weight.dtype == np.int64
     assert library.viewpoint.dtype.kind == "U"
-    for name in ("full", "reduced", "weight", "viewpoint", "landmarks"):
+    for name in LIBRARY_ARRAYS:
         value = getattr(library, name)
         assert not value.flags.writeable
         assert value.flags.c_contiguous
         with pytest.raises(ValueError):
             value[0] = value[1]
-    arrays["full"][0, 0] = 99.0   # the caller's array is not shared
-    assert library.full[0, 0] != 99.0
-    assert library.landmarks[0, ROOT - 1].tolist() == [0.0, 0.0]
+    arrays["landmarks"][0, 0, 0] = 99.0   # the caller's array is not shared
+    assert library.landmarks[0, 0, 0] != 99.0
 
 
 def corrupt_bundle(tmp_path, edit):
@@ -370,23 +406,31 @@ def corrupt_bundle(tmp_path, edit):
 
 
 def drop_entry(arrays):
-    del arrays["lib/spatial/march/full"]
+    del arrays["lib/spatial/march/landmarks"]
 
 
 def drop_weight(arrays):
     arrays["lib/spatial/march/weight"] = arrays["lib/spatial/march/weight"][:-1]
 
 
-def widen_reduced(arrays):
-    reduced = arrays["lib/temporal/wave/reduced"]
-    arrays["lib/temporal/wave/reduced"] = np.hstack([reduced, reduced[:, :1]])
+def drop_landmark(arrays):
+    arrays["lib/temporal/wave/landmarks"] = arrays["lib/temporal/wave/landmarks"][:, 1:]
 
 
 def nan_prototype(arrays):
-    arrays["lib/spatial/march/full"] = arrays["lib/spatial/march/full"] * np.nan
+    arrays["lib/spatial/march/landmarks"] = arrays["lib/spatial/march/landmarks"] * np.nan
 
 
-@pytest.mark.parametrize("edit", [drop_entry, drop_weight, widen_reduced, nan_prototype])
+def carry_full(arrays):
+    arrays["lib/spatial/march/full"] = unroll(arrays["lib/spatial/march/landmarks"])
+
+
+def carry_reduced(arrays):
+    arrays["lib/temporal/wave/reduced"] = np.zeros((len(arrays["lib/temporal/wave/weight"]), 2))
+
+
+@pytest.mark.parametrize("edit", [drop_entry, drop_weight, drop_landmark, nan_prototype,
+                                  carry_full, carry_reduced])
 def test_load_bundle_rejects_corrupt_libraries(tmp_path, edit):
     path = corrupt_bundle(tmp_path, edit)
     with pytest.raises(ParseError, match="corrupt.npz"):
@@ -402,13 +446,27 @@ def edit_meta(change):
 
 
 @pytest.mark.parametrize("edit", [
-    edit_meta(lambda meta: meta["config"].update(pca_components=None)),
+    edit_meta(lambda meta: meta.update(config=[])),
     edit_meta(lambda meta: meta["libraries"]["spatial"].remove("wave")),
     lambda arrays: arrays.update(junk=np.zeros(2)),
-], ids=["no pca_components", "unlisted library", "extra entry"])
+], ids=["config not an object", "unlisted library", "extra entry"])
 def test_load_bundle_rejects_what_its_meta_does_not_imply(tmp_path, edit):
     with pytest.raises(ParseError, match="corrupt.npz"):
         load_bundle(corrupt_bundle(tmp_path, edit))
+
+
+def test_load_bundle_does_not_read_pca_components(tmp_path):
+    # Only the libraries are read back; the settings that built them are kept as given.
+    bundle = load_bundle(corrupt_bundle(tmp_path, edit_meta(
+        lambda meta: meta["config"].update(pca_components=None))))
+    assert bundle.config["pca_components"] is None
+
+
+def test_load_bundle_refuses_a_bundle_without_libraries(tmp_path):
+    path = tmp_path / "empty.npz"
+    save_bundle(path, ModelBundle({}, {}, (), {"pca_components": 3, "som": {}}))
+    with pytest.raises(ParseError, match="empty.npz: a bundle needs at least one spatial library"):
+        load_bundle(path)
 
 
 def test_saved_bundle_holds_only_its_libraries(tmp_path):
@@ -417,53 +475,96 @@ def test_saved_bundle_holds_only_its_libraries(tmp_path):
         names = set(data.files)
         meta = json.loads(str(data["meta"]))
     assert set(meta) == {"format", "actions", "config", "libraries"}
-    assert meta["format"] == "posehar-bundle/2"
+    assert meta["format"] == "posehar-bundle/3"
     assert names == {"meta"} | {f"lib/{kind}/{action}/{name}"
                                 for kind, actions in meta["libraries"].items()
                                 for action in actions
-                                for name in ("full", "reduced", "weight", "viewpoint")}
+                                for name in ("landmarks", "weight", "viewpoint")}
     assert meta["libraries"] == {"spatial": ["march", "wave"], "temporal": ["march", "wave"]}
 
 
-def as_format_1(arrays):
-    """Rewrite a saved bundle in the posehar-bundle/1 layout: the PCA model of
-    each kind, a ``viewpoints`` meta list and the online trainer's som.lr0."""
-    meta = json.loads(str(arrays["meta"]))
-    meta["format"] = "posehar-bundle/1"
-    meta["viewpoints"] = ["front"]
-    meta["config"]["som"]["lr0"] = 0.5
-    arrays["meta"] = np.array(json.dumps(meta))
+def write_old_bundle(path, bundle, fmt):
+    """``bundle`` in the layout of ``fmt``, posehar-bundle/1 or /2: each
+    prototype as its (P, 26) ``full`` vector and a (P, m) ``reduced``
+    projection. /1 also holds the PCA model of each kind, a ``viewpoints``
+    meta list and the online trainer's som.lr0."""
     rng = np.random.default_rng(55)
+    config = dict(bundle.config)
+    meta = {"actions": list(bundle.actions), "config": config,
+            "libraries": {kind: sorted(getattr(bundle, kind)) for kind in ("spatial", "temporal")}}
+    arrays = {}
     for kind in ("spatial", "temporal"):
-        pca = fit_pca(rng.normal(0.0, 1.0, (10, FEATURE_DIM)), 2)
-        arrays.update({f"pca/{kind}/mean": pca.mean, f"pca/{kind}/components": pca.components,
-                       f"pca/{kind}/eigenvalues": pca.eigenvalues,
-                       f"pca/{kind}/total_variance": np.array(pca.total_variance)})
+        pca = fit_pca(rng.normal(0.0, 1.0, (10, FEATURE_DIM)), config["pca_components"])
+        for action, library in getattr(bundle, kind).items():
+            full = unroll(library.landmarks)
+            arrays.update({f"lib/{kind}/{action}/full": full,
+                           f"lib/{kind}/{action}/reduced": project(pca, full),
+                           f"lib/{kind}/{action}/weight": library.weight,
+                           f"lib/{kind}/{action}/viewpoint": library.viewpoint})
+        if fmt == "posehar-bundle/1":
+            arrays.update({f"pca/{kind}/mean": pca.mean,
+                           f"pca/{kind}/components": pca.components,
+                           f"pca/{kind}/eigenvalues": pca.eigenvalues,
+                           f"pca/{kind}/total_variance": np.array(pca.total_variance)})
+    if fmt == "posehar-bundle/1":
+        meta["viewpoints"] = ["front"]
+        config["som"] = {**config["som"], "lr0": 0.5}
+    write_archive(path, fmt, meta, arrays)
+
+
+def load_old_bundle(tmp_path, caplog, fmt):
+    """Load a bundle written in the older layout ``fmt``, checking that it
+    gives one warning naming the file and format, and the same libraries
+    as the current layout."""
+    rng = np.random.default_rng(52)
+    items = [make_item(rng, action, "front") for action in ("march", "wave")]
+    bundle = build_bundle(items, 2, SomConfig(q=2, m=2, epochs=2, rng_seed=1))
+    current, path = tmp_path / "current.npz", tmp_path / "old.npz"
+    save_bundle(current, bundle)
+    write_old_bundle(path, bundle, fmt)
+    caplog.clear()
+    old = load_bundle(path)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 1 and fmt in warnings[0] and str(path) in warnings[0]
+    new = load_bundle(current)
+    assert old.actions == new.actions
+    for kind in ("spatial", "temporal"):
+        assert list(getattr(old, kind)) == list(getattr(new, kind)) == ["march", "wave"]
+        for action, library in getattr(new, kind).items():
+            for name in LIBRARY_ARRAYS:
+                a, b = getattr(getattr(old, kind)[action], name), getattr(library, name)
+                np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+    return old
 
 
 def test_load_bundle_reads_a_bundle_fitted_with_a_learning_rate(tmp_path, caplog):
     # posehar-bundle/1 files come from the online trainer, which recorded
     # its som.lr0, and hold PCA models that nothing reads.
-    current = load_bundle(corrupt_bundle(tmp_path, lambda arrays: None))
-    path = corrupt_bundle(tmp_path, as_format_1)
-    with np.load(path) as data:
-        assert sum(name.startswith("pca/") for name in data.files) == 8
-    caplog.clear()
-    bundle = load_bundle(path)
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1 and "posehar-bundle/1" in warnings[0] and str(path) in warnings[0]
+    bundle = load_old_bundle(tmp_path, caplog, "posehar-bundle/1")
     assert bundle.config["som"]["lr0"] == 0.5
-    assert bundle.actions == current.actions
-    for kind in ("spatial", "temporal"):
-        old, new = getattr(bundle, kind), getattr(current, kind)
-        assert list(old) == list(new) == ["march", "wave"]
-        for action in new:
-            for name in ("full", "reduced", "weight", "viewpoint"):
-                np.testing.assert_array_equal(getattr(old[action], name),
-                                              getattr(new[action], name))
 
 
-def test_load_bundle_rejects_pca_entries_in_format_2(tmp_path):
+def test_load_bundle_reads_full_prototypes_of_format_2(tmp_path, caplog):
+    load_old_bundle(tmp_path, caplog, "posehar-bundle/2")
+
+
+def test_load_bundle_refuses_landmarks_in_format_2(tmp_path):
+    rng = np.random.default_rng(57)
+    bundle = build_bundle([make_item(rng, "wave", "front")], 2,
+                          SomConfig(q=2, m=2, epochs=2, rng_seed=1))
+    path = tmp_path / "mixed.npz"
+    write_old_bundle(path, bundle, "posehar-bundle/2")
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    arrays["lib/spatial/wave/landmarks"] = bundle.spatial["wave"].landmarks
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ParseError, match="mixed.npz: unexpected entries lib/spatial/wave/full"):
+        load_bundle(path)
+
+
+def test_load_bundle_rejects_pca_entries_in_format_3(tmp_path):
     path = corrupt_bundle(tmp_path, lambda arrays: arrays.update(
         {"pca/spatial/mean": np.zeros(FEATURE_DIM)}))
     with pytest.raises(ParseError, match="corrupt.npz: unexpected entries pca/spatial/mean"):

@@ -18,6 +18,19 @@ def test_spec_validation():
         MotionSpec("still", period=1)
 
 
+@pytest.mark.parametrize("settings, error, match", [
+    ({"frames": 2.5}, TypeError, "frames"),
+    ({"occlusions": ((0, 0, 3),)}, ValueError, "occluded landmarks"),
+    ({"occlusions": ((20, 0, 3),)}, ValueError, "occluded landmarks"),
+    ({"amplitude": float("nan")}, ValueError, "amplitude"),
+], ids=["fractional frames", "landmark 0", "landmark 20", "nan amplitude"])
+def test_spec_refuses_at_construction_what_rendering_got_wrong(settings, error, match):
+    # each once failed inside np.repeat, hid landmark 14, raised IndexError
+    # or rendered NaN coordinates
+    with pytest.raises(error, match=match):
+        MotionSpec("still", **settings)
+
+
 def test_generate_is_deterministic():
     spec = MotionSpec("march", "front-left", frames=20, actor_seed=7, actor="a7")
     a, b = generate(spec), generate(spec)
