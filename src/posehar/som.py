@@ -31,7 +31,7 @@ import numpy as np
 from .archive import entry, no_more, read_archive, write_archive
 from .errors import ParseError, check_settings
 from .pca import FEATURE_DIM, PcaModel, fit_pca, principal_axes, project, reroll, unroll
-from .pose import N_LANDMARKS
+from .pose import N_LANDMARKS, ROOT
 from .preprocess import LabeledSequence
 
 log = logging.getLogger(__name__)
@@ -207,11 +207,12 @@ class PoseLibrary:
         landmarks, weight, viewpoint = arrays
         rows = landmarks.shape[0] if landmarks.ndim == 3 else 0
         if (rows < 1 or landmarks.shape[1:] != (N_LANDMARKS, 2) or weight.shape != (rows,)
-                or viewpoint.shape != (rows,) or not np.isfinite(landmarks).all()):
+                or viewpoint.shape != (rows,) or not np.isfinite(landmarks).all()
+                or landmarks[:, ROOT - 1].any()):
             raise ValueError(
                 f"{self.kind} library {self.action!r} needs finite landmarks (P >= 1, "
-                f"{N_LANDMARKS}, 2), weight (P,) and viewpoint (P,) arrays; got "
-                f"{landmarks.shape}, {weight.shape} and {viewpoint.shape}")
+                f"{N_LANDMARKS}, 2) with the root at the origin, weight (P,) and viewpoint "
+                f"(P,) arrays; got {landmarks.shape}, {weight.shape} and {viewpoint.shape}")
         for name, value in zip(LIBRARY_ARRAYS, arrays):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -319,17 +320,18 @@ def load_bundle(path: str | os.PathLike) -> ModelBundle:
     PCA models (``pca/<kind>/*``, /1 only) and ``reduced`` prototypes are
     dropped after the checks every archive gets, and each (P, 26) float
     ``full`` entry is read back as landmarks by :func:`posehar.pca.reroll`.
+    Those formats hold no ``landmarks`` entry; one is refused as unexpected.
     """
     meta, arrays = read_archive(path, {BUNDLE_FORMAT, "posehar-bundle/1", "posehar-bundle/2"})
     if meta["format"] != BUNDLE_FORMAT:
         log.warning("%s: %s bundle; only its full prototypes are read", path, meta["format"])
+        no_more(path, {name: a for name, a in arrays.items() if name.endswith("/landmarks")})
         for name in list(arrays):
             if name.startswith("pca/") or name.endswith("/reduced"):
                 del arrays[name]
-            # A full entry next to a landmarks entry stays, to be refused as unexpected.
-            elif name.endswith("/full") and (
-                    rolled := name.removesuffix("full") + "landmarks") not in arrays:
-                arrays[rolled] = reroll(entry(path, arrays, name, (None, FEATURE_DIM)))
+            elif name.endswith("/full"):
+                arrays[name.removesuffix("full") + "landmarks"] = reroll(
+                    entry(path, arrays, name, (None, FEATURE_DIM)))
     try:
         if not isinstance(meta["config"], dict):
             raise ParseError(f"{path}: meta config must be a JSON object")

@@ -9,8 +9,9 @@ code (0 when the damage is harmless, 2 for configuration, 3 for data), never
 in an uncaught exception.
 Entry-level mutants of the archives (an entry dropped, set to NaN, of
 the wrong dtype or shape, an extra entry, model meta sizes no machine could
-allocate, and bundle libraries whose arrays disagree or that carry an
-older format's entries) are always data errors.
+allocate, and bundle libraries whose arrays disagree, whose root landmark
+leaves the origin or that carry an older format's entries) are always data
+errors.
 """
 
 import json
@@ -184,6 +185,7 @@ def entry_mutants(arrays: dict):
         lib = f"lib/spatial/{meta['libraries']['spatial'][0]}/"
         landmarks = arrays[lib + "landmarks"]
         yield "13-landmark prototypes", {**arrays, lib + "landmarks": landmarks[:, 1:]}
+        yield "root off the origin", {**arrays, lib + "landmarks": landmarks + 0.25}
         yield "prototype counts disagree", {**arrays, lib + "weight": arrays[lib + "weight"][1:]}
         yield "full entry", {**arrays, lib + "full": landmarks[:, 1:].reshape(len(landmarks), -1)}
         yield "reduced entry", {**arrays, lib + "reduced": np.zeros((len(landmarks), 3))}

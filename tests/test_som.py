@@ -350,7 +350,9 @@ def test_load_bundle_rejects_other_archives(tmp_path):
 
 def library_arrays(rows=3):
     rng = np.random.default_rng(51)
-    return {"landmarks": rng.normal(0.0, 1.0, (rows, N_LANDMARKS, 2)),
+    landmarks = rng.normal(0.0, 1.0, (rows, N_LANDMARKS, 2))
+    landmarks[:, ROOT - 1] = 0.0
+    return {"landmarks": landmarks,
             "weight": np.arange(1, rows + 1),
             "viewpoint": np.array(["front", "left", "front"][:rows])}
 
@@ -366,6 +368,7 @@ def library_arrays(rows=3):
     ("viewpoint", np.array(["front"] * 4)),
     ("landmarks", np.full((3, N_LANDMARKS, 2), np.nan)),
     ("landmarks", np.full((3, N_LANDMARKS, 2), np.inf)),
+    ("landmarks", np.full((3, N_LANDMARKS, 2), 0.5)),    # root off the origin
 ])
 def test_pose_library_rejects_bad_arrays(name, bad):
     arrays = library_arrays()
@@ -378,6 +381,7 @@ def test_pose_library_stores_read_only_copies():
     arrays = library_arrays()
     library = PoseLibrary("wave", "spatial", **arrays)
     assert len(library) == 3
+    assert library.landmarks[0, ROOT - 1].tolist() == [0.0, 0.0]
     assert library.weight.dtype == np.int64
     assert library.viewpoint.dtype.kind == "U"
     for name in LIBRARY_ARRAYS:
@@ -425,12 +429,16 @@ def carry_full(arrays):
     arrays["lib/spatial/march/full"] = unroll(arrays["lib/spatial/march/landmarks"])
 
 
+def move_root(arrays):
+    arrays["lib/temporal/march/landmarks"][-1, ROOT - 1, 1] = 1e-300
+
+
 def carry_reduced(arrays):
     arrays["lib/temporal/wave/reduced"] = np.zeros((len(arrays["lib/temporal/wave/weight"]), 2))
 
 
 @pytest.mark.parametrize("edit", [drop_entry, drop_weight, drop_landmark, nan_prototype,
-                                  carry_full, carry_reduced])
+                                  carry_full, carry_reduced, move_root])
 def test_load_bundle_rejects_corrupt_libraries(tmp_path, edit):
     path = corrupt_bundle(tmp_path, edit)
     with pytest.raises(ParseError, match="corrupt.npz"):
@@ -549,18 +557,23 @@ def test_load_bundle_reads_full_prototypes_of_format_2(tmp_path, caplog):
     load_old_bundle(tmp_path, caplog, "posehar-bundle/2")
 
 
-def test_load_bundle_refuses_landmarks_in_format_2(tmp_path):
+@pytest.mark.parametrize("fmt", ["posehar-bundle/1", "posehar-bundle/2"])
+@pytest.mark.parametrize("keep_full", [True, False], ids=["next to full", "instead of full"])
+def test_load_bundle_refuses_landmarks_in_old_formats(tmp_path, fmt, keep_full):
     rng = np.random.default_rng(57)
     bundle = build_bundle([make_item(rng, "wave", "front")], 2,
                           SomConfig(q=2, m=2, epochs=2, rng_seed=1))
     path = tmp_path / "mixed.npz"
-    write_old_bundle(path, bundle, "posehar-bundle/2")
+    write_old_bundle(path, bundle, fmt)
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     arrays["lib/spatial/wave/landmarks"] = bundle.spatial["wave"].landmarks
+    if not keep_full:
+        del arrays["lib/spatial/wave/full"]
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(ParseError, match="mixed.npz: unexpected entries lib/spatial/wave/full"):
+    with pytest.raises(ParseError,
+                       match="mixed.npz: unexpected entries lib/spatial/wave/landmarks$"):
         load_bundle(path)
 
 
