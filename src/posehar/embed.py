@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptySubset, MissingLibrary, ShapeMismatch
-from .pose import N_LANDMARKS, SUBSET_NAMES, SUBSETS, Sample
+from .errors import MissingLibrary, ShapeMismatch
+from .pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Sample
 from .preprocess import NormalizedSequence
 from .som import PoseLibrary
 
@@ -88,12 +88,13 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
 
     Three steps are exact rewrites, not approximations:
 
-    * A landmark at the origin in every frame and every prototype, such as
-      the root after root-centering, gets no pass. Its distances are all
+    * The root gets no pass when it is at the origin in every frame and
+      every prototype, as root-centering leaves it. Its distances are all
       ``sqrt(+0) = +0``, and ``x + 0 == x`` for every sum ``x >= 0``. If it
-      would start a subset's sum, the next summed landmark starts it, as
-      the loop's ``0.0 + d`` is ``d``; a subset left with nothing to sum
-      reads 0.0. The divisor stays the subset's available landmark count.
+      would start a subset's sum, the next landmark starts it, as the
+      loop's ``0.0 + d`` is ``d``; a subset left with nothing to sum reads
+      0.0. The divisor stays the subset's available landmark count. Every
+      other available landmark is summed, zeros included.
     * The differences ``p - q`` of one landmark's frame coordinates p and
       prototype coordinates q come from the k=2 matrix product
       ``[p, 1] @ [1, -q]``. Both of its products are exact, so the one
@@ -117,8 +118,9 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
 
     out = np.full((len(blocks), len(SUBSET_NAMES), n_frames), EMPTY_SUBSET_SENTINEL)
     rows = [_available_rows(subset, missing) for subset in SUBSET_NAMES]
-    nonzero = frames.any(axis=(0, 2)) | protos.any(axis=(0, 2))
-    summed = [[r for r in subset_rows if nonzero[r]] for subset_rows in rows]
+    root_at_origin = not (frames[:, ROOT - 1].any() or protos[:, ROOT - 1].any())
+    summed = [[r for r in subset_rows if not (root_at_origin and r == ROOT - 1)]
+              for subset_rows in rows]
     live = [s for s in range(len(SUBSET_NAMES)) if summed[s]]
     for s in range(len(SUBSET_NAMES)):
         if rows[s] and not summed[s]:
@@ -166,24 +168,6 @@ def _landmark_array(array: np.ndarray, what: str, stacked: bool = False) -> np.n
         raise ShapeMismatch(f"{what} must be {form} landmark coordinates, "
                             f"got shape {values.shape}")
     return values
-
-
-def subset_distance(frame: np.ndarray, prototype: np.ndarray, subset: str,
-                    missing: frozenset[int] = frozenset()) -> float:
-    """Distance between one frame and one prototype under one subset.
-
-    ``frame`` and ``prototype`` are (14, 2) root-centered landmark
-    coordinates, such as a row of :attr:`PoseLibrary.landmarks`; another
-    shape raises ShapeMismatch. Raises EmptySubset when every landmark of
-    the subset is missing.
-    """
-    if subset not in SUBSETS:
-        raise ValueError(f"unknown subset {subset!r}")
-    if not _available_rows(subset, missing):
-        raise EmptySubset(f"all landmarks of subset {subset} are persistently missing")
-    frame = _landmark_array(frame, "frame")[None]
-    proto = _landmark_array(prototype, "prototype")[None]
-    return float(_nearest_distances(frame, [proto], missing)[0, SUBSET_NAMES.index(subset), 0])
 
 
 def embed_frame(frame: np.ndarray, library: PoseLibrary | np.ndarray,

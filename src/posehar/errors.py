@@ -57,10 +57,6 @@ class InsufficientData(DataError):
     """Too few vectors to fit the requested model."""
 
 
-class EmptySubset(DataError):
-    """Every landmark of the subset is persistently missing."""
-
-
 class MissingLibrary(DataError):
     """Advanced embedding requires a library for every action."""
 
@@ -105,7 +101,7 @@ def field_value(name: str, annotation: str, value):
     value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, float) and not np.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if name in ("seed", "rng_seed") and value < 0:
+    if name in ("seed", "rng_seed", "actor_seed") and value < 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 
@@ -115,7 +111,8 @@ def check_settings(settings) -> None:
     ``int`` is a Python or numpy integer, never a bool; a ``float`` such an
     integer or a finite float; a ``bool`` a Python or numpy bool; a ``str``
     a str; ``X | None`` also takes None. A wrong type is a TypeError; a
-    non-finite float or a negative ``seed`` or ``rng_seed`` is a ValueError.
+    non-finite float or a negative ``seed``, ``rng_seed`` or ``actor_seed``
+    is a ValueError.
     Values are stored as plain Python scalars, so settings serialize to JSON."""
     for f in fields(settings):
         value = field_value(f.name, f.type, getattr(settings, f.name))

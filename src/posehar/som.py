@@ -310,11 +310,12 @@ def load_bundle(path: str | os.PathLike) -> ModelBundle:
     """Read a bundle written by :func:`save_bundle`.
 
     Beyond the checks every archive gets, the meta entry must hold a
-    ``config`` object and list the actions and the libraries of each kind
-    as strings, with at least one spatial library, and the archive must
-    hold exactly the libraries the meta lists, each as (P, 14, 2) float,
-    (P,) integer and (P,) string arrays. Anything else raises ParseError
-    naming the file.
+    ``config`` object and list the libraries of each kind as strings, with
+    at least one spatial library, and the actions as the sorted union of
+    the library names, the list :func:`posehar.embed.embed_sequence` takes.
+    The archive must hold exactly the libraries the meta lists, each as
+    (P, 14, 2) float, (P,) integer and (P,) string arrays. Anything else
+    raises ParseError naming the file.
 
     A ``posehar-bundle/1`` or ``/2`` archive loads with one warning. Its
     PCA models (``pca/<kind>/*``, /1 only) and ``reduced`` prototypes are
@@ -342,6 +343,10 @@ def load_bundle(path: str | os.PathLike) -> ModelBundle:
             raise ParseError(f"{path}: meta actions and libraries must list strings")
         if not names["spatial"]:
             raise ParseError(f"{path}: a bundle needs at least one spatial library")
+        listed = sorted(set(names["spatial"]) | set(names["temporal"]))
+        if names["actions"] != listed:
+            raise ParseError(f"{path}: meta actions {names['actions']} are not the "
+                             f"sorted library actions {listed}")
         shapes = ((None, N_LANDMARKS, 2), (None,), (None,))
         libraries = {kind: {action: PoseLibrary(action, kind, *(
             entry(path, arrays, f"lib/{kind}/{action}/{name}", shape, dtype)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_settings
+from .errors import check_settings, is_integer
 from .pose import N_LANDMARKS, VIEWPOINTS, Sample
 
 ARCHETYPES = ("still", "wave-one-arm", "wave-two-arms", "squat", "march")
@@ -67,7 +67,9 @@ _HIPS = (9, 12)
 @dataclass(frozen=True)
 class MotionSpec:
     """Description of one synthetic clip. The constructor refuses a field of
-    the wrong type (``check_settings``) and a landmark outside 1..14."""
+    the wrong type or a negative ``actor_seed`` (``check_settings``), and an
+    occlusion that is not an integer triple with its landmark in 1..14 and
+    ``0 <= first <= last``."""
 
     archetype: str
     viewpoint: str = "front"
@@ -91,10 +93,18 @@ class MotionSpec:
             raise ValueError("frames must be positive")
         if self.period < 2:
             raise ValueError("period must be at least 2")
-        occlusions = tuple((int(j), int(a), int(b)) for j, a, b in self.occlusions)
-        if any(not 1 <= j <= N_LANDMARKS for j, _, _ in occlusions):
-            raise ValueError(f"occluded landmarks must be in 1..{N_LANDMARKS}: {occlusions}")
-        object.__setattr__(self, "occlusions", occlusions)
+        occlusions = tuple(tuple(window) for window in self.occlusions)
+        for window in occlusions:
+            if len(window) != 3 or not all(map(is_integer, window)):
+                raise TypeError(f"occlusions must be integer (landmark, first, last) "
+                                f"triples, got {window}")
+            j, first, last = window
+            if not 1 <= j <= N_LANDMARKS:
+                raise ValueError(f"occluded landmarks must be in 1..{N_LANDMARKS}: {window}")
+            if not 0 <= first <= last:
+                raise ValueError(f"occlusion windows must have 0 <= first <= last: {window}")
+        object.__setattr__(self, "occlusions",
+                           tuple(tuple(map(int, window)) for window in occlusions))
 
 
 def _actor_body(rng: np.random.Generator) -> tuple[np.ndarray, float, float, float]:
@@ -171,7 +181,7 @@ def generate(spec: MotionSpec) -> Sample:
 
     present = np.ones((spec.frames, N_LANDMARKS), dtype=bool)
     for j, first, last in spec.occlusions:
-        present[max(first, 0) : last + 1, j - 1] = False
+        present[first : last + 1, j - 1] = False
 
     actor = spec.actor or f"a{spec.actor_seed}"
     return Sample(track, present, spec.archetype, spec.viewpoint, actor, "synth")

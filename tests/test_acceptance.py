@@ -225,13 +225,14 @@ def test_a03_embedding_matches_brute_force_oracle():
     print("\nA3 PASS: 100 poses x 64 prototypes x 5 subsets, exact match")
 
 
-@pytest.mark.parametrize("moved", ["none", "frames", "library", "both", "elbow"])
+@pytest.mark.parametrize("moved", ["none", "frames", "library", "both", "elbow", "head"])
 def test_a03_landmarks_at_the_origin_match_the_oracle(moved):
-    """The kernel skips a landmark at the origin in every frame and every
-    prototype of a call. A root moved off the origin in one frame or in one
-    hand-built prototype is summed again; a head missing leaves the root (or
-    the landmark after it) to start J; zeroed limb rows start their limb's
-    sum later, or leave it nothing to sum."""
+    """The kernel skips the root when it is at the origin in every frame and
+    every prototype of a call, and sums every other landmark. A root moved
+    off the origin in one frame or in one hand-built prototype is summed
+    again; a head missing leaves the root (or the landmark after it) to
+    start J; zeroed limb rows, and a head at the origin, start their
+    subset's sum with a summed zero, or leave it only zeros to sum."""
     rng = np.random.default_rng([103, len(moved)])
     frames = rng.normal(0.0, 1.0, (9, N_LANDMARKS, 2))
     protos = rng.normal(0.0, 1.0, (40, N_LANDMARKS, 2))
@@ -242,6 +243,8 @@ def test_a03_landmarks_at_the_origin_match_the_oracle(moved):
         protos[17, ROOT - 1] = (0.5, 0.0)
     if moved == "elbow":   # right shoulder and elbow at the origin
         frames[:, 2:4] = protos[:, 2:4] = -0.0
+    if moved == "head":    # landmark 1 at the origin, and not missing
+        frames[:, 0] = protos[:, 0] = 0.0
     blocks = [protos[:1], protos[1:25], protos[25:]]
     all_but_root = frozenset(j for j in range(1, N_LANDMARKS + 1) if j != ROOT)
     for missing in (frozenset(), frozenset({1}), frozenset({1, 3}), frozenset({5}),

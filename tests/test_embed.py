@@ -14,9 +14,8 @@ from posehar.embed import (
     channel_names,
     embed_frame,
     embed_sequence,
-    subset_distance,
 )
-from posehar.errors import EmptySubset, MissingLibrary, ShapeMismatch
+from posehar.errors import MissingLibrary, ShapeMismatch
 from posehar.pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Sample
 from posehar.preprocess import NormalizedSequence
 from posehar.som import PoseLibrary
@@ -50,35 +49,30 @@ def oracle_subset_distance(frame, proto_xy, subset, missing):
     return total / count
 
 
-def test_subset_distance_matches_oracle():
+def oracle_nearest(frame, landmarks, missing):
+    """Per subset, the oracle distance to the nearest of the (P, 14, 2)
+    prototypes, or the empty-subset sentinel."""
+    out = []
+    for subset in SUBSET_NAMES:
+        if all(j in missing for j in SUBSETS[subset]):
+            out.append(EMPTY_SUBSET_SENTINEL)
+        else:
+            out.append(min(oracle_subset_distance(frame, proto, subset, missing)
+                           for proto in landmarks))
+    return np.array(out)
+
+
+def test_embed_frame_matches_oracle_per_prototype():
+    # one prototype: each entry is that prototype's subset distance, from a
+    # library row or from a free (14, 2) array with its root off the origin
     rng = np.random.default_rng(60)
     for missing in (frozenset(), frozenset({5}), frozenset({3, 4})):
         library = make_library(rng)
         frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-        for proto in library.landmarks:
-            for subset in SUBSET_NAMES:
-                got = subset_distance(frame, proto, subset, missing)
-                want = oracle_subset_distance(frame, proto, subset, missing)
-                assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_subset_distance_accepts_array_prototype():
-    rng = np.random.default_rng(61)
-    frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-    proto_xy = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-    got = subset_distance(frame, proto_xy, "J_b")
-    want = oracle_subset_distance(frame, proto_xy, "J_b", frozenset())
-    assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        subset_distance(frame, proto_xy, "J_e")
-
-
-def test_subset_distance_empty_subset_raises():
-    rng = np.random.default_rng(62)
-    frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-    proto = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-    with pytest.raises(EmptySubset):
-        subset_distance(frame, proto, "J_a", frozenset({3, 4, 5}))
+        protos = [*library.landmarks, rng.normal(0.0, 1.0, (N_LANDMARKS, 2))]
+        for proto in protos:
+            assert np.array_equal(embed_frame(frame, proto[None], missing),
+                                  oracle_nearest(frame, proto[None], missing))
 
 
 def test_embed_frame_is_min_over_library():
@@ -87,9 +81,7 @@ def test_embed_frame_is_min_over_library():
     frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
     got = embed_frame(frame, library)
     assert got.shape == (5,)
-    for s, subset in enumerate(SUBSET_NAMES):
-        want = min(subset_distance(frame, p, subset) for p in library.landmarks)
-        assert got[s] == want   # same kernel, same reduction: exact
+    assert np.array_equal(got, oracle_nearest(frame, library.landmarks, frozenset()))
 
 
 def test_embed_frame_empty_subset_sentinel():
@@ -99,11 +91,10 @@ def test_embed_frame_empty_subset_sentinel():
     missing = frozenset({3, 4, 5})
     got = embed_frame(frame, library, missing)
     assert got[SUBSET_NAMES.index("J_a")] == EMPTY_SUBSET_SENTINEL
-    for s, subset in enumerate(SUBSET_NAMES):
-        if subset == "J_a":
-            continue
-        want = min(subset_distance(frame, p, subset, missing) for p in library.landmarks)
-        assert got[s] == want
+    assert np.array_equal(got, oracle_nearest(frame, library.landmarks, missing))
+    # one prototype, the kernel call a single subset distance makes
+    single = embed_frame(frame, library.landmarks[:1], missing)
+    assert single[SUBSET_NAMES.index("J_a")] == EMPTY_SUBSET_SENTINEL
 
 
 def test_channel_names_arity():
@@ -168,19 +159,6 @@ def test_embed_sequence_advanced_matches_per_frame_oracle():
             want = embed_frame(seq.deriv[t - 1], temporal[action], seq.persistent_missing)
             np.testing.assert_array_equal(ch.values[offset : offset + 5, t], want)
         offset += 5
-
-
-def oracle_nearest(frame, landmarks, missing):
-    """Per subset, the oracle distance to the nearest of the (P, 14, 2)
-    prototypes, or the empty-subset sentinel."""
-    out = []
-    for subset in SUBSET_NAMES:
-        if all(j in missing for j in SUBSETS[subset]):
-            out.append(EMPTY_SUBSET_SENTINEL)
-        else:
-            out.append(min(oracle_subset_distance(frame, proto, subset, missing)
-                           for proto in landmarks))
-    return np.array(out)
 
 
 def test_embed_sequence_matches_oracle_across_chunks():
@@ -272,19 +250,13 @@ def test_embed_sequence_is_exact_on_extreme_coordinates(frames):
 @pytest.mark.parametrize("frame_shape, library_shape", [
     ((N_LANDMARKS, 2), (0, N_LANDMARKS, 2)),
     ((N_LANDMARKS, 2), (3, 13, 2)),
+    ((N_LANDMARKS, 2), (2 * N_LANDMARKS,)),
     ((13, 2), (3, N_LANDMARKS, 2)),
-], ids=["empty library", "13-landmark library", "13-landmark frame"])
+], ids=["empty library", "13-landmark library", "flat library", "13-landmark frame"])
 def test_embed_frame_refuses_wrong_landmark_shapes(frame_shape, library_shape):
     wrong = library_shape if frame_shape == (N_LANDMARKS, 2) else frame_shape
     with pytest.raises(ShapeMismatch, match=re.escape(f"got shape {wrong}")):
         embed_frame(np.zeros(frame_shape), np.zeros(library_shape))
-
-
-def test_subset_distance_refuses_wrong_landmark_shapes():
-    for frame_shape, proto_shape in (((13, 2), (N_LANDMARKS, 2)), ((N_LANDMARKS, 2), (28,))):
-        wrong = proto_shape if frame_shape == (N_LANDMARKS, 2) else frame_shape
-        with pytest.raises(ShapeMismatch, match=re.escape(f"got shape {wrong}")):
-            subset_distance(np.zeros(frame_shape), np.zeros(proto_shape), "J")
 
 
 def test_embed_sequence_working_set():

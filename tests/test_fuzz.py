@@ -9,9 +9,9 @@ code (0 when the damage is harmless, 2 for configuration, 3 for data), never
 in an uncaught exception.
 Entry-level mutants of the archives (an entry dropped, set to NaN, of
 the wrong dtype or shape, an extra entry, model meta sizes no machine could
-allocate, and bundle libraries whose arrays disagree, whose root landmark
-leaves the origin or that carry an older format's entries) are always data
-errors.
+allocate, bundle libraries whose arrays disagree, whose root landmark
+leaves the origin or that carry an older format's entries, and bundle meta
+whose action list differs from its library names) are always data errors.
 """
 
 import json
@@ -189,6 +189,8 @@ def entry_mutants(arrays: dict):
         yield "prototype counts disagree", {**arrays, lib + "weight": arrays[lib + "weight"][1:]}
         yield "full entry", {**arrays, lib + "full": landmarks[:, 1:].reshape(len(landmarks), -1)}
         yield "reduced entry", {**arrays, lib + "reduced": np.zeros((len(landmarks), 3))}
+        renamed = json.dumps({**meta, "actions": ["zzz"]})
+        yield "actions not its libraries", {**arrays, "meta": np.array(renamed)}
         return
     huge = 10**12
     sizes = [(name, huge) for name in ("channels", "classes", "recurrent_units")]

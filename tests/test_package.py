@@ -20,10 +20,12 @@ def test_all_names_resolve_once():
 
 # Each call that carries a rule of its own, and the one module allowed to make
 # it: archives are read and written by one codec, the motion frames of a
-# normalized sequence are derived in one place, and the fields of a settings
-# dataclass are type-checked by one rule.
+# normalized sequence are derived in one place, the fields of a settings
+# dataclass are type-checked by one rule, and the distance kernel is entered
+# only from the embedding module.
 OWNERS = {"np.load(": "archive.py", "np.savez(": "archive.py", "np.diff(": "preprocess.py",
-          "fields(": "errors.py", "np.linalg.eigh(": "pca.py"}
+          "fields(": "errors.py", "np.linalg.eigh(": "pca.py",
+          "_nearest_distances(": "embed.py"}
 
 
 def test_each_owned_call_is_made_by_one_module():

@@ -457,8 +457,13 @@ def edit_meta(change):
     edit_meta(lambda meta: meta.update(config=[])),
     edit_meta(lambda meta: meta["libraries"]["spatial"].remove("wave")),
     lambda arrays: arrays.update(junk=np.zeros(2)),
-], ids=["config not an object", "unlisted library", "extra entry"])
+    edit_meta(lambda meta: meta.update(actions=["zzz"])),
+    edit_meta(lambda meta: meta.update(actions=["wave", "march"])),
+    edit_meta(lambda meta: meta.update(actions=["march"])),
+], ids=["config not an object", "unlisted library", "extra entry",
+        "actions not its libraries", "actions unsorted", "action left out"])
 def test_load_bundle_rejects_what_its_meta_does_not_imply(tmp_path, edit):
+    # a wrong actions list once loaded as bundle.actions next to other libraries
     with pytest.raises(ParseError, match="corrupt.npz"):
         load_bundle(corrupt_bundle(tmp_path, edit))
 

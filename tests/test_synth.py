@@ -23,10 +23,15 @@ def test_spec_validation():
     ({"occlusions": ((0, 0, 3),)}, ValueError, "occluded landmarks"),
     ({"occlusions": ((20, 0, 3),)}, ValueError, "occluded landmarks"),
     ({"amplitude": float("nan")}, ValueError, "amplitude"),
-], ids=["fractional frames", "landmark 0", "landmark 20", "nan amplitude"])
+    ({"occlusions": ((5, 2.7, 4.9),)}, TypeError, "integer"),
+    ({"occlusions": ((5, 4, 1),)}, ValueError, "first <= last"),
+    ({"actor_seed": -1}, ValueError, "actor_seed"),
+], ids=["fractional frames", "landmark 0", "landmark 20", "nan amplitude",
+        "fractional window", "reversed window", "negative actor_seed"])
 def test_spec_refuses_at_construction_what_rendering_got_wrong(settings, error, match):
-    # each once failed inside np.repeat, hid landmark 14, raised IndexError
-    # or rendered NaN coordinates
+    # each once failed inside np.repeat, hid landmark 14, raised IndexError,
+    # rendered NaN coordinates, was truncated to another window, occluded
+    # nothing, or failed inside numpy's seeding
     with pytest.raises(error, match=match):
         MotionSpec("still", **settings)
 
