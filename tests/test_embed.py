@@ -62,17 +62,38 @@ def oracle_nearest(frame, landmarks, missing):
     return np.array(out)
 
 
-def test_embed_frame_matches_oracle_per_prototype():
-    # one prototype: each entry is that prototype's subset distance, from a
-    # library row or from a free (14, 2) array with its root off the origin
+def test_subset_distance_matches_oracle():
+    # a one-prototype library: each entry is that prototype's subset distance
     rng = np.random.default_rng(60)
     for missing in (frozenset(), frozenset({5}), frozenset({3, 4})):
         library = make_library(rng)
         frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
-        protos = [*library.landmarks, rng.normal(0.0, 1.0, (N_LANDMARKS, 2))]
-        for proto in protos:
-            assert np.array_equal(embed_frame(frame, proto[None], missing),
-                                  oracle_nearest(frame, proto[None], missing))
+        for proto in library.landmarks:
+            got = embed_frame(frame, proto[None], missing)
+            for s, subset in enumerate(SUBSET_NAMES):
+                assert got[s] == oracle_subset_distance(frame, proto, subset, missing)
+
+
+def test_subset_distance_accepts_array_prototype():
+    # a free (14, 2) array, its root off the origin, is a one-prototype library
+    rng = np.random.default_rng(61)
+    frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
+    proto_xy = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
+    got = embed_frame(frame, proto_xy[None])
+    want = oracle_subset_distance(frame, proto_xy, "J_b", frozenset())
+    assert got[SUBSET_NAMES.index("J_b")] == want
+    assert np.array_equal(got, oracle_nearest(frame, proto_xy[None], frozenset()))
+
+
+def test_subset_distance_empty_subset_reads_sentinel():
+    # an all-missing subset reads the sentinel for one prototype too
+    rng = np.random.default_rng(62)
+    frame = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
+    proto = rng.normal(0.0, 1.0, (N_LANDMARKS, 2))
+    missing = frozenset({3, 4, 5})
+    got = embed_frame(frame, proto[None], missing)
+    assert got[SUBSET_NAMES.index("J_a")] == EMPTY_SUBSET_SENTINEL
+    assert np.array_equal(got, oracle_nearest(frame, proto[None], missing))
 
 
 def test_embed_frame_is_min_over_library():
@@ -92,9 +113,6 @@ def test_embed_frame_empty_subset_sentinel():
     got = embed_frame(frame, library, missing)
     assert got[SUBSET_NAMES.index("J_a")] == EMPTY_SUBSET_SENTINEL
     assert np.array_equal(got, oracle_nearest(frame, library.landmarks, missing))
-    # one prototype, the kernel call a single subset distance makes
-    single = embed_frame(frame, library.landmarks[:1], missing)
-    assert single[SUBSET_NAMES.index("J_a")] == EMPTY_SUBSET_SENTINEL
 
 
 def test_channel_names_arity():
