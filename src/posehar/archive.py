@@ -13,7 +13,7 @@ import math
 import os
 import zipfile
 import zlib
-from typing import Collection, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -34,16 +34,12 @@ def _finite(text: str) -> float:
     return value
 
 
-def read_archive(path: str | os.PathLike,
-                 formats: Collection[str]) -> tuple[dict, dict[str, np.ndarray]]:
-    """The meta object and the other entries of an archive whose format is
-    one of ``formats``; the meta's ``format`` says which.
+def read_archive(path: str | os.PathLike, fmt: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta object and the other entries of an archive of format ``fmt``.
 
-    The file must unzip, ``meta`` must be a JSON object tagged with one of
-    ``formats`` and hold no NaN or infinity, and every float entry must be
-    finite.
+    The file must unzip, ``meta`` must be a JSON object tagged with ``fmt``
+    and hold no NaN or infinity, and every float entry must be finite.
     """
-    fmt = " or ".join(sorted(formats))
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
@@ -54,8 +50,8 @@ def read_archive(path: str | os.PathLike,
             zipfile.BadZipFile, zlib.error) as exc:
         raise ParseError(f"{path}: not a valid {fmt} archive ({exc})") from exc
     tag = meta.get("format") if isinstance(meta, dict) else None
-    if not isinstance(tag, str) or tag not in formats:
-        raise ParseError(f"{path}: not a {fmt} archive")
+    if tag != fmt:
+        raise ParseError(f"{path}: format {tag!r} is not {fmt}")
     for name, value in arrays.items():
         if value.dtype.kind in "fc" and not np.isfinite(value).all():
             raise ParseError(f"{path}: {name} holds a non-finite value")

@@ -24,7 +24,6 @@ All arithmetic is float64.
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -34,8 +33,6 @@ import numpy as np
 from .archive import entry, no_more, read_archive, write_archive
 from .errors import (ConfigError, Diverged, NonFiniteInput, NonFiniteLoss, ParseError,
                      ShapeMismatch, check_settings, is_integer)
-
-log = logging.getLogger(__name__)
 
 MODEL_FORMAT = "posehar-classifier/2"
 BN_EPS = 1e-5
@@ -653,13 +650,8 @@ def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | No
     ``actions``, when present, must list ``classes`` distinct strings.
     Anything else raises ParseError naming the file; nothing is allocated
     from the meta sizes.
-
-    A ``posehar-classifier/1`` archive also holds a bias ``conv{i}_b`` per
-    conv block, which batch norm cancels. It loads with a warning: each
-    bias, checked like every entry, is folded into its block's running
-    mean, which is exact since conv + b - mean = conv - (mean - b).
     """
-    meta, arrays = read_archive(path, {MODEL_FORMAT, "posehar-classifier/1"})
+    meta, arrays = read_archive(path, MODEL_FORMAT)
     try:
         config = ClassifierConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -667,11 +659,6 @@ def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | No
     params, running = ({name: entry(path, arrays, f"{group}/{name}", shape)
                         for name, shape in shapes.items()}
                        for group, shapes in model_layout(config).items())
-    if meta["format"] != MODEL_FORMAT:
-        log.warning("%s: posehar-classifier/1 model; its conv biases are folded into "
-                    "the batch-norm running means", path)
-        for i, (filters, _) in enumerate(config.conv_blocks):
-            running[f"bn{i}_mean"] -= entry(path, arrays, f"param/conv{i}_b", (filters,))
     no_more(path, arrays)
     if any((value < 0).any() for key, value in running.items() if key.endswith("_var")):
         raise ParseError(f"{path}: a batch-norm running variance is negative")

@@ -37,7 +37,8 @@ from . import evaluate as eval_mod
 from . import io as io_mod
 from . import som as som_mod
 from . import synth as synth_mod
-from .errors import ConfigError, EmptySequence, ParseError, PoseHarError, field_value
+from .errors import (ConfigError, EmptySequence, ParseError, PoseHarError, TooFewSamples,
+                     field_value)
 from .pose import Sample
 from .preprocess import preprocess_sample
 
@@ -225,6 +226,9 @@ def cmd_train(args, config: dict) -> int:
     # Refuse bad settings before any data is read; the sizes stand in for the data's.
     _settings(clf.ClassifierConfig, "classifier", section, channels=1, classes=2)
     records, actions = io_mod.load_embedded_dataset(args.embedded)
+    if len(actions) < 2:
+        raise TooFewSamples(f"{args.embedded}: training needs at least two actions, "
+                            f"the manifest lists {actions}")
     class_of = {a: i for i, a in enumerate(actions)}
     pairs = [(values, class_of[action]) for values, action in records]
     train_idx, val_idx = eval_mod._carve_validation(

@@ -298,10 +298,14 @@ def run_experiment(samples: Sequence[Sample], protocol: Protocol,
 
     Everything fitted (reduction models, libraries, classifier, batch-norm
     statistics) sees training-fold data only; augmentation is applied to the
-    training fold only. A classifier size no machine can allocate is a
-    ConfigError before anything is fitted.
+    training fold only. Samples of a single action are TooFewSamples, and a
+    classifier size no machine can allocate is a ConfigError, before any
+    fold is built.
     """
     actions = sorted({s.action for s in samples})
+    if len(actions) == 1:
+        raise TooFewSamples(f"classifying needs at least two actions; the samples hold "
+                            f"only {actions[0]!r}")
     class_of = {a: i for i, a in enumerate(actions)}
     folds = make_folds(samples, protocol, pipeline.seed)
     tests = [_scored_test(samples, fold, f) for f, fold in enumerate(folds)]

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .embed import EmbeddingChannels
-from .errors import ParseError, UnknownLabel
+from .errors import ParseError, UnknownLabel, is_integer
 from .pose import N_LANDMARKS, ROOT, VIEWPOINTS, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
 
@@ -254,9 +254,12 @@ def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
     absent = [key for key in REQUIRED_LABELS if key not in header]
     if absent:
         raise ParseError(f"{path}: header lacks {', '.join(absent)}")
+    normalized = header.get("normalized", False)
+    if not isinstance(normalized, bool):
+        raise ParseError(f"{path}: normalized must be true or false")
     missing = header.get("persistent_missing", [])
     if not (isinstance(missing, list) and all(
-            isinstance(j, int) and 1 <= j <= N_LANDMARKS and j != ROOT for j in missing)):
+            is_integer(j) and 1 <= j <= N_LANDMARKS and j != ROOT for j in missing)):
         raise ParseError(f"{path}: persistent_missing must list landmarks "
                          f"1..{N_LANDMARKS} other than the root")
     if not rows:
@@ -264,7 +267,7 @@ def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
     triples = _parse_rows(path, rows, 3 * N_LANDMARKS, "frame").reshape(-1, N_LANDMARKS, 3)
     labels = [header.get(key, "") for key in LABELS]
     xy = triples[:, :, :2]
-    if header.get("normalized"):
+    if normalized:
         seq = NormalizedSequence(xy, frozenset(missing))
         return LabeledSequence(seq, *labels)
     return Sample(xy, triples[:, :, 2] != 0, *labels)
@@ -304,7 +307,7 @@ def read_embedding(path: str | os.PathLike) -> tuple[EmbeddingChannels, dict]:
     header, rows = _read_record(path, EMB_MAGIC)
     names = header.pop("channels", None)
     length = header.pop("length", None)
-    if not (names and _strings(names) and isinstance(length, int) and length >= 1):
+    if not (names and _strings(names) and is_integer(length) and length >= 1):
         raise ParseError(f"{path}: header needs channel names and a positive length")
     if len(rows) != len(names):
         raise ParseError(f"{path}: {len(rows)} channel lines for {len(names)} names")

@@ -42,6 +42,10 @@ BUNDLE_FORMAT = "posehar-bundle/3"
 # (N, U) sample-to-unit distances; each epoch's neighborhood kernel spans
 # only the winning units, (min(U, N), U).
 MAX_UNITS = 4096
+# Smallest radius0. Each epoch's kernel divides by -2 * radius ** 2, which
+# underflows to -0.0 once radius0 falls near 1e-162; every kernel entry is
+# then NaN and no unit moves.
+MIN_RADIUS0 = 1e-100
 LIBRARY_KINDS = ("spatial", "temporal")
 LIBRARY_ARRAYS = ("landmarks", "weight", "viewpoint")
 
@@ -52,11 +56,12 @@ class SomConfig:
 
     q is the units-per-side of the m-dimensional lattice. The neighborhood
     radius of epoch e is radius0 * exp(-(e + 1) / epochs), with radius0
-    q / 2 by default. ``init`` is "axes" (units span the leading principal
-    axes of the training data, the default) or "random" (Gaussian draws
-    around the data mean, seeded by ``rng_seed``). m is at most the
-    pose-vector width and the lattice at most ``MAX_UNITS`` units. The
-    constructor refuses what a config file may not hold.
+    q / 2 by default and at least ``MIN_RADIUS0``. ``init`` is "axes"
+    (units span the leading principal axes of the training data, the
+    default) or "random" (Gaussian draws around the data mean, seeded by
+    ``rng_seed``). m is at most the pose-vector width and the lattice at
+    most ``MAX_UNITS`` units. The constructor refuses what a config file
+    may not hold.
     """
 
     q: int = 4
@@ -78,8 +83,8 @@ class SomConfig:
                              f"{MAX_UNITS} units")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.radius0 is not None and not self.radius0 > 0:
-            raise ValueError("radius0 must be positive")
+        if self.radius0 is not None and not self.radius0 >= MIN_RADIUS0:
+            raise ValueError(f"radius0 must be at least {MIN_RADIUS0:g}")
         if self.init not in ("axes", "random"):
             raise ValueError(f"unsupported init {self.init!r}")
 
@@ -316,23 +321,8 @@ def load_bundle(path: str | os.PathLike) -> ModelBundle:
     The archive must hold exactly the libraries the meta lists, each as
     (P, 14, 2) float, (P,) integer and (P,) string arrays. Anything else
     raises ParseError naming the file.
-
-    A ``posehar-bundle/1`` or ``/2`` archive loads with one warning. Its
-    PCA models (``pca/<kind>/*``, /1 only) and ``reduced`` prototypes are
-    dropped after the checks every archive gets, and each (P, 26) float
-    ``full`` entry is read back as landmarks by :func:`posehar.pca.reroll`.
-    Those formats hold no ``landmarks`` entry; one is refused as unexpected.
     """
-    meta, arrays = read_archive(path, {BUNDLE_FORMAT, "posehar-bundle/1", "posehar-bundle/2"})
-    if meta["format"] != BUNDLE_FORMAT:
-        log.warning("%s: %s bundle; only its full prototypes are read", path, meta["format"])
-        no_more(path, {name: a for name, a in arrays.items() if name.endswith("/landmarks")})
-        for name in list(arrays):
-            if name.startswith("pca/") or name.endswith("/reduced"):
-                del arrays[name]
-            elif name.endswith("/full"):
-                arrays[name.removesuffix("full") + "landmarks"] = reroll(
-                    entry(path, arrays, name, (None, FEATURE_DIM)))
+    meta, arrays = read_archive(path, BUNDLE_FORMAT)
     try:
         if not isinstance(meta["config"], dict):
             raise ParseError(f"{path}: meta config must be a JSON object")

@@ -628,7 +628,7 @@ def test_save_load_roundtrip(tmp_path):
         load_model(tmp_path / "junk.npz")
 
 
-def test_first_format_model_loads_with_its_conv_bias_folded(tmp_path, caplog):
+def test_first_format_model_is_refused(tmp_path):
     rng = np.random.default_rng(83)
     data = separable_dataset(rng, n_per_class=2)
     config = ClassifierConfig(**{**TOY, "max_epochs": 2, "batch_size": 4})
@@ -644,27 +644,13 @@ def test_first_format_model_loads_with_its_conv_bias_folded(tmp_path, caplog):
     meta = {"config": asdict(config), "actions": ["still", "wave", "jump"]}
     path = tmp_path / "first.npz"
     write_archive(path, "posehar-classifier/1", meta, arrays)
-
-    with caplog.at_level("WARNING", logger="posehar.classifier"):
-        back, actions = load_model(path)
-    warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-    assert len(warnings) == 1 and "first.npz" in warnings[0].getMessage()
-    assert actions == ["still", "wave", "jump"]
-    assert set(back.params) == set(model.params)
-    series = [s for s, _ in data]
-    np.testing.assert_allclose(predict_proba(back, series), predict_proba(model, series),
-                               rtol=0, atol=1e-12)
-
-    # Each stored bias is an entry like any other, and only /1 may hold one.
-    for fmt, edit in (("posehar-classifier/1", {"param/conv1_b": np.zeros(4)}),
-                      ("posehar-classifier/1", {"param/conv0_b": np.array(["x"] * 4)}),
-                      ("posehar-classifier/2", {})):
-        write_archive(path, fmt, meta, {**arrays, **edit})
-        with pytest.raises(ParseError, match="first.npz"):
-            load_model(path)
-    del arrays["param/conv0_b"]
-    write_archive(path, "posehar-classifier/1", meta, arrays)
-    with pytest.raises(ParseError, match="lacks entry param/conv0_b"):
+    with pytest.raises(ParseError, match="first.npz: format 'posehar-classifier/1' "
+                                         "is not posehar-classifier/2$"):
+        load_model(path)
+    # Tagged as the current format, its conv biases are entries no layout holds.
+    write_archive(path, "posehar-classifier/2", meta, arrays)
+    with pytest.raises(ParseError, match="first.npz: unexpected entries param/conv0_b, "
+                                         "param/conv1_b$"):
         load_model(path)
 
 

@@ -241,7 +241,7 @@ def test_embed_rejects_a_bundle_without_libraries(workdir, tmp_path, capsys, cap
 
 
 def test_predict_rejects_a_pca_entry_in_a_current_bundle(workdir, tmp_path, capsys, caplog):
-    # posehar-bundle/3 stores no PCA model; only a /1 file may carry one.
+    # posehar-bundle/3 stores no PCA model, so a pca entry is unexpected.
     bundle = corrupt_copy(workdir / "bundle.npz", tmp_path / "bundle.npz",
                           lambda arrays: arrays.update({"pca/spatial/mean": np.zeros(26)}))
     norm = sorted((workdir / "norm").glob("*.seq"))[0]
@@ -453,10 +453,11 @@ def test_mismatched_lattice_and_components(workdir, tmp_path):
 
 
 # The batch map has no learning rate: any som.lr0 is an unknown key.
+# A radius0 of 1e-200 once left every map untrained, its kernel all NaN.
 @pytest.mark.parametrize("som", [{"lr0": -1, "radius0": 0}, {"lr0": 0}, {"radius0": -0.5},
-                                 {"lr0": 0.5}],
+                                 {"lr0": 0.5}, {"radius0": 1e-200}],
                          ids=["negative lr0 and zero radius0", "zero lr0", "negative radius0",
-                              "former default lr0"])
+                              "former default lr0", "underflowing radius0"])
 def test_build_libraries_rejects_bad_som_schedule(workdir, tmp_path, caplog, som):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"som": som}))
@@ -572,6 +573,19 @@ def test_train_needs_a_record_to_validate_on(workdir, tmp_path, capsys, caplog):
     assert "validation needs an action with at least two records" in caplog.text
 
 
+def test_train_refuses_a_manifest_of_one_action(workdir, tmp_path, capsys, caplog):
+    # a data problem: it once surfaced as "bad classifier settings", exit 2
+    def squat_only(manifest):
+        manifest["actions"] = ["squat"]
+        manifest["entries"] = [e for e in manifest["entries"] if e["action"] == "squat"]
+
+    code, manifest = run_on_edited_manifest(workdir, tmp_path, squat_only, stage="emb")
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, manifest) and "['squat']" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("fraction", ["nan", "0", "1", "1.5", "-1"])
 def test_train_val_fraction_outside_the_unit_interval_is_a_config_error(tmp_path, capsys,
                                                                         caplog, fraction):
@@ -607,6 +621,19 @@ def test_evaluate_needs_a_record_to_validate_on(tmp_path, capsys, caplog):
     assert capsys.readouterr().out == ""
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == ["validation needs an action with at least two records"]
+
+
+@pytest.mark.parametrize("mode", ["basic", "advanced"])
+def test_evaluate_refuses_a_corpus_of_one_action(tmp_path, capsys, caplog, mode):
+    # it once ended in a ValueError traceback from the classifier settings
+    assert main(["synth", "--out", str(tmp_path / "raw"), "--actors", "3",
+                 "--archetypes", "squat", "--frames", "12"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--protocol", "loao", "--mode", mode,
+                 "--manifest", str(tmp_path / "raw/manifest.json")]) == 3
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "'squat'" in errors[0]
 
 
 def test_unknown_config_key_is_a_config_error(tmp_path, capsys, caplog):

@@ -2,16 +2,15 @@
 
 Each byte mutant of a ``.seq`` record (raw and normalized), an ``.emb``
 record, a detector frame, a manifest, the config file, ``bundle.npz`` or
-``model.npz`` (in the current format, and as a ``posehar-classifier/1``
-model whose conv biases ``load_model`` folds away) is fed to the subcommand
-that reads it, in process. A malformed input must end in a documented exit
-code (0 when the damage is harmless, 2 for configuration, 3 for data), never
-in an uncaught exception.
+``model.npz`` is fed to the subcommand that reads it, in process. A
+malformed input must end in a documented exit code (0 when the damage is
+harmless, 2 for configuration, 3 for data), never in an uncaught exception.
 Entry-level mutants of the archives (an entry dropped, set to NaN, of
-the wrong dtype or shape, an extra entry, model meta sizes no machine could
-allocate, bundle libraries whose arrays disagree, whose root landmark
-leaves the origin or that carry an older format's entries, and bundle meta
-whose action list differs from its library names) are always data errors.
+the wrong dtype or shape, an extra entry, meta tagged with an older format,
+model meta sizes no machine could allocate, bundle libraries whose arrays
+disagree, whose root landmark leaves the origin or that carry an older
+format's entries, and bundle meta whose action list differs from its library
+names) are always data errors.
 """
 
 import json
@@ -89,8 +88,6 @@ def run(tmp_path_factory):
                  str(root / "norm/manifest.json"), "--out", str(root / "embadv")]) == 0
     assert main(config + ["train", "--embedded", str(root / "embadv/manifest.json"),
                           "--out", model]) == 0
-    first = str(root / "archive/model1.npz")
-    write_first_format_model(model, first)
     out = str(root / "out")
     commands = {
         "raw": ["preprocess", "--manifest", str(root / "raw/manifest.json"), "--out", out],
@@ -101,28 +98,10 @@ def run(tmp_path_factory):
         "det": ["ingest", "--manifest", str(root / "det/manifest.json"), "--out", out],
         "config": config + ["build-libraries", "--manifest",
                             str(root / "norm/manifest.json"), "--out", str(root / "b.npz")],
-        **{name: ["predict", "--mode", "advanced", "--bundle", bundle, "--model", path,
-                  "--input", str(root / "raw/00000_wave-one-arm_a00.seq")]
-           for name, path in (("model", model), ("model1", first))},
+        "model": ["predict", "--mode", "advanced", "--bundle", bundle, "--model", model,
+                  "--input", str(root / "raw/00000_wave-one-arm_a00.seq")],
     }
-    assert main(commands["model1"]) == 0
     return root, commands
-
-
-def write_first_format_model(source: str, path: str) -> None:
-    """Rewrite a model as the same network in the posehar-classifier/1
-    layout: a conv bias per block, and running means shifted by it."""
-    with np.load(source) as data:
-        arrays = {key: data[key] for key in data.files}
-    meta = json.loads(str(arrays["meta"]))
-    rng = np.random.default_rng(1)
-    for i, (filters, _) in enumerate(meta["config"]["conv_blocks"]):
-        bias = rng.normal(0.0, 1.0, filters)
-        arrays[f"param/conv{i}_b"] = bias
-        arrays[f"running/bn{i}_mean"] = arrays[f"running/bn{i}_mean"] + bias
-    arrays["meta"] = np.array(json.dumps({**meta, "format": "posehar-classifier/1"}))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
 
 
 # (input file, command that reads it)
@@ -138,8 +117,7 @@ TARGETS = [
     ("config.json", "config"),
 ]
 # (archive, command that reads it)
-ARCHIVES = [("archive/bundle.npz", "model"), ("archive/model.npz", "model"),
-            ("archive/model1.npz", "model1")]
+ARCHIVES = [("archive/bundle.npz", "model"), ("archive/model.npz", "model")]
 BYTE_MUTANTS_PER_ARCHIVE = 30
 
 
@@ -181,6 +159,8 @@ def entry_mutants(arrays: dict):
         yield f"{key} drop", {k: v for k, v in arrays.items() if k != key}
     yield "extra entry", {**arrays, "extra": np.zeros(1)}
     meta = json.loads(str(arrays["meta"]))
+    older = "posehar-bundle/2" if "libraries" in meta else "posehar-classifier/1"
+    yield f"format {older}", {**arrays, "meta": np.array(json.dumps({**meta, "format": older}))}
     if "libraries" in meta:
         lib = f"lib/spatial/{meta['libraries']['spatial'][0]}/"
         landmarks = arrays[lib + "landmarks"]

@@ -447,6 +447,9 @@ LABELS = '"action":"wave","actor":"a1","viewpoint":"front"'
     ("{" + LABELS + ',"normalized":true,"persistent_missing":[15]}', "persistent_missing"),
     ("{" + LABELS + ',"normalized":true,"persistent_missing":["3"]}', "persistent_missing"),
     ("{" + LABELS + ',"normalized":true,"persistent_missing":5}', "persistent_missing"),
+    ("{" + LABELS + ',"normalized":true,"persistent_missing":[true]}', "persistent_missing"),
+    ("{" + LABELS + ',"normalized":"false","persistent_missing":[]}', "normalized must be"),
+    ("{" + LABELS + ',"normalized":1}', "normalized must be"),
 ])
 def test_sequence_record_header_is_checked(tmp_path, header, message):
     path = tmp_path / "bad.seq"
@@ -458,7 +461,7 @@ def test_sequence_record_header_is_checked(tmp_path, header, message):
 @pytest.mark.parametrize("header", [
     '{"channels": [1], "length": 1}', '{"channels": "a", "length": 1}',
     '{"channels": ["a"], "length": 0}', '{"channels": ["a"], "length": "1"}',
-    '{"channels": ["a"], "length": 1, "actor": 7}'])
+    '{"channels": ["a"], "length": 1, "actor": 7}', '{"channels": ["a"], "length": true}'])
 def test_embedding_record_header_is_checked(tmp_path, header):
     path = tmp_path / "bad.emb"
     path.write_text(f"#posehar-emb v1 {header}\n1.0\n")

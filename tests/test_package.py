@@ -1,6 +1,7 @@
 """The package's public namespace and the layout of its source."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +106,21 @@ def test_distance_kernel_takes_differences_from_a_product():
     assert "subtract" not in lines and "matmul" in lines
     assert lines["reduceat"] and lines["divide"]
     assert min(lines["divide"]) > max(lines["reduceat"])
+
+
+def test_each_archive_kind_has_one_format_tag():
+    """A loader reads only the format its writer writes: the one string that
+    names an archive format is the writer's BUNDLE_FORMAT or MODEL_FORMAT."""
+    def is_tag(node) -> bool:
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and re.fullmatch(r"posehar-(bundle|classifier)/\d+", node.value) is not None)
+
+    tags, assigned = [], []
+    for path in sorted(Path(posehar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if is_tag(node):
+                tags.append((path.name, node.value))
+            elif isinstance(node, ast.Assign) and is_tag(node.value):
+                assigned.append((path.name, [target.id for target in node.targets]))
+    assert tags == [("classifier.py", "posehar-classifier/2"), ("som.py", "posehar-bundle/3")]
+    assert assigned == [("classifier.py", ["MODEL_FORMAT"]), ("som.py", ["BUNDLE_FORMAT"])]
