@@ -49,14 +49,11 @@ from .evaluate import (
 )
 from .io import (
     load_dataset,
-    load_embedded_dataset,
     load_manifest,
     load_normalized_dataset,
     read_detector_clip,
-    read_embedding,
     read_normalized,
     read_sample,
-    write_embedding,
     write_manifest,
     write_normalized,
     write_sample,
@@ -142,7 +139,6 @@ __all__ = [
     "init_model",
     "load_bundle",
     "load_dataset",
-    "load_embedded_dataset",
     "load_manifest",
     "load_model",
     "load_normalized_dataset",
@@ -156,7 +152,6 @@ __all__ = [
     "project",
     "quantization_error",
     "read_detector_clip",
-    "read_embedding",
     "read_normalized",
     "read_sample",
     "reroll",
@@ -167,7 +162,6 @@ __all__ = [
     "train_som",
     "treat_missing",
     "unroll",
-    "write_embedding",
     "write_manifest",
     "write_normalized",
     "write_sample",

@@ -630,26 +630,23 @@ def train(config: ClassifierConfig,
 
 
 def save_model(path: str | os.PathLike, model: ClassifierModel,
-               actions: Sequence[str] | None = None) -> None:
+               actions: Sequence[str]) -> None:
     """Write a model as a ``posehar-classifier/2`` archive (see
-    :mod:`posehar.archive`), with the action names when given."""
-    meta = {"config": asdict(model.config)}
-    if actions is not None:
-        meta["actions"] = list(actions)
+    :mod:`posehar.archive`), with the names of its classes."""
+    meta = {"config": asdict(model.config), "actions": list(actions)}
     arrays = {f"param/{key}": value for key, value in model.params.items()}
     arrays.update((f"running/{key}", value) for key, value in model.running.items())
     write_archive(path, MODEL_FORMAT, meta, arrays)
 
 
-def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | None]:
-    """Load a model plus the action-name list stored with it, if any.
+def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str]]:
+    """Load a model plus the action-name list stored with it.
 
     Beyond the checks every archive gets, the meta config must be valid,
     the archive must hold exactly the entries of :func:`model_layout`, each
     a float array of its shape, no running variance may be negative, and
-    ``actions``, when present, must list ``classes`` distinct strings.
-    Anything else raises ParseError naming the file; nothing is allocated
-    from the meta sizes.
+    ``actions`` must list ``classes`` distinct strings. Anything else raises
+    ParseError naming the file; nothing is allocated from the meta sizes.
     """
     meta, arrays = read_archive(path, MODEL_FORMAT)
     try:
@@ -663,8 +660,7 @@ def load_model(path: str | os.PathLike) -> tuple[ClassifierModel, list[str] | No
     if any((value < 0).any() for key, value in running.items() if key.endswith("_var")):
         raise ParseError(f"{path}: a batch-norm running variance is negative")
     actions = meta.get("actions")
-    if actions is not None and not (
-            isinstance(actions, list) and len(actions) == config.classes
+    if not (isinstance(actions, list) and len(actions) == config.classes
             and all(isinstance(a, str) for a in actions) and len(set(actions)) == len(actions)):
         raise ParseError(f"{path}: actions must list {config.classes} distinct names")
     return ClassifierModel(config, params, running), actions

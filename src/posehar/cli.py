@@ -8,8 +8,7 @@ stages can be run, cached, and inspected independently:
     posehar preprocess       raw records -> normalized records
     posehar augment          normalized records -> expanded training set
     posehar build-libraries  normalized records -> model bundle (.npz)
-    posehar embed            normalized records + bundle -> channel records
-    posehar train            channel records -> classifier model (.npz)
+    posehar train            normalized records (+ bundle) -> classifier (.npz)
     posehar predict          one input -> predicted action
     posehar evaluate         raw records -> protocol scores and confusion
 
@@ -202,20 +201,6 @@ def _libraries(mode: str, bundle_path: str | None) -> tuple[dict | None, dict | 
     return bundle.spatial, bundle.temporal
 
 
-def cmd_embed(args, config: dict) -> int:
-    mode = _mode(args, config, embed_mod.EMBED_MODES)
-    spatial, temporal = _libraries(mode, args.bundle)
-    items, _ = io_mod.load_normalized_dataset(args.manifest)
-
-    def write(path: Path, item) -> None:
-        channels = embed_mod.embed_sequence(item.seq, spatial, temporal, mode)
-        io_mod.write_embedding(path, channels, io_mod.manifest_entry("", item))
-
-    io_mod.write_dataset(args.out, items, write, ".emb")
-    print(f"embedded {len(items)} sequences ({mode}) to {args.out}")
-    return 0
-
-
 def cmd_train(args, config: dict) -> int:
     try:
         val_fraction = eval_mod.check_val_fraction(args.val_fraction)
@@ -225,14 +210,18 @@ def cmd_train(args, config: dict) -> int:
     section = {"rng_seed": seed, **_section(config, "classifier")}
     # Refuse bad settings before any data is read; the sizes stand in for the data's.
     _settings(clf.ClassifierConfig, "classifier", section, channels=1, classes=2)
-    records, actions = io_mod.load_embedded_dataset(args.embedded)
+    mode = _mode(args, config, embed_mod.EMBED_MODES)
+    spatial, temporal = _libraries(mode, args.bundle)
+    items, _ = io_mod.load_normalized_dataset(args.manifest)
+    actions = sorted({item.action for item in items})
     if len(actions) < 2:
-        raise TooFewSamples(f"{args.embedded}: training needs at least two actions, "
-                            f"the manifest lists {actions}")
+        raise TooFewSamples(f"{args.manifest}: training needs at least two actions, "
+                            f"the records hold only {actions}")
     class_of = {a: i for i, a in enumerate(actions)}
-    pairs = [(values, class_of[action]) for values, action in records]
+    pairs = [(embed_mod.embed_sequence(item.seq, spatial, temporal, mode).values,
+              class_of[item.action]) for item in items]
     train_idx, val_idx = eval_mod._carve_validation(
-        list(range(len(pairs))), [action for _, action in records],
+        list(range(len(pairs))), [item.action for item in items],
         val_fraction, np.random.default_rng([seed, 5]))
     train_set = [pairs[i] for i in train_idx]
     val_set = [pairs[i] for i in val_idx]
@@ -249,9 +238,6 @@ def cmd_train(args, config: dict) -> int:
 def _channels_for_input(path: Path, mode: str, bundle_path: str | None,
                         threshold: float) -> np.ndarray:
     """Turn any supported input into a channel matrix for prediction."""
-    if path.suffix == ".emb":
-        channels, _ = io_mod.read_embedding(path)
-        return channels.values
     if path.is_dir():
         xy, present = io_mod.read_detector_clip(path, threshold)
         record = Sample(xy, present, "unknown", "front", "unknown", "")
@@ -275,9 +261,8 @@ def cmd_predict(args, config: dict) -> int:
     series = _channels_for_input(Path(args.input), mode, args.bundle, args.threshold)
     probs = clf.predict_proba(model, [series])[0]
     winner = int(np.argmax(probs))
-    names = actions if actions else [str(i) for i in range(model.config.classes)]
-    result = {"label": names[winner],
-              "probabilities": {names[i]: float(p) for i, p in enumerate(probs)}}
+    result = {"label": actions[winner],
+              "probabilities": {actions[i]: float(p) for i, p in enumerate(probs)}}
     print(json.dumps(result, sort_keys=True, indent=2))
     return 0
 
@@ -357,14 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None, help="lattice dimensions")
     p.add_argument("--epochs", type=int, default=None)
 
-    p = add_parser("embed", cmd_embed, "--manifest", "--out",
-                   help="turn sequences into channel records")
+    p = add_parser("train", cmd_train, "--manifest", "--out",
+                   help="embed normalized records and train the classifier")
     p.add_argument("--bundle")
     p.add_argument("--mode", choices=embed_mod.EMBED_MODES)
-
-    p = add_parser("train", cmd_train, "--out", help="train the classifier on channel records")
-    p.add_argument("--embedded", required=True, metavar="MANIFEST",
-                   help="manifest of embedded records")
     p.add_argument("--val-fraction", type=float, default=0.15)
 
     p = add_parser("predict", cmd_predict, "--model", "--input",

@@ -1,6 +1,6 @@
-"""File formats: detector keypoint exports, records, manifests.
+"""File formats: detector keypoint exports, sequence records, manifests.
 
-Four kinds of input are understood, each by exactly one reader:
+Three kinds of input are understood, each by exactly one reader:
 
 * **Detector clips**: a directory of per-frame JSON files in the common
   18-keypoint export layout, ``{"people": [{"pose_keypoints_2d": [54
@@ -12,8 +12,6 @@ Four kinds of input are understood, each by exactly one reader:
   ``repr`` and parsed by ``np.loadtxt``, which rounds correctly as ``float``
   does, so records round-trip float64 exactly and identical inputs produce
   byte-identical files.
-* **Channel records** (``.emb``): the same codec as sequence records, with
-  a ``#posehar-emb v1`` header naming the channels and one line per channel.
 * **Manifests** (``.json``): the dataset index declaring the action and
   viewpoint vocabularies and one entry per sample with its path and labels.
 
@@ -29,13 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import EmbeddingChannels
 from .errors import ParseError, UnknownLabel, is_integer
 from .pose import N_LANDMARKS, ROOT, VIEWPOINTS, Sample
 from .preprocess import LabeledSequence, NormalizedSequence
 
 SEQ_MAGIC = "#posehar-seq v1"
-EMB_MAGIC = "#posehar-emb v1"
 MANIFEST_FORMAT = "posehar-manifest/1"
 
 # Labels every record and manifest entry carries; ``dataset`` is optional.
@@ -157,21 +153,23 @@ def read_detector_clip(directory: str | os.PathLike,
 
 # --------------------------------------------------------------------------
 # Record codec: a magic word and a JSON header on the first line, then one
-# line of whitespace-separated floats per row (a frame or a channel).
+# line of fourteen ``x y present`` triples per frame.
+
+_ROW_WIDTH = 3 * N_LANDMARKS
 
 
-def _write_record(path: str | os.PathLike, magic: str, header: dict, rows) -> None:
-    lines = [f"{magic} {json.dumps(header, sort_keys=True, separators=(',', ':'))}", *rows]
+def _write_record(path: str | os.PathLike, header: dict, rows) -> None:
+    lines = [f"{SEQ_MAGIC} {json.dumps(header, sort_keys=True, separators=(',', ':'))}", *rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_record(path: Path, magic: str) -> tuple[dict, list[str]]:
-    """The header of a record and its non-blank row lines."""
+def _read_record(path: Path) -> tuple[dict, list[str]]:
+    """The header of a record and its non-blank frame lines."""
     lines = _read_text(path).splitlines()
-    if not lines or not lines[0].startswith(magic + " "):
-        raise ParseError(f"{path}: missing '{magic}' header")
+    if not lines or not lines[0].startswith(SEQ_MAGIC + " "):
+        raise ParseError(f"{path}: missing '{SEQ_MAGIC}' header")
     try:
-        header = json.loads(lines[0][len(magic) + 1 :])
+        header = json.loads(lines[0][len(SEQ_MAGIC) + 1 :])
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad header JSON ({exc})") from exc
     if not isinstance(header, dict):
@@ -182,8 +180,8 @@ def _read_record(path: Path, magic: str) -> tuple[dict, list[str]]:
     return header, [ln for ln in lines[1:] if ln.strip()]
 
 
-def _parse_rows(path: Path, rows: list[str], width: int, unit: str) -> np.ndarray:
-    """Parse ``width`` finite floats per row; errors name the ``unit`` row.
+def _parse_rows(path: Path, rows: list[str]) -> np.ndarray:
+    """Parse 3 * 14 finite floats per row; errors name the frame.
 
     ``np.loadtxt`` parses the rows in C. Like ``float`` it rounds correctly,
     so both give the same bits for every token it reads; ``comments=None``
@@ -196,20 +194,20 @@ def _parse_rows(path: Path, rows: list[str], width: int, unit: str) -> np.ndarra
         values = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         values = None
-    if values is None or values.shape != (len(rows), width):
-        values = np.empty((len(rows), width))
+    if values is None or values.shape != (len(rows), _ROW_WIDTH):
+        values = np.empty((len(rows), _ROW_WIDTH))
         for r, line in enumerate(rows):
             fields = line.split()
-            if len(fields) != width:
+            if len(fields) != _ROW_WIDTH:
                 raise ParseError(
-                    f"{path}, {unit} {r}: expected {width} values, got {len(fields)}")
+                    f"{path}, frame {r}: expected {_ROW_WIDTH} values, got {len(fields)}")
             try:
                 values[r] = [float(f) for f in fields]
             except ValueError as exc:
-                raise ParseError(f"{path}, {unit} {r}: {exc}") from exc
+                raise ParseError(f"{path}, frame {r}: {exc}") from exc
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        raise ParseError(f"{path}, {unit} {int(np.argmin(finite))}: non-finite value")
+        raise ParseError(f"{path}, frame {int(np.argmin(finite))}: non-finite value")
     return values
 
 
@@ -234,7 +232,7 @@ def _format_frame(xy: np.ndarray, present: np.ndarray) -> str:
 def write_sample(path: str | os.PathLike, sample: Sample) -> None:
     """Write a raw sample as a sequence record."""
     header = dict(_labels(sample), normalized=False, persistent_missing=[])
-    _write_record(path, SEQ_MAGIC, header, map(_format_frame, sample.xy, sample.present))
+    _write_record(path, header, map(_format_frame, sample.xy, sample.present))
 
 
 def write_normalized(path: str | os.PathLike, item: LabeledSequence) -> None:
@@ -243,14 +241,13 @@ def write_normalized(path: str | os.PathLike, item: LabeledSequence) -> None:
     header = dict(_labels(item), normalized=True, persistent_missing=missing)
     present = np.ones(N_LANDMARKS, dtype=bool)
     present[[j - 1 for j in missing]] = False
-    _write_record(path, SEQ_MAGIC, header,
-                  (_format_frame(frame, present) for frame in item.seq.xy))
+    _write_record(path, header, (_format_frame(frame, present) for frame in item.seq.xy))
 
 
 def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
     """Read a sequence record as whichever kind its header declares."""
     path = Path(path)
-    header, rows = _read_record(path, SEQ_MAGIC)
+    header, rows = _read_record(path)
     absent = [key for key in REQUIRED_LABELS if key not in header]
     if absent:
         raise ParseError(f"{path}: header lacks {', '.join(absent)}")
@@ -264,7 +261,7 @@ def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
                          f"1..{N_LANDMARKS} other than the root")
     if not rows:
         raise ParseError(f"{path}: record has no frames")
-    triples = _parse_rows(path, rows, 3 * N_LANDMARKS, "frame").reshape(-1, N_LANDMARKS, 3)
+    triples = _parse_rows(path, rows).reshape(-1, N_LANDMARKS, 3)
     labels = [header.get(key, "") for key in LABELS]
     xy = triples[:, :, :2]
     if normalized:
@@ -287,32 +284,6 @@ def read_normalized(path: str | os.PathLike) -> LabeledSequence:
     if isinstance(record, Sample):
         raise ParseError(f"{path}: record is not normalized; use read_sample")
     return record
-
-
-# --------------------------------------------------------------------------
-# Channel records
-
-
-def write_embedding(path: str | os.PathLike, channels: EmbeddingChannels,
-                    labels: dict) -> None:
-    """Write a channel stack: header line, then one line per channel."""
-    header = dict(labels, channels=list(channels.names), length=channels.length)
-    _write_record(path, EMB_MAGIC, header,
-                  (" ".join(repr(float(v)) for v in row) for row in channels.values))
-
-
-def read_embedding(path: str | os.PathLike) -> tuple[EmbeddingChannels, dict]:
-    """Read a channel stack and its label header."""
-    path = Path(path)
-    header, rows = _read_record(path, EMB_MAGIC)
-    names = header.pop("channels", None)
-    length = header.pop("length", None)
-    if not (names and _strings(names) and is_integer(length) and length >= 1):
-        raise ParseError(f"{path}: header needs channel names and a positive length")
-    if len(rows) != len(names):
-        raise ParseError(f"{path}: {len(rows)} channel lines for {len(names)} names")
-    values = _parse_rows(path, rows, length, "channel")
-    return EmbeddingChannels(values, tuple(names)), header
 
 
 # --------------------------------------------------------------------------
@@ -423,14 +394,3 @@ def load_normalized_dataset(manifest_path: str | os.PathLike) -> tuple[list[Labe
     """Load every normalized sequence listed in a manifest."""
     return _load_entries(manifest_path, lambda source, _: _labelled(read_normalized(source)))
 
-
-def load_embedded_dataset(manifest_path: str | os.PathLike
-                          ) -> tuple[list[tuple[np.ndarray, str]], list[str]]:
-    """Load every channel record listed in a manifest as a (values, action)
-    pair, together with the manifest's sorted action vocabulary."""
-    def read(source: Path, entry: dict) -> tuple[tuple[np.ndarray, str], dict]:
-        channels, labels = read_embedding(source)
-        return (channels.values, entry["action"]), labels
-
-    records, manifest = _load_entries(manifest_path, read)
-    return records, sorted(manifest["actions"])

@@ -618,9 +618,10 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(predict_proba(back, series),
                                   predict_proba(model, series))
 
-    save_model(tmp_path / "anon.npz", model)
-    _, no_actions = load_model(tmp_path / "anon.npz")
-    assert no_actions is None
+    # a model names its classes: an archive without them is refused
+    write_model_with_config(tmp_path / "anon.npz")
+    with pytest.raises(ParseError, match="anon.npz: actions must list 3 distinct names"):
+        load_model(tmp_path / "anon.npz")
 
     with open(tmp_path / "junk.npz", "wb") as fh:
         np.savez(fh, x=np.zeros(2))
@@ -657,7 +658,7 @@ def test_first_format_model_is_refused(tmp_path):
 def test_load_model_checks_entries_against_config(tmp_path):
     model = init_model(ClassifierConfig(**TOY))
     path = tmp_path / "model.npz"
-    save_model(path, model)
+    save_model(path, model, ["still", "wave", "jump"])
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     for key, change in (("param/out_w", lambda a: a[:-1]),       # wrong shape
@@ -731,7 +732,8 @@ def test_config_stores_numpy_scalars_as_plain_ones():
 
 
 def write_model_with_config(path, **changes):
-    """A toy model archive whose meta config has ``changes`` applied."""
+    """A toy model archive, without action names, whose meta config has
+    ``changes`` applied."""
     model = init_model(ClassifierConfig(**TOY))
     arrays = {f"param/{key}": value for key, value in model.params.items()}
     arrays.update((f"running/{key}", value) for key, value in model.running.items())

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from posehar.classifier import load_model
 from posehar.cli import main
 from posehar.io import write_dataset, write_manifest, write_sample
 from posehar.som import ModelBundle, save_bundle
@@ -47,13 +48,11 @@ def workdir(tmp_path_factory):
     assert main(base + ["build-libraries",
                         "--manifest", str(root / "aug/manifest.json"),
                         "--out", str(root / "bundle.npz")]) == 0
-    assert main(base + ["embed", "--manifest", str(root / "aug/manifest.json"),
-                        "--out", str(root / "emb")]) == 0
-    assert main(base + ["embed", "--manifest", str(root / "norm/manifest.json"),
-                        "--mode", "advanced", "--bundle", str(root / "bundle.npz"),
-                        "--out", str(root / "embadv")]) == 0
-    assert main(base + ["train", "--embedded", str(root / "emb/manifest.json"),
+    assert main(base + ["train", "--manifest", str(root / "aug/manifest.json"),
                         "--out", str(root / "model.npz")]) == 0
+    assert main(base + ["train", "--manifest", str(root / "norm/manifest.json"),
+                        "--mode", "advanced", "--bundle", str(root / "bundle.npz"),
+                        "--out", str(root / "model-advanced.npz")]) == 0
     return root
 
 
@@ -82,15 +81,11 @@ def test_augment_doubles_with_flips(workdir):
 
 
 def test_embedding_channel_counts(workdir):
-    basic = json.loads((workdir / "emb/manifest.json").read_text())
-    path = workdir / "emb" / basic["entries"][0]["path"]
-    header = json.loads(path.read_text().splitlines()[0].split(" ", 2)[2])
-    assert header["channels"][0] == "pose/01/x"
-    assert len(header["channels"]) == 56
-    advanced = json.loads((workdir / "embadv/manifest.json").read_text())
-    path = workdir / "embadv" / advanced["entries"][0]["path"]
-    header = json.loads(path.read_text().splitlines()[0].split(" ", 2)[2])
-    assert len(header["channels"]) == 56 + 10 * 2
+    basic, actions = load_model(workdir / "model.npz")
+    assert basic.config.channels == 56
+    advanced, advanced_actions = load_model(workdir / "model-advanced.npz")
+    assert advanced.config.channels == 56 + 10 * 2
+    assert actions == advanced_actions == ["squat", "wave-one-arm"]
 
 
 def predict(workdir, capsys, target, extra=()):
@@ -100,11 +95,10 @@ def predict(workdir, capsys, target, extra=()):
     return json.loads(capsys.readouterr().out)
 
 
-def test_predict_accepts_raw_normalized_and_embedded(workdir, capsys):
+def test_predict_accepts_raw_and_normalized(workdir, capsys):
     raw = sorted((workdir / "raw").glob("*.seq"))[0]
     norm = sorted((workdir / "norm").glob("*.seq"))[0]
-    emb = sorted((workdir / "emb").glob("*.emb"))[0]
-    results = [predict(workdir, capsys, p) for p in (raw, norm, emb)]
+    results = [predict(workdir, capsys, p) for p in (raw, norm)]
     for result in results:
         assert set(result) == {"label", "probabilities"}
         assert result["label"] in result["probabilities"]
@@ -127,21 +121,6 @@ def test_predict_rejects_non_finite_record(workdir, tmp_path, capsys, caplog):
     assert code == 3
     assert capsys.readouterr().out == ""
     assert f"{bad}, frame 2: non-finite value" in caplog.text
-
-
-def test_predict_rejects_non_finite_embedding(workdir, tmp_path, capsys, caplog):
-    emb = sorted((workdir / "emb").glob("*.emb"))[0]
-    lines = emb.read_text().splitlines()
-    fields = lines[2].split()
-    fields[0] = "nan"
-    lines[2] = " ".join(fields)
-    bad = tmp_path / "nan.emb"
-    bad.write_text("\n".join(lines) + "\n")
-    code = main(["predict", "--model", str(workdir / "model.npz"),
-                 "--mode", "basic", "--input", str(bad)])
-    assert code == 3
-    assert capsys.readouterr().out == ""
-    assert f"{bad}, channel 1: non-finite value" in caplog.text
 
 
 def corrupt_copy(source: Path, target: Path, edit) -> Path:
@@ -193,14 +172,15 @@ def set_meta(change):
     set_meta(lambda meta: meta["config"].update(attention=False)),
     set_meta(lambda meta: meta["config"].update(batch_size=2.5)),
     set_meta(lambda meta: meta["config"].update(conv_blocks=[[6, 3.5]])),
+    set_meta(lambda meta: meta.pop("actions")),
 ], ids=["garbage", "missing out_w", "nan out_b", "nan bn0_var", "negative bn0_var",
         "huge recurrent_units", "string out_w", "short actions", "attn_v without attention",
-        "fractional batch_size", "fractional conv width"])
+        "fractional batch_size", "fractional conv width", "meta actions dropped"])
 def test_predict_rejects_corrupt_model(workdir, tmp_path, capsys, caplog, edit):
     model = corrupt_copy(workdir / "model.npz", tmp_path / "model.npz", edit)
-    emb = sorted((workdir / "emb").glob("*.emb"))[0]
+    norm = sorted((workdir / "norm").glob("*.seq"))[0]
     code = main(["predict", "--model", str(model), "--mode", "basic",
-                 "--input", str(emb)])
+                 "--input", str(norm)])
     assert code == 3
     assert capsys.readouterr().out == ""
     assert one_line_error(caplog, model)
@@ -217,27 +197,39 @@ def nan_prototypes(arrays):
 @pytest.mark.parametrize("edit", [None, lambda arrays: arrays.pop("lib/spatial/squat/landmarks"),
                                   drop_weight, nan_prototypes],
                          ids=["garbage", "missing entry", "short weight", "nan prototypes"])
-def test_embed_rejects_corrupt_bundle(workdir, tmp_path, capsys, caplog, edit):
+def test_train_rejects_corrupt_bundle(workdir, tmp_path, capsys, caplog, edit):
     bundle = corrupt_copy(workdir / "bundle.npz", tmp_path / "bundle.npz", edit)
-    code = main(["embed", "--manifest", str(workdir / "norm/manifest.json"),
+    code = main(["train", "--manifest", str(workdir / "norm/manifest.json"),
                  "--mode", "advanced", "--bundle", str(bundle),
-                 "--out", str(tmp_path / "e")])
+                 "--out", str(tmp_path / "model.npz")])
     assert code == 3
     assert capsys.readouterr().out == ""
     assert one_line_error(caplog, bundle)
+    assert not (tmp_path / "model.npz").exists()
 
 
-def test_embed_rejects_a_bundle_without_libraries(workdir, tmp_path, capsys, caplog):
+def test_train_rejects_a_bundle_without_libraries(workdir, tmp_path, capsys, caplog):
     # It once saved and loaded, then failed inside the distance kernel.
     bundle = tmp_path / "empty.npz"
     save_bundle(bundle, ModelBundle({}, {}, (), {"pca_components": 3, "som": {}}))
-    code = main(["embed", "--manifest", str(workdir / "norm/manifest.json"),
+    code = main(["train", "--manifest", str(workdir / "norm/manifest.json"),
                  "--mode", "advanced", "--bundle", str(bundle),
-                 "--out", str(tmp_path / "e")])
+                 "--out", str(tmp_path / "model.npz")])
     assert code == 3
     assert capsys.readouterr().out == ""
     assert one_line_error(caplog, bundle)
     assert "needs at least one spatial library" in caplog.text
+
+
+def test_predict_refuses_an_emb_input(workdir, tmp_path, capsys, caplog):
+    # Channel dumps are not an input format; predict reads clips and .seq records.
+    emb = tmp_path / "x.emb"
+    emb.write_text("1.0 2.0 3.0\n4.0 5.0 6.0\n")
+    code = main(["predict", "--model", str(workdir / "model.npz"), "--mode", "basic",
+                 "--input", str(emb)])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, emb)
 
 
 def test_predict_rejects_a_pca_entry_in_a_current_bundle(workdir, tmp_path, capsys, caplog):
@@ -323,16 +315,16 @@ def test_train_rejects_bad_classifier_settings(workdir, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": {"dropout": 2.0}}))
     assert main(["--config", str(config), "train",
-                 "--embedded", str(workdir / "emb/manifest.json"),
+                 "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
 
 
 def test_train_refuses_bad_classifier_settings_before_reading_data(tmp_path, capsys, caplog):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": {"dropout": 2.0}}))
-    # the embedded manifest does not exist: the settings are refused first
+    # the manifest does not exist: the settings are refused first
     assert main(["--config", str(config), "train",
-                 "--embedded", str(tmp_path / "absent.json"),
+                 "--manifest", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
     assert capsys.readouterr().out == ""
     assert "dropout must be in [0, 1)" in caplog.text
@@ -348,7 +340,7 @@ def test_synth_refuses_an_unknown_viewpoint(tmp_path, capsys, caplog):
 
 
 @pytest.mark.parametrize("section, command, flag, records", [
-    ("classifier", "train", "--embedded", "emb"),
+    ("classifier", "train", "--manifest", "norm"),
     ("augment", "augment", "--manifest", "norm"),
     ("som", "build-libraries", "--manifest", "norm"),
 ])
@@ -372,7 +364,7 @@ def test_train_refuses_a_conv_block_that_is_not_two_integers(workdir, tmp_path, 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": {"conv_blocks": blocks}}))
     assert main(["--config", str(config), "train",
-                 "--embedded", str(workdir / "emb/manifest.json"),
+                 "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
     assert "conv_blocks must list (filters, width) integer pairs" in caplog.text
     assert not (tmp_path / "model.npz").exists()
@@ -383,7 +375,7 @@ def test_train_refuses_a_learning_rate_that_is_not_positive(workdir, tmp_path, r
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": {"learning_rate": rate}}))
     assert main(["--config", str(config), "train",
-                 "--embedded", str(workdir / "emb/manifest.json"),
+                 "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
     assert not (tmp_path / "model.npz").exists()
 
@@ -438,9 +430,13 @@ def test_installed_executable_exits_3_for_missing_model(tmp_path):
     assert missing.returncode == 3
 
 
-def test_advanced_embed_requires_bundle(workdir, tmp_path):
-    assert main(["embed", "--manifest", str(workdir / "norm/manifest.json"),
-                 "--mode", "advanced", "--out", str(tmp_path / "e")]) == 2
+def test_advanced_train_requires_bundle(tmp_path, capsys, caplog):
+    # the manifest does not exist: the missing bundle is refused first
+    assert main(["train", "--manifest", str(tmp_path / "absent.json"),
+                 "--mode", "advanced", "--out", str(tmp_path / "model.npz")]) == 2
+    assert capsys.readouterr().out == ""
+    assert "advanced mode needs --bundle" in caplog.text
+    assert "absent.json" not in caplog.text
 
 
 def test_mismatched_lattice_and_components(workdir, tmp_path):
@@ -495,14 +491,15 @@ def stray_byte(path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("case", ["seq", "emb", "manifest", "frame"])
+@pytest.mark.parametrize("case", ["seq", "norm", "manifest", "frame"])
 def test_undecodable_input_is_a_data_error(workdir, tmp_path, capsys, caplog, case):
     raw = shutil.copytree(workdir / "raw", tmp_path / "raw")
-    emb = shutil.copytree(workdir / "emb", tmp_path / "emb")
+    norm = shutil.copytree(workdir / "norm", tmp_path / "norm")
     det = write_detector_dataset(tmp_path / "det")
     damaged, command = {
         "seq": (sorted(raw.glob("*.seq"))[0], ["preprocess", "--manifest", raw / "manifest.json"]),
-        "emb": (sorted(emb.glob("*.emb"))[0], ["train", "--embedded", emb / "manifest.json"]),
+        "norm": (sorted(norm.glob("*.seq"))[0],
+                 ["train", "--mode", "basic", "--manifest", norm / "manifest.json"]),
         "manifest": (raw / "manifest.json", ["preprocess", "--manifest", raw / "manifest.json"]),
         "frame": (det / "clip/frame_0000.json", ["ingest", "--manifest", det / "manifest.json"]),
     }[case]
@@ -527,7 +524,8 @@ def run_on_edited_manifest(workdir, tmp_path, edit, stage="raw"):
     manifest = json.loads((data / "manifest.json").read_text())
     edit(manifest)
     (data / "manifest.json").write_text(json.dumps(manifest))
-    command = ["train", "--embedded"] if stage == "emb" else ["preprocess", "--manifest"]
+    command = (["train", "--mode", "basic", "--manifest"] if stage == "norm"
+               else ["preprocess", "--manifest"])
     code = main([*command, str(data / "manifest.json"), "--out", str(tmp_path / "out")])
     return code, data / "manifest.json"
 
@@ -552,9 +550,9 @@ def test_malformed_manifest_schema_is_a_data_error(workdir, tmp_path, capsys, ca
     assert one_line_error(caplog, manifest)
 
 
-def test_train_rejects_embedded_entry_outside_vocabulary(workdir, tmp_path, capsys, caplog):
+def test_train_rejects_an_entry_outside_vocabulary(workdir, tmp_path, capsys, caplog):
     code, manifest = run_on_edited_manifest(
-        workdir, tmp_path, lambda m: m["entries"][0].update(action="jump"), stage="emb")
+        workdir, tmp_path, lambda m: m["entries"][0].update(action="jump"), stage="norm")
     assert code == 3
     assert capsys.readouterr().out == ""
     assert one_line_error(caplog, manifest)
@@ -567,7 +565,7 @@ def test_train_needs_a_record_to_validate_on(workdir, tmp_path, capsys, caplog):
             firsts.setdefault(entry["action"], entry)
         manifest["entries"] = list(firsts.values())
 
-    code, _ = run_on_edited_manifest(workdir, tmp_path, one_per_action, stage="emb")
+    code, _ = run_on_edited_manifest(workdir, tmp_path, one_per_action, stage="norm")
     assert code == 3
     assert capsys.readouterr().out == ""
     assert "validation needs an action with at least two records" in caplog.text
@@ -579,10 +577,22 @@ def test_train_refuses_a_manifest_of_one_action(workdir, tmp_path, capsys, caplo
         manifest["actions"] = ["squat"]
         manifest["entries"] = [e for e in manifest["entries"] if e["action"] == "squat"]
 
-    code, manifest = run_on_edited_manifest(workdir, tmp_path, squat_only, stage="emb")
+    code, manifest = run_on_edited_manifest(workdir, tmp_path, squat_only, stage="norm")
     assert code == 3
     assert capsys.readouterr().out == ""
     assert one_line_error(caplog, manifest) and "['squat']" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_takes_its_classes_from_its_records(workdir, tmp_path, capsys, caplog):
+    # a vocabulary of two actions once gave a two-class model trained on squat alone
+    def squat_records(manifest):
+        manifest["entries"] = [e for e in manifest["entries"] if e["action"] == "squat"]
+
+    code, manifest = run_on_edited_manifest(workdir, tmp_path, squat_records, stage="norm")
+    assert code == 3
+    assert capsys.readouterr().out == ""
+    assert one_line_error(caplog, manifest) and "'squat'" in caplog.text
     assert not (tmp_path / "out").exists()
 
 
@@ -590,7 +600,7 @@ def test_train_refuses_a_manifest_of_one_action(workdir, tmp_path, capsys, caplo
 def test_train_val_fraction_outside_the_unit_interval_is_a_config_error(tmp_path, capsys,
                                                                         caplog, fraction):
     # the manifest does not exist: the flag is refused before any file is read
-    assert main(["train", "--embedded", str(tmp_path / "absent.json"),
+    assert main(["train", "--manifest", str(tmp_path / "absent.json"),
                  "--val-fraction", fraction, "--out", str(tmp_path / "model.npz")]) == 2
     assert capsys.readouterr().out == ""
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
@@ -759,8 +769,8 @@ def test_train_refuses_a_network_no_machine_can_allocate(workdir, tmp_path, caps
     # sizes whose first array fails to allocate at once
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": classifier}))
-    assert main(["--config", str(config), "train",
-                 "--embedded", str(workdir / "emb/manifest.json"),
+    assert main(["--config", str(config), "train", "--mode", "basic",
+                 "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
     assert capsys.readouterr().out == ""
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

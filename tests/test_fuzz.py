@@ -1,10 +1,10 @@
 """Seeded mutation fuzzing of every input the command line reads.
 
-Each byte mutant of a ``.seq`` record (raw and normalized), an ``.emb``
-record, a detector frame, a manifest, the config file, ``bundle.npz`` or
-``model.npz`` is fed to the subcommand that reads it, in process. A
-malformed input must end in a documented exit code (0 when the damage is
-harmless, 2 for configuration, 3 for data), never in an uncaught exception.
+Each byte mutant of a ``.seq`` record (raw and normalized), a detector
+frame, a manifest, the config file, ``bundle.npz`` or ``model.npz`` is fed
+to the subcommand that reads it, in process. A malformed input must end in
+a documented exit code (0 when the damage is harmless, 2 for configuration,
+3 for data), never in an uncaught exception.
 Entry-level mutants of the archives (an entry dropped, set to NaN, of
 the wrong dtype or shape, an extra entry, meta tagged with an older format,
 model meta sizes no machine could allocate, bundle libraries whose arrays
@@ -77,24 +77,18 @@ def run(tmp_path_factory):
                  "--archetypes", "wave-one-arm,squat", "--frames", "8"]) == 0
     assert main(["preprocess", "--manifest", str(root / "raw/manifest.json"),
                  "--out", str(root / "norm")]) == 0
-    assert main(["embed", "--mode", "basic", "--manifest", str(root / "norm/manifest.json"),
-                 "--out", str(root / "emb")]) == 0
     write_clip(root / "det" / "clip")
     (root / "archive").mkdir()
     bundle, model = str(root / "archive/bundle.npz"), str(root / "archive/model.npz")
     assert main(config + ["build-libraries", "--manifest", str(root / "norm/manifest.json"),
                           "--out", bundle]) == 0
-    assert main(["embed", "--mode", "advanced", "--bundle", bundle, "--manifest",
-                 str(root / "norm/manifest.json"), "--out", str(root / "embadv")]) == 0
-    assert main(config + ["train", "--embedded", str(root / "embadv/manifest.json"),
-                          "--out", model]) == 0
+    assert main(config + ["train", "--mode", "advanced", "--bundle", bundle, "--manifest",
+                          str(root / "norm/manifest.json"), "--out", model]) == 0
     out = str(root / "out")
     commands = {
         "raw": ["preprocess", "--manifest", str(root / "raw/manifest.json"), "--out", out],
-        "norm": ["embed", "--mode", "basic", "--manifest", str(root / "norm/manifest.json"),
-                 "--out", out],
-        "emb": config + ["train", "--embedded", str(root / "emb/manifest.json"),
-                         "--out", str(root / "model.npz")],
+        "norm": config + ["train", "--mode", "basic", "--manifest",
+                          str(root / "norm/manifest.json"), "--out", str(root / "model.npz")],
         "det": ["ingest", "--manifest", str(root / "det/manifest.json"), "--out", out],
         "config": config + ["build-libraries", "--manifest",
                             str(root / "norm/manifest.json"), "--out", str(root / "b.npz")],
@@ -110,8 +104,6 @@ TARGETS = [
     ("raw/manifest.json", "raw"),
     ("norm/00001_wave-one-arm_a01.seq", "norm"),
     ("norm/manifest.json", "norm"),
-    ("emb/00002_squat_a00.emb", "emb"),
-    ("emb/manifest.json", "emb"),
     ("det/clip/frame_0001.json", "det"),
     ("det/manifest.json", "det"),
     ("config.json", "config"),

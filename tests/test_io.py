@@ -5,21 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from posehar.embed import EmbeddingChannels
 from posehar.errors import ParseError, UnknownLabel
 from posehar.io import (
     load_dataset,
-    load_embedded_dataset,
     load_manifest,
     load_normalized_dataset,
     manifest_entry,
     merge_head,
     read_detector_clip,
-    read_embedding,
     read_normalized,
     read_record,
     read_sample,
-    write_embedding,
     write_manifest,
     write_normalized,
     write_sample,
@@ -257,39 +253,6 @@ def test_load_normalized_dataset(tmp_path):
         np.testing.assert_array_equal(back.seq.xy, item.seq.xy)
 
 
-def test_embedding_roundtrip(tmp_path):
-    rng = np.random.default_rng(16)
-    values = rng.normal(0.0, 1.0, (7, 9))
-    names = tuple(f"ch/{i}" for i in range(7))
-    channels = EmbeddingChannels(values, names)
-    path = tmp_path / "x.emb"
-    write_embedding(path, channels, {"action": "wave", "actor": "a1"})
-    back, header = read_embedding(path)
-    np.testing.assert_array_equal(back.values, values)
-    assert back.names == names
-    # format keys are consumed; only the labels come back
-    assert header == {"action": "wave", "actor": "a1"}
-
-    twin = tmp_path / "y.emb"
-    write_embedding(twin, back, {"action": "wave", "actor": "a1"})
-    assert path.read_bytes() == twin.read_bytes()
-
-    bad = tmp_path / "bad.emb"
-    bad.write_text("#posehar-emb v1 {\"channels\": [\"a\"], \"length\": 3}\n1.0 2.0\n")
-    with pytest.raises(ParseError):
-        read_embedding(bad)
-
-
-@pytest.mark.parametrize("value, message", [
-    ("nan", "non-finite value"), ("-inf", "non-finite value"), ("1.0x", "1.0x")])
-def test_read_embedding_rejects_bad_values(tmp_path, value, message):
-    path = tmp_path / "bad.emb"
-    path.write_text("#posehar-emb v1 {\"channels\": [\"a\", \"b\"], \"length\": 2}\n"
-                    f"1.0 2.0\n3.0 {value}\n")
-    with pytest.raises(ParseError, match=f"bad.emb, channel 1: .*{message}"):
-        read_embedding(path)
-
-
 def float_rows(path, rows, width, unit):
     """The row parser before rows went through ``np.loadtxt``: ``split``,
     then ``float`` per token. Kept as the oracle of values and messages."""
@@ -321,12 +284,6 @@ def extreme_floats(rng, count):
 
 def test_records_parse_bit_for_bit_like_float(tmp_path):
     rng = np.random.default_rng(18)
-    values = extreme_floats(rng, 7 * 40).reshape(7, 40)
-    channels = EmbeddingChannels(values, tuple(f"ch/{i}" for i in range(7)))
-    write_embedding(tmp_path / "x.emb", channels, {"action": "wave"})
-    back, _ = read_embedding(tmp_path / "x.emb")
-    assert np.array_equal(back.values.view(np.uint64), values.view(np.uint64))
-
     xy = extreme_floats(rng, 9 * N_LANDMARKS * 2).reshape(9, N_LANDMARKS, 2)
     write_sample(tmp_path / "x.seq", Sample(xy, rng.random((9, N_LANDMARKS)) < 0.8,
                                             "wave", "front", "a1"))
@@ -338,37 +295,25 @@ def test_records_parse_bit_for_bit_like_float(tmp_path):
 # non-ASCII digits (``float`` alone reads them), a comment mark, a decimal
 # comma, hex, non-finite literals and trailing junk.
 TOKENS = ["1_0", "#", "1,5", "0x1p3", "nan", "inf", "-Infinity", "1e999", "1.0x",
-          "\u0661\u0662", "\uff15", "1.5\u0661", "1e-400", "-0.0", "5e-324"]
+          "\u0661\u0662", "\uff15", "1.5\u0661", "1e-400", "-0.0", "5e-324", "\u0661"]
+FRAME = " ".join(["1.0 2.0 1"] * N_LANDMARKS)
+
+
+def with_token(token):
+    """Three frame rows, the second value of the last one replaced by ``token``."""
+    return [FRAME, FRAME, FRAME.replace("2.0", token, 1)]
 
 
 @pytest.mark.parametrize("rows", [
-    *(["1.0 2.0", f"3.0 {token}"] for token in TOKENS),
-    ["# 2.0", "3.0 4.0"],
-    ["1.0 2.0 # 5.0", "3.0 4.0"],
-    ["1 2 3", "4 5 6"],
-    ["1 2", "3 4 5"],
-    ["1 2", "3"],
+    *(with_token(token) for token in TOKENS),
+    ["# " + FRAME.split(" ", 1)[1], FRAME],
+    [FRAME + " # 5.0", FRAME],
+    [FRAME + " 1.0", FRAME + " 1.0"],
+    [FRAME, FRAME + " 1.0"],
+    [FRAME, FRAME.rsplit(" ", 1)[0]],
 ], ids=[*TOKENS, "leading #", "trailing #", "every row too wide", "one row too wide", "one row short"])
-def test_channel_rows_keep_the_float_results_and_messages(tmp_path, rows):
-    path = tmp_path / "t.emb"
-    path.write_text("#posehar-emb v1 {\"channels\": [\"a\", \"b\"], \"length\": 2}\n"
-                    + "\n".join(rows) + "\n", encoding="utf-8")
-    try:
-        want = float_rows(path, rows, 2, "channel")
-    except ParseError as exc:
-        with pytest.raises(ParseError) as got:
-            read_embedding(path)
-        assert str(got.value) == str(exc)
-    else:
-        assert np.array_equal(read_embedding(path)[0].values.view(np.uint64),
-                              want.view(np.uint64))
-
-
-@pytest.mark.parametrize("token", ["1_0", "#", "\u0661", "nan", "1.0x"])
-def test_frame_rows_keep_the_float_results_and_messages(tmp_path, token):
+def test_frame_rows_keep_the_float_results_and_messages(tmp_path, rows):
     header = '#posehar-seq v1 {"action":"wave","actor":"a1","viewpoint":"front"}'
-    rows = [" ".join(["1.0 2.0 1"] * N_LANDMARKS)] * 3
-    rows[2] = rows[2].replace("2.0", token, 1)
     path = tmp_path / "t.seq"
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     try:
@@ -376,20 +321,21 @@ def test_frame_rows_keep_the_float_results_and_messages(tmp_path, token):
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
             read_sample(path)
-        assert str(got.value) == str(exc) and ", frame 2: " in str(exc)
+        assert str(got.value) == str(exc) and ", frame " in str(exc)
     else:
         got = read_sample(path)
-        assert np.array_equal(got.xy.reshape(3, -1), want.reshape(3, N_LANDMARKS, 3)[:, :, :2]
-                              .reshape(3, -1))
+        frames = want.reshape(len(rows), N_LANDMARKS, 3)
+        assert np.array_equal(got.xy.view(np.uint64), frames[:, :, :2].view(np.uint64))
 
 
 def test_every_manifest_kind_rejects_label_disagreement(tmp_path):
     rng = np.random.default_rng(17)
     item = random_normalized(rng)
     write_normalized(tmp_path / "n.seq", item)
-    channels = EmbeddingChannels(rng.normal(0.0, 1.0, (2, 6)), ("a", "b"))
-    write_embedding(tmp_path / "e.emb", channels, manifest_entry("", item))
-    for name, load in (("n.seq", load_normalized_dataset), ("e.emb", load_embedded_dataset)):
+    sample = Sample(rng.normal(0.0, 1.0, (3, N_LANDMARKS, 2)), np.ones((3, N_LANDMARKS), bool),
+                    item.action, item.viewpoint, item.actor, item.dataset)
+    write_sample(tmp_path / "s.seq", sample)
+    for name, load in (("n.seq", load_normalized_dataset), ("s.seq", load_dataset)):
         entry = manifest_entry(name, item)
         write_manifest(tmp_path / "m.json", ["squat", "wave"], ["front", "rear"], [entry])
         load(tmp_path / "m.json")
@@ -399,19 +345,6 @@ def test_every_manifest_kind_rejects_label_disagreement(tmp_path):
                            [dict(entry, **{key: value})])
             with pytest.raises(UnknownLabel, match=name):
                 load(tmp_path / "m.json")
-
-
-def test_load_embedded_dataset(tmp_path):
-    rng = np.random.default_rng(18)
-    values = rng.normal(0.0, 1.0, (2, 5))
-    labels = {"action": "wave", "viewpoint": "front", "actor": "a1", "dataset": ""}
-    write_embedding(tmp_path / "e.emb", EmbeddingChannels(values, ("a", "b")), labels)
-    write_manifest(tmp_path / "m.json", ["still", "wave"], ["front"],
-                   [dict(labels, path="e.emb")])
-    records, actions = load_embedded_dataset(tmp_path / "m.json")
-    assert actions == ["still", "wave"]
-    assert [action for _, action in records] == ["wave"]
-    np.testing.assert_array_equal(records[0][0], values)
 
 
 @pytest.mark.parametrize("edit", [
@@ -456,17 +389,6 @@ def test_sequence_record_header_is_checked(tmp_path, header, message):
     path.write_text(f"#posehar-seq v1 {header}\n" + " ".join(["0.5 0.5 1"] * N_LANDMARKS) + "\n")
     with pytest.raises(ParseError, match=f"bad.seq: .*{message}"):
         read_record(path)
-
-
-@pytest.mark.parametrize("header", [
-    '{"channels": [1], "length": 1}', '{"channels": "a", "length": 1}',
-    '{"channels": ["a"], "length": 0}', '{"channels": ["a"], "length": "1"}',
-    '{"channels": ["a"], "length": 1, "actor": 7}', '{"channels": ["a"], "length": true}'])
-def test_embedding_record_header_is_checked(tmp_path, header):
-    path = tmp_path / "bad.emb"
-    path.write_text(f"#posehar-emb v1 {header}\n1.0\n")
-    with pytest.raises(ParseError, match="bad.emb"):
-        read_embedding(path)
 
 
 def test_undecodable_text_is_a_parse_error(tmp_path):
