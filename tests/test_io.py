@@ -291,11 +291,22 @@ def test_records_parse_bit_for_bit_like_float(tmp_path):
                           xy.view(np.uint64))
 
 
+@pytest.mark.parametrize("value, message", [
+    ("nan", "non-finite value"), ("-inf", "non-finite value"), ("1.0x", "1.0x")])
+def test_read_sample_rejects_bad_values(tmp_path, value, message):
+    path = tmp_path / "bad.seq"
+    row = " ".join(["1.0 2.0 1"] * N_LANDMARKS)
+    path.write_text('#posehar-seq v1 {"action":"wave","actor":"a1","viewpoint":"front"}\n'
+                    f"{row}\n{row.replace('2.0', value, 1)}\n")
+    with pytest.raises(ParseError, match=f"bad.seq, frame 1: .*{message}"):
+        read_sample(path)
+
+
 # Tokens ``float`` and ``np.loadtxt`` may read differently: underscores and
 # non-ASCII digits (``float`` alone reads them), a comment mark, a decimal
 # comma, hex, non-finite literals and trailing junk.
 TOKENS = ["1_0", "#", "1,5", "0x1p3", "nan", "inf", "-Infinity", "1e999", "1.0x",
-          "\u0661\u0662", "\uff15", "1.5\u0661", "1e-400", "-0.0", "5e-324", "\u0661"]
+          "\u0661\u0662", "\uff15", "1.5\u0661", "1e-400", "-0.0", "5e-324"]
 FRAME = " ".join(["1.0 2.0 1"] * N_LANDMARKS)
 
 
@@ -304,6 +315,32 @@ def with_token(token):
     return [FRAME, FRAME, FRAME.replace("2.0", token, 1)]
 
 
+def read_like_float(tmp_path, header, rows, read):
+    """Read ``rows`` under ``header`` with ``read``; the values, or the
+    message, must be those of the ``float`` oracle."""
+    path = tmp_path / "t.seq"
+    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    try:
+        want = float_rows(path, rows, 3 * N_LANDMARKS, "frame")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            read(path)
+        assert str(got.value) == str(exc) and ", frame " in str(exc)
+        return None
+    return read(path), want.reshape(len(rows), N_LANDMARKS, 3)[:, :, :2]
+
+
+@pytest.mark.parametrize("token", ["1_0", "#", "\u0661", "nan", "1.0x"])
+def test_frame_rows_keep_the_float_results_and_messages(tmp_path, token):
+    header = '#posehar-seq v1 {"action":"wave","actor":"a1","viewpoint":"front"}'
+    read = read_like_float(tmp_path, header, with_token(token), read_sample)
+    if read is not None:
+        got, want = read
+        assert np.array_equal(got.xy.view(np.uint64), want.view(np.uint64))
+
+
+# Normalized records are what ``train`` reads, so they take every token and
+# row-width case.
 @pytest.mark.parametrize("rows", [
     *(with_token(token) for token in TOKENS),
     ["# " + FRAME.split(" ", 1)[1], FRAME],
@@ -312,20 +349,13 @@ def with_token(token):
     [FRAME, FRAME + " 1.0"],
     [FRAME, FRAME.rsplit(" ", 1)[0]],
 ], ids=[*TOKENS, "leading #", "trailing #", "every row too wide", "one row too wide", "one row short"])
-def test_frame_rows_keep_the_float_results_and_messages(tmp_path, rows):
-    header = '#posehar-seq v1 {"action":"wave","actor":"a1","viewpoint":"front"}'
-    path = tmp_path / "t.seq"
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-    try:
-        want = float_rows(path, rows, 3 * N_LANDMARKS, "frame")
-    except ParseError as exc:
-        with pytest.raises(ParseError) as got:
-            read_sample(path)
-        assert str(got.value) == str(exc) and ", frame " in str(exc)
-    else:
-        got = read_sample(path)
-        frames = want.reshape(len(rows), N_LANDMARKS, 3)
-        assert np.array_equal(got.xy.view(np.uint64), frames[:, :, :2].view(np.uint64))
+def test_normalized_rows_keep_the_float_results_and_messages(tmp_path, rows):
+    header = ('#posehar-seq v1 {"action":"wave","actor":"a1","normalized":true,'
+              '"viewpoint":"front"}')
+    read = read_like_float(tmp_path, header, rows, read_normalized)
+    if read is not None:
+        got, want = read
+        assert np.array_equal(got.seq.xy.view(np.uint64), want.view(np.uint64))
 
 
 def test_every_manifest_kind_rejects_label_disagreement(tmp_path):
