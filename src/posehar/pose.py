@@ -65,7 +65,7 @@ FLIP_VIEWPOINT = {
 }
 
 # Landmark subsets scored by the embedding stage: the whole body plus the four
-# limbs. The keys are the identifiers used in embedded-channel headers.
+# limbs. The keys are the identifiers used in the channel names.
 SUBSETS = {
     "J": tuple(range(1, N_LANDMARKS + 1)),
     "J_a": (3, 4, 5),     # right arm

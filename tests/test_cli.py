@@ -14,7 +14,8 @@ import pytest
 
 from posehar.classifier import load_model
 from posehar.cli import main
-from posehar.io import write_dataset, write_manifest, write_sample
+from posehar.embed import channel_names
+from posehar.io import SEQ_MAGIC, write_dataset, write_manifest, write_sample
 from posehar.som import ModelBundle, save_bundle
 from posehar.synth import generate_corpus
 
@@ -223,8 +224,13 @@ def test_train_rejects_a_bundle_without_libraries(workdir, tmp_path, capsys, cap
 
 def test_predict_refuses_an_emb_input(workdir, tmp_path, capsys, caplog):
     # Channel dumps are not an input format; predict reads clips and .seq records.
+    # This one is well formed in the retired channel format (a header naming the
+    # basic-mode channels, then one row per channel), which predict once classified.
     emb = tmp_path / "x.emb"
-    emb.write_text("1.0 2.0 3.0\n4.0 5.0 6.0\n")
+    names = channel_names("basic")
+    header = json.dumps({"channels": list(names), "length": 12})
+    rows = [" ".join(["0.5"] * 12)] * len(names)
+    emb.write_text("\n".join([f"{SEQ_MAGIC.replace('seq', 'emb')} {header}", *rows]) + "\n")
     code = main(["predict", "--model", str(workdir / "model.npz"), "--mode", "basic",
                  "--input", str(emb)])
     assert code == 3
@@ -311,12 +317,14 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_train_rejects_bad_classifier_settings(workdir, tmp_path):
+def test_train_rejects_bad_classifier_settings(workdir, tmp_path, caplog):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": {"dropout": 2.0}}))
-    assert main(["--config", str(config), "train",
+    assert main(["--config", str(config), "train", "--mode", "basic",
                  "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
+    assert "dropout must be in [0, 1)" in caplog.text
+    assert not (tmp_path / "model.npz").exists()
 
 
 def test_train_refuses_bad_classifier_settings_before_reading_data(tmp_path, capsys, caplog):
@@ -363,7 +371,7 @@ def test_train_refuses_a_conv_block_that_is_not_two_integers(workdir, tmp_path, 
     # int() once made these a width-3 and a (1, 3) block, and training went on
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": {"conv_blocks": blocks}}))
-    assert main(["--config", str(config), "train",
+    assert main(["--config", str(config), "train", "--mode", "basic",
                  "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
     assert "conv_blocks must list (filters, width) integer pairs" in caplog.text
@@ -371,12 +379,13 @@ def test_train_refuses_a_conv_block_that_is_not_two_integers(workdir, tmp_path, 
 
 
 @pytest.mark.parametrize("rate", [-0.01, 0])
-def test_train_refuses_a_learning_rate_that_is_not_positive(workdir, tmp_path, rate):
+def test_train_refuses_a_learning_rate_that_is_not_positive(workdir, tmp_path, caplog, rate):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": {"learning_rate": rate}}))
-    assert main(["--config", str(config), "train",
+    assert main(["--config", str(config), "train", "--mode", "basic",
                  "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "model.npz")]) == 2
+    assert "learning_rate must be positive" in caplog.text
     assert not (tmp_path / "model.npz").exists()
 
 
