@@ -9,7 +9,7 @@ by both operations.
 
 With ``z`` noised copies per sequence and flipping enabled, a set of N
 sequences grows to 2 * N * (1 + z): flips are applied to the noised copies
-as well as the originals (set ``flip_noised=False`` to flip originals only).
+as well as the originals.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class AugmentConfig:
     z: int = 0
     sigma: float = 0.0
     flip: bool = True
-    flip_noised: bool = True
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -116,6 +115,5 @@ def augment_set(items: Sequence[LabeledSequence],
     for index, item in enumerate(items):
         out.extend(noise(item, config, index))
     if config.flip:
-        base = list(out) if config.flip_noised else list(items)
-        out.extend(flip(item) for item in base)
+        out.extend([flip(item) for item in out])
     return out

@@ -5,8 +5,7 @@ Two branches read the (channels, T) series in parallel:
 * a convolutional branch: stacked blocks of same-padded 1D convolution,
   batch normalization, and ReLU, followed by global average pooling;
 * a recurrent branch: an LSTM summarized by additive attention over the
-  hidden states (or by each sample's last valid hidden state when attention
-  is off).
+  hidden states.
 
 The two summaries are concatenated, passed through dropout (training only,
 inverted scaling) and one affine layer, and normalized by softmax.
@@ -15,9 +14,9 @@ Variable-length batches are padded after each sample's valid steps and carry
 a validity mask. Every part of the network is masked so that padding cannot
 influence any output: block activations are multiplied by the mask,
 batch-norm statistics cover valid positions only, pooling divides by the true
-length, and no head reads the LSTM's padded steps (attention gives them zero
-weight). Training runs Adam on softmax cross-entropy with early stopping on
-validation accuracy.
+length, and attention gives the LSTM's padded steps zero weight. Training
+runs Adam on softmax cross-entropy with early stopping on validation
+accuracy.
 
 All arithmetic is float64.
 """
@@ -34,7 +33,7 @@ from .archive import entry, no_more, read_archive, write_archive
 from .errors import (ConfigError, Diverged, NonFiniteInput, NonFiniteLoss, ParseError,
                      ShapeMismatch, check_settings, is_integer)
 
-MODEL_FORMAT = "posehar-classifier/2"
+MODEL_FORMAT = "posehar-classifier/3"
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
 ADAM_BETA1 = 0.9
@@ -55,13 +54,11 @@ class ClassifierConfig:
     classes: int
     conv_blocks: tuple[tuple[int, int], ...] = ((64, 8), (128, 5), (64, 3))
     recurrent_units: int = 32
-    attention: bool = True
     dropout: float = 0.5
     learning_rate: float = 1e-3
     batch_size: int = 16
     max_epochs: int = 100
     patience: int = 10
-    class_weighting: bool = False
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -156,9 +153,7 @@ def model_layout(config: ClassifierConfig) -> dict[str, dict[str, tuple[int, ...
         cin = filters
     units = config.recurrent_units
     params.update(lstm_wx=(config.channels, 4 * units), lstm_wh=(units, 4 * units),
-                  lstm_b=(4 * units,))
-    if config.attention:
-        params["attn_v"] = (units,)
+                  lstm_b=(4 * units,), attn_v=(units,))
     params.update(out_w=(config.feature_dim, config.classes), out_b=(config.classes,))
     return {"param": params, "running": running}
 
@@ -387,14 +382,8 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
 
     hidden, lstm_cache = _lstm_forward(x, params["lstm_wx"], params["lstm_wh"],
                                        params["lstm_b"])
-    last = (np.arange(len(counts)), counts.astype(np.intp) - 1)
-    if config.attention:
-        scores = hidden @ params["attn_v"]
-        alpha = _masked_softmax(scores, mask)
-        context = (alpha[:, :, None] * hidden).sum(axis=1)
-    else:
-        alpha = None
-        context = hidden[last]
+    alpha = _masked_softmax(hidden @ params["attn_v"], mask)
+    context = (alpha[:, :, None] * hidden).sum(axis=1)
 
     features = np.concatenate([pooled, context], axis=1)
     drop_mask = None
@@ -409,32 +398,21 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
 
-    cache.update(mask=mask, counts=counts, last=last, hidden=hidden, lstm=lstm_cache,
+    cache.update(mask=mask, counts=counts, hidden=hidden, lstm=lstm_cache,
                  alpha=alpha, features=features, drop_mask=drop_mask, pooled_dim=pooled.shape[1])
     return probs, cache
 
 
-def _cross_entropy(probs: np.ndarray, labels: np.ndarray,
-                   class_weights: np.ndarray | None) -> tuple[float, np.ndarray]:
+def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     B = probs.shape[0]
     picked = np.clip(probs[np.arange(B), labels], 1e-300, None)
-    ce = -np.log(picked)
     one_hot = np.zeros_like(probs)
     one_hot[np.arange(B), labels] = 1.0
-    if class_weights is None:
-        loss = float(ce.mean())
-        dlogits = (probs - one_hot) / B
-    else:
-        w = class_weights[labels]
-        total = float(w.sum())
-        loss = float((w * ce).sum() / total)
-        dlogits = (probs - one_hot) * (w / total)[:, None]
-    return loss, dlogits
+    return float((-np.log(picked)).mean()), (probs - one_hot) / B
 
 
 def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
-                  dropout_rng: np.random.Generator | None = None,
-                  class_weights: np.ndarray | None = None):
+                  dropout_rng: np.random.Generator | None = None):
     """Training-mode loss, analytic gradients, and the batch-norm statistics
     of this batch (for the running-average update)."""
     if batch.labels is None:
@@ -442,7 +420,7 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
     config = model.config
     params = model.params
     probs, cache = _forward(model, batch, train=True, dropout_rng=dropout_rng)
-    loss, dlogits = _cross_entropy(probs, batch.labels, class_weights)
+    loss, dlogits = _cross_entropy(probs, batch.labels)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss!r}")
 
@@ -457,16 +435,12 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
 
     # Recurrent branch.
     hidden = cache["hidden"]
-    if config.attention:
-        alpha = cache["alpha"]
-        dalpha = np.einsum("bu,btu->bt", dcontext, hidden)
-        d_hidden = alpha[:, :, None] * dcontext[:, None, :]
-        dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
-        grads["attn_v"] = np.einsum("bt,btu->u", dscores, hidden)
-        d_hidden += dscores[:, :, None] * params["attn_v"][None, None, :]
-    else:
-        d_hidden = np.zeros_like(hidden)
-        d_hidden[cache["last"]] = dcontext
+    alpha = cache["alpha"]
+    dalpha = np.einsum("bu,btu->bt", dcontext, hidden)
+    d_hidden = alpha[:, :, None] * dcontext[:, None, :]
+    dscores = alpha * (dalpha - (dalpha * alpha).sum(axis=1, keepdims=True))
+    grads["attn_v"] = np.einsum("bt,btu->u", dscores, hidden)
+    d_hidden += dscores[:, :, None] * params["attn_v"][None, None, :]
     grads["lstm_wx"], grads["lstm_wh"], grads["lstm_b"] = _lstm_backward(
         d_hidden, hidden, cache["lstm"], params["lstm_wh"])
 
@@ -482,14 +456,12 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
     return loss, grads, cache["batch_stats"]
 
 
-def batch_loss(model: ClassifierModel, batch: PaddedBatch,
-               class_weights: np.ndarray | None = None) -> float:
+def batch_loss(model: ClassifierModel, batch: PaddedBatch) -> float:
     """Training-mode loss without gradients (used by finite differencing)."""
     if batch.labels is None:
         raise ValueError("loss needs labels")
     probs, _ = _forward(model, batch, train=True, dropout_rng=None)
-    loss, _ = _cross_entropy(probs, batch.labels, class_weights)
-    return loss
+    return _cross_entropy(probs, batch.labels)[0]
 
 
 # --------------------------------------------------------------------------
@@ -548,12 +520,6 @@ class _Adam:
             params[key] -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def inverse_frequency_weights(labels: Sequence[int], classes: int) -> np.ndarray:
-    counts = np.bincount(np.asarray(labels, dtype=np.intp), minlength=classes)
-    weights = np.where(counts > 0, len(labels) / (classes * np.maximum(counts, 1)), 0.0)
-    return weights
-
-
 def train(config: ClassifierConfig,
           train_set: Sequence[tuple[np.ndarray, int]],
           val_set: Sequence[tuple[np.ndarray, int]]
@@ -579,10 +545,6 @@ def train(config: ClassifierConfig,
     model = init_model(config)
     optimizer = _Adam(model.params, config.learning_rate)
     rng = np.random.default_rng([config.rng_seed, 1])
-    class_weights = None
-    if config.class_weighting:
-        class_weights = inverse_frequency_weights([y for _, y in train_set],
-                                                  config.classes)
 
     best = {k: v.copy() for k, v in model.params.items()}
     best_running = {k: v.copy() for k, v in model.running.items()}
@@ -596,8 +558,7 @@ def train(config: ClassifierConfig,
             picked = order[start : start + config.batch_size]
             batch = pad_batch([train_set[i][0] for i in picked],
                               [train_set[i][1] for i in picked])
-            loss, grads, stats = loss_and_grad(model, batch, dropout_rng=rng,
-                                               class_weights=class_weights)
+            loss, grads, stats = loss_and_grad(model, batch, dropout_rng=rng)
             optimizer.step(model.params, grads)
             for i, (mean, var) in enumerate(stats):
                 model.running[f"bn{i}_mean"] *= BN_MOMENTUM
@@ -631,7 +592,7 @@ def train(config: ClassifierConfig,
 
 def save_model(path: str | os.PathLike, model: ClassifierModel,
                actions: Sequence[str]) -> None:
-    """Write a model as a ``posehar-classifier/2`` archive (see
+    """Write a model as a ``posehar-classifier/3`` archive (see
     :mod:`posehar.archive`), with the names of its classes."""
     meta = {"config": asdict(model.config), "actions": list(actions)}
     arrays = {f"param/{key}": value for key, value in model.params.items()}

@@ -208,8 +208,10 @@ def cmd_train(args, config: dict) -> int:
         raise ConfigError(f"bad --val-fraction: {exc}") from exc
     seed = _seed(args, config)
     section = {"rng_seed": seed, **_section(config, "classifier")}
-    # Refuse bad settings before any data is read; the sizes stand in for the data's.
-    _settings(clf.ClassifierConfig, "classifier", section, channels=1, classes=2)
+    # Refuse bad settings, and a network no machine can allocate, before any
+    # data is read; the sizes stand in for the data's.
+    clf.init_model(_settings(clf.ClassifierConfig, "classifier", section,
+                             channels=1, classes=2))
     mode = _mode(args, config, embed_mod.EMBED_MODES)
     spatial, temporal = _libraries(mode, args.bundle)
     items, _ = io_mod.load_normalized_dataset(args.manifest)

@@ -93,10 +93,10 @@ def is_integer(value) -> bool:
 
 def field_value(name: str, annotation: str, value):
     """``value`` as a plain Python scalar, under the rule of :func:`check_settings`."""
-    kind = annotation.removesuffix(" | None")
-    if kind not in _TYPES or (value is None and kind != annotation):
+    kinds = _TYPES.get(annotation)
+    if kinds is None:
         return value
-    if not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+    if not isinstance(value, kinds) or (isinstance(value, bool) and annotation != "bool"):
         raise TypeError(f"{name} must be {annotation}, got {value!r}")
     value = value.item() if isinstance(value, np.generic) else value
     if isinstance(value, float) and not np.isfinite(value):
@@ -110,9 +110,8 @@ def check_settings(settings) -> None:
     """The type rule of every settings dataclass, by field annotation: an
     ``int`` is a Python or numpy integer, never a bool; a ``float`` such an
     integer or a finite float; a ``bool`` a Python or numpy bool; a ``str``
-    a str; ``X | None`` also takes None. A wrong type is a TypeError; a
-    non-finite float or a negative ``seed``, ``rng_seed`` or ``actor_seed``
-    is a ValueError.
+    a str. A wrong type is a TypeError; a non-finite float or a negative
+    ``seed``, ``rng_seed`` or ``actor_seed`` is a ValueError.
     Values are stored as plain Python scalars, so settings serialize to JSON."""
     for f in fields(settings):
         value = field_value(f.name, f.type, getattr(settings, f.name))

@@ -15,8 +15,11 @@ Training is Kohonen's batch map (Kohonen, Self-Organizing Maps, 3rd ed.,
 neighborhood-weighted mean of the samples,
 sum_v H[u, v] S_v / sum_v H[u, v] n_v, where S_v and n_v are the sum and
 count of the samples unit v won and H is a Gaussian kernel on the lattice
-whose radius shrinks as radius0 * exp(-(e + 1) / epochs). A unit that no
-winner's neighborhood reaches keeps its weights.
+whose radius shrinks as (q / 2) * exp(-(e + 1) / epochs). The kernel reaches
+every unit: the last epoch's radius is q / (2 exp(1)), and over every legal
+lattice its largest exponent, m (q - 1)^2 / (2 radius^2), is at most 49.9
+(q 4, m 6). Every kernel entry is then at least 2.2e-22, so every unit has
+neighborhood mass and moves.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ BUNDLE_FORMAT = "posehar-bundle/3"
 # (N, U) sample-to-unit distances; each epoch's neighborhood kernel spans
 # only the winning units, (min(U, N), U).
 MAX_UNITS = 4096
-# Smallest radius0. Each epoch's kernel divides by -2 * radius ** 2, which
-# underflows to -0.0 once radius0 falls near 1e-162; every kernel entry is
-# then NaN and no unit moves.
-MIN_RADIUS0 = 1e-100
 LIBRARY_KINDS = ("spatial", "temporal")
 LIBRARY_ARRAYS = ("landmarks", "weight", "viewpoint")
 
@@ -55,8 +54,7 @@ class SomConfig:
     """Lattice geometry and training schedule of one map.
 
     q is the units-per-side of the m-dimensional lattice. The neighborhood
-    radius of epoch e is radius0 * exp(-(e + 1) / epochs), with radius0
-    q / 2 by default and at least ``MIN_RADIUS0``. ``init`` is "axes"
+    radius of epoch e is (q / 2) * exp(-(e + 1) / epochs). ``init`` is "axes"
     (units span the leading principal axes of the training data, the
     default) or "random" (Gaussian draws around the data mean, seeded by
     ``rng_seed``). m is at most the pose-vector width and the lattice at
@@ -67,7 +65,6 @@ class SomConfig:
     q: int = 4
     m: int = 3
     epochs: int = 20
-    radius0: float | None = None
     init: str = "axes"
     rng_seed: int = 0
 
@@ -83,8 +80,6 @@ class SomConfig:
                              f"{MAX_UNITS} units")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.radius0 is not None and not self.radius0 >= MIN_RADIUS0:
-            raise ValueError(f"radius0 must be at least {MIN_RADIUS0:g}")
         if self.init not in ("axes", "random"):
             raise ValueError(f"unsupported init {self.init!r}")
 
@@ -165,11 +160,10 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
     for axis in grid.T:
         diff = axis[:, None] - axis[None, :]
         grid_d2 += diff * diff
-    radius0 = config.radius0 if config.radius0 is not None else config.q / 2.0
     weights = _init_weights(data, grid, config)
     initial = weights.copy()
     for epoch in range(config.epochs):
-        radius = radius0 * np.exp(-(epoch + 1) / config.epochs)
+        radius = config.q / 2.0 * np.exp(-(epoch + 1) / config.epochs)
         best = _squared_distances(data, weights).argmin(axis=1)
         won, sums, counts = _unit_sums(best, data, config.n_units)
         totals = np.column_stack([sums, counts])   # (K, d + 1), K <= min(U, N)
@@ -180,9 +174,7 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
         # the next epoch's winner.
         reached = np.stack([(kernel * total[:, None]).sum(axis=0) for total in totals.T],
                            axis=1)
-        mass = reached[:, -1]
-        moved = mass > 0   # a unit beyond every winner's reach keeps its weights
-        weights[moved] = reached[moved, :-1] / mass[moved, None]
+        weights = reached[:, :-1] / reached[:, -1:]
     return SomFit(weights, _squared_distances(data, weights).argmin(axis=1), initial)
 
 

@@ -134,10 +134,6 @@ def test_augment_set_counts_and_order():
     no_flip = augment_set(items, AugmentConfig(z=2, sigma=0.01, flip=False, rng_seed=0))
     assert len(no_flip) == 3 * (1 + 2)
 
-    originals_only = augment_set(
-        items, AugmentConfig(z=2, sigma=0.01, flip=True, flip_noised=False, rng_seed=0))
-    assert len(originals_only) == 3 * (1 + 2) + 3
-
 
 def test_augment_config_validation():
     with pytest.raises(ValueError):

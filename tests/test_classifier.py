@@ -14,7 +14,6 @@ from posehar.classifier import (
     accuracy,
     batch_loss,
     init_model,
-    inverse_frequency_weights,
     load_model,
     loss_and_grad,
     model_layout,
@@ -77,12 +76,11 @@ def relative_error(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-@pytest.mark.parametrize("attention", [True, False])
-def test_gradients_match_finite_differences(attention):
+@pytest.mark.parametrize("ragged", [True, False])
+def test_gradients_match_finite_differences(ragged):
     rng = np.random.default_rng(71)
-    config = ClassifierConfig(**{**TOY, "attention": attention})
-    model = init_model(config)
-    batch = toy_batch(rng)
+    model = init_model(ClassifierConfig(**TOY))
+    batch = toy_batch(rng, lengths=(5, 8, 6) if ragged else (6, 6, 6))
     _, grads, _ = loss_and_grad(model, batch)
 
     h = 1e-6
@@ -103,35 +101,17 @@ def test_gradients_match_finite_differences(attention):
                 f"{key}[{idx}]: analytic {flat_grad[idx]}, numeric {numeric}"
 
 
-@pytest.mark.parametrize("attention", [True, False])
-def test_every_parameter_moves_the_loss(attention):
+@pytest.mark.parametrize("ragged", [True, False])
+def test_every_parameter_moves_the_loss(ragged):
     # A parameter whose gradient is rounding noise (a conv bias ahead of
     # batch norm gave about 1e-17 here) is dead weight in the layout.
-    config = ClassifierConfig(**{**TOY, "attention": attention})
+    config = ClassifierConfig(**TOY)
     model = init_model(config)
-    _, grads, _ = loss_and_grad(model, toy_batch(np.random.default_rng(71)))
+    batch = toy_batch(np.random.default_rng(71), lengths=(5, 8, 6) if ragged else (6, 6, 6))
+    _, grads, _ = loss_and_grad(model, batch)
     assert set(grads) == set(model_layout(config)["param"])
     for key, grad in grads.items():
         assert np.abs(grad).max() > 1e-10, key
-
-
-def test_gradients_with_class_weights():
-    rng = np.random.default_rng(73)
-    model = init_model(ClassifierConfig(**TOY))
-    batch = toy_batch(rng)
-    weights = np.array([2.0, 0.5, 1.0])
-    _, grads, _ = loss_and_grad(model, batch, class_weights=weights)
-    h = 1e-6
-    flat = model.params["out_w"].reshape(-1)
-    for idx in (0, 3, 7):
-        keep = flat[idx]
-        flat[idx] = keep + h
-        up = batch_loss(model, batch, class_weights=weights)
-        flat[idx] = keep - h
-        down = batch_loss(model, batch, class_weights=weights)
-        flat[idx] = keep
-        numeric = (up - down) / (2 * h)
-        assert relative_error(numeric, grads["out_w"].reshape(-1)[idx]) < 1e-6
 
 
 def reference_lstm(x, mask, wx, wh, b, d_hidden):
@@ -340,14 +320,14 @@ def test_kernels_are_bit_identical_to_the_carry_oracle(kind, B, T):
     assert np.array_equal(dw, want_dw) and dx is None
 
 
-@pytest.mark.parametrize("attention", [True, False])
+@pytest.mark.parametrize("dropout", [True, False])
 @pytest.mark.parametrize("kind", ["full", "ragged", "holed"])
 @pytest.mark.parametrize("B, T", ORACLE_SHAPES)
 def test_training_step_is_bit_identical_to_the_carry_oracle(monkeypatch, kind, B, T,
-                                                            attention):
+                                                            dropout):
     rng = np.random.default_rng([87, B, T])
     config = ClassifierConfig(channels=24, classes=4, conv_blocks=((8, 7), (6, 3)),
-                              recurrent_units=8, attention=attention, dropout=0.3)
+                              recurrent_units=8, dropout=0.3 if dropout else 0.0)
     model = init_model(config)
     mask = oracle_mask(kind, B, T, rng)
     batch = PaddedBatch(rng.normal(0.0, 1.0, (B, 24, T)) * mask[:, None, :], mask,
@@ -436,10 +416,11 @@ def test_padding_cannot_change_anything():
     assert loss_c == loss_b
 
 
-@pytest.mark.parametrize("attention", [True, False])
-def test_eval_outputs_independent_of_batch_padding(attention):
+@pytest.mark.parametrize("dropout", [True, False])
+def test_eval_outputs_independent_of_batch_padding(dropout):
+    # evaluation ignores dropout
     rng = np.random.default_rng(75)
-    config = ClassifierConfig(**{**TOY, "attention": attention})
+    config = ClassifierConfig(**{**TOY, "dropout": 0.5 if dropout else 0.0})
     model = init_model(config)
     model.running["bn0_mean"] = rng.normal(0.0, 0.1, 4)
     model.running["bn0_var"] = rng.uniform(0.5, 1.5, 4)
@@ -539,23 +520,6 @@ def test_train_rejects_non_finite_series():
             assert not isinstance(caught.value, NumericError)
 
 
-def test_class_weighting_option_runs():
-    rng = np.random.default_rng(80)
-    data = separable_dataset(rng, n_per_class=4) + separable_dataset(rng, n_per_class=1)
-    config = ClassifierConfig(**{**TOY, "max_epochs": 2, "class_weighting": True,
-                                 "batch_size": 8})
-    model, history = train(config, data, data[:5])
-    assert len(history) >= 1
-    assert np.isfinite(history[-1]["train_loss"])
-
-
-def test_inverse_frequency_weights():
-    w = inverse_frequency_weights([0, 0, 0, 1], 2)
-    np.testing.assert_allclose(w, [4 / 6, 4 / 2])
-    w = inverse_frequency_weights([0, 0, 1, 1], 3)
-    assert w[2] == 0.0
-
-
 def test_predict_and_accuracy():
     rng = np.random.default_rng(81)
     model = init_model(ClassifierConfig(**TOY))
@@ -646,10 +610,10 @@ def test_first_format_model_is_refused(tmp_path):
     path = tmp_path / "first.npz"
     write_archive(path, "posehar-classifier/1", meta, arrays)
     with pytest.raises(ParseError, match="first.npz: format 'posehar-classifier/1' "
-                                         "is not posehar-classifier/2$"):
+                                         "is not posehar-classifier/3$"):
         load_model(path)
     # Tagged as the current format, its conv biases are entries no layout holds.
-    write_archive(path, "posehar-classifier/2", meta, arrays)
+    write_archive(path, clf.MODEL_FORMAT, meta, arrays)
     with pytest.raises(ParseError, match="first.npz: unexpected entries param/conv0_b, "
                                          "param/conv1_b$"):
         load_model(path)
@@ -710,20 +674,22 @@ def test_config_refuses_ascent_and_negative_seeds(setting):
         "string blocks", "fractional batch_size", "bool units", "int attention",
         "string class_weighting", "string dropout", "bool learning_rate"])
 def test_config_checks_field_types(setting):
-    # int() once turned a width of 3.7 into 3 and [True, "3"] into (1, 3)
+    # int() once turned a width of 3.7 into 3 and [True, "3"] into (1, 3).
+    # attention and class_weighting are deleted settings: any value of
+    # theirs is an unexpected keyword.
     with pytest.raises(TypeError, match=next(iter(setting))):
         ClassifierConfig(channels=3, classes=2, **setting)
 
 
 def test_config_stores_numpy_scalars_as_plain_ones():
     config = ClassifierConfig(channels=np.int64(3), classes=2,
-                              conv_blocks=[(np.int32(4), 3)], attention=np.bool_(False))
-    assert type(config.channels) is int and config.attention is False
+                              conv_blocks=[(np.int32(4), 3)])
+    assert type(config.channels) is int
     assert config.conv_blocks == ((4, 3),) and type(config.conv_blocks[0][0]) is int
-    som = SomConfig(q=np.int64(2), m=np.int32(2), radius0=np.float32(1.5))
-    assert (type(som.q), type(som.m), type(som.radius0)) == (int, int, float)
-    augment = AugmentConfig(z=np.int64(1), sigma=np.float64(0.1), flip=np.bool_(True))
-    assert (type(augment.z), type(augment.sigma), augment.flip) == (int, float, True)
+    som = SomConfig(q=np.int64(2), m=np.int32(2))
+    assert (type(som.q), type(som.m)) == (int, int)
+    augment = AugmentConfig(z=np.int64(1), sigma=np.float32(0.1), flip=np.bool_(False))
+    assert (type(augment.z), type(augment.sigma)) == (int, float) and augment.flip is False
     pipeline = PipelineConfig(som=som, pca_components=np.int64(2), seed=np.uint8(4),
                               classifier={"max_epochs": np.int64(2), "dropout": np.float32(0.5)})
     assert (type(pipeline.pca_components), type(pipeline.seed)) == (int, int)
@@ -737,7 +703,7 @@ def write_model_with_config(path, **changes):
     model = init_model(ClassifierConfig(**TOY))
     arrays = {f"param/{key}": value for key, value in model.params.items()}
     arrays.update((f"running/{key}", value) for key, value in model.running.items())
-    write_archive(path, "posehar-classifier/2",
+    write_archive(path, clf.MODEL_FORMAT,
                   {"config": {**asdict(model.config), **changes}}, arrays)
     return path
 
@@ -745,7 +711,7 @@ def write_model_with_config(path, **changes):
 @pytest.mark.parametrize("changes", [
     {"batch_size": 2.5},                          # once loaded, then failed in predict
     {"conv_blocks": [[4, 3.7], [3, 2]]},          # once loaded as a width-3 block
-    {"attention": "no"},
+    {"attention": "no"},                          # a deleted setting
 ], ids=["fractional batch_size", "fractional conv width", "string attention"])
 def test_load_model_refuses_a_config_field_of_the_wrong_type(tmp_path, changes):
     path = write_model_with_config(tmp_path / "model.npz", **changes)

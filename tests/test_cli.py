@@ -157,10 +157,14 @@ def set_meta(change):
     return set_entry("meta", edit)
 
 
+# A model of the previous format, whose config held the deleted settings.
+retag = set_meta(lambda meta: meta.update(format="posehar-classifier/2"))
+
+
 # Past the first two, each case is an archive np.load reads without
 # complaint: NaN or negative batch-norm statistics, a meta size no machine
-# could allocate, a string parameter, fewer action names than classes, an
-# entry the config does not imply.
+# could allocate, a string parameter, fewer action names than classes, a
+# config key no setting has, an earlier format tag.
 @pytest.mark.parametrize("edit", [
     None,
     lambda arrays: arrays.pop("param/out_w"),
@@ -170,13 +174,15 @@ def set_meta(change):
     set_meta(lambda meta: meta["config"].update(recurrent_units=10**12)),
     set_entry("param/out_w", lambda value: value.astype(str)),
     set_meta(lambda meta: meta.update(actions=meta["actions"][:1])),
-    set_meta(lambda meta: meta["config"].update(attention=False)),
+    set_meta(lambda meta: meta["config"].update(attention=True)),
     set_meta(lambda meta: meta["config"].update(batch_size=2.5)),
     set_meta(lambda meta: meta["config"].update(conv_blocks=[[6, 3.5]])),
     set_meta(lambda meta: meta.pop("actions")),
+    retag,
 ], ids=["garbage", "missing out_w", "nan out_b", "nan bn0_var", "negative bn0_var",
-        "huge recurrent_units", "string out_w", "short actions", "attn_v without attention",
-        "fractional batch_size", "fractional conv width", "meta actions dropped"])
+        "huge recurrent_units", "string out_w", "short actions", "deleted setting in meta",
+        "fractional batch_size", "fractional conv width", "meta actions dropped",
+        "previous format"])
 def test_predict_rejects_corrupt_model(workdir, tmp_path, capsys, caplog, edit):
     model = corrupt_copy(workdir / "model.npz", tmp_path / "model.npz", edit)
     norm = sorted((workdir / "norm").glob("*.seq"))[0]
@@ -185,6 +191,8 @@ def test_predict_rejects_corrupt_model(workdir, tmp_path, capsys, caplog, edit):
     assert code == 3
     assert capsys.readouterr().out == ""
     assert one_line_error(caplog, model)
+    if edit is retag:
+        assert "'posehar-classifier/2' is not posehar-classifier/3" in caplog.text
 
 
 def drop_weight(arrays):
@@ -457,8 +465,9 @@ def test_mismatched_lattice_and_components(workdir, tmp_path):
                  "--out", str(tmp_path / "b.npz")]) == 2
 
 
-# The batch map has no learning rate: any som.lr0 is an unknown key.
-# A radius0 of 1e-200 once left every map untrained, its kernel all NaN.
+# The batch map has no learning rate and its start radius is fixed at q / 2:
+# any som.lr0 or som.radius0 is an unknown key. A radius0 of 1e-200 once left
+# every map untrained, its kernel all NaN.
 @pytest.mark.parametrize("som", [{"lr0": -1, "radius0": 0}, {"lr0": 0}, {"radius0": -0.5},
                                  {"lr0": 0.5}, {"radius0": 1e-200}],
                          ids=["negative lr0 and zero radius0", "zero lr0", "negative radius0",
@@ -470,7 +479,25 @@ def test_build_libraries_rejects_bad_som_schedule(workdir, tmp_path, caplog, som
                  "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "b.npz")]) == 2
     assert not (tmp_path / "b.npz").exists()
+    # A constructor names only its first unexpected keyword.
     assert ("lr0" in caplog.text) == ("lr0" in som)
+    assert ("radius0" in caplog.text) == (next(iter(som)) == "radius0")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("classifier", "attention", True), ("classifier", "class_weighting", False),
+    ("augment", "flip_noised", True), ("som", "radius0", 2.0),
+])
+def test_config_refuses_a_deleted_setting(workdir, tmp_path, capsys, caplog, section, key,
+                                          value):
+    # each value is the one every caller ran before the setting was deleted
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    assert main(["--config", str(config), "evaluate", "--protocol", "loao",
+                 "--manifest", str(workdir / "raw/manifest.json")]) == 2
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and repr(key) in errors[0]
 
 
 def test_evaluate_rejects_mismatched_components_before_any_work(workdir, tmp_path, capsys):
@@ -778,10 +805,14 @@ def test_train_refuses_a_network_no_machine_can_allocate(workdir, tmp_path, caps
     # sizes whose first array fails to allocate at once
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classifier": classifier}))
-    assert main(["--config", str(config), "train", "--mode", "basic",
-                 "--manifest", str(workdir / "norm/manifest.json"),
-                 "--out", str(tmp_path / "model.npz")]) == 2
-    assert capsys.readouterr().out == ""
-    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and f"classifier {setting} too large" in errors[0]
-    assert not (tmp_path / "model.npz").exists()
+    # Advanced mode without a bundle, on an absent manifest, shows that the
+    # size is checked before the bundle or any record is read.
+    for mode, manifest in (("basic", workdir / "norm/manifest.json"),
+                           ("advanced", tmp_path / "absent.json")):
+        caplog.clear()
+        assert main(["--config", str(config), "train", "--mode", mode,
+                     "--manifest", str(manifest), "--out", str(tmp_path / "model.npz")]) == 2
+        assert capsys.readouterr().out == ""
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and f"classifier {setting} too large" in errors[0]
+        assert not (tmp_path / "model.npz").exists()

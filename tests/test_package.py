@@ -1,6 +1,7 @@
 """The package's public namespace and the layout of its source."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -38,7 +39,6 @@ def test_each_owned_call_is_made_by_one_module():
 
 @pytest.mark.parametrize("cls, settings, error, field", [
     (posehar.SomConfig, {"epochs": 2.5}, TypeError, "epochs"),
-    (posehar.SomConfig, {"radius0": float("inf")}, ValueError, "radius0"),
     (posehar.SomConfig, {"q": True}, TypeError, "q"),
     (posehar.AugmentConfig, {"sigma": float("nan"), "z": 1}, ValueError, "sigma"),
     (posehar.AugmentConfig, {"flip": "no"}, TypeError, "flip"),
@@ -47,7 +47,7 @@ def test_each_owned_call_is_made_by_one_module():
     (posehar.Protocol, {"folds": 2.5}, TypeError, "folds"),
     (posehar.PipelineConfig, {"seed": -1}, ValueError, "seed"),
     (posehar.PipelineConfig, {"classifier": {"dropout": 2.0}}, ValueError, "dropout"),
-], ids=["fractional epochs", "infinite radius0", "bool q", "nan sigma", "string flip",
+], ids=["fractional epochs", "bool q", "nan sigma", "string flip",
         "infinite learning_rate", "fractional folds", "negative seed", "classifier dropout"])
 def test_settings_refuse_a_bad_field_at_construction(cls, settings, error, field):
     # each was once accepted from Python and failed later, or wrote NaN
@@ -122,5 +122,28 @@ def test_each_archive_kind_has_one_format_tag():
                 tags.append((path.name, node.value))
             elif isinstance(node, ast.Assign) and is_tag(node.value):
                 assigned.append((path.name, [target.id for target in node.targets]))
-    assert tags == [("classifier.py", "posehar-classifier/2"), ("som.py", "posehar-bundle/3")]
+    assert tags == [("classifier.py", "posehar-classifier/3"), ("som.py", "posehar-bundle/3")]
     assert assigned == [("classifier.py", ["MODEL_FORMAT"]), ("som.py", ["BUNDLE_FORMAT"])]
+
+
+# The settings class of each config section; a section that shares a
+# module's name also answers for that module's public names.
+SECTIONS = {"augment": posehar.AugmentConfig, "som": posehar.SomConfig,
+            "classifier": posehar.ClassifierConfig, "protocol": posehar.Protocol}
+
+
+def test_readme_names_only_settings_and_names_that_exist():
+    """Every `augment.X`, `som.X`, `classifier.X` and `protocol.X` the README
+    names is a field of that section's settings class, or a public name of
+    the module of the same name (`classifier.model_layout`)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)   # fenced blocks
+    pattern = re.compile(r"(?<![\w./])(augment|som|classifier|protocol)\.([A-Za-z_]\w*)")
+    named = {match.groups() for span in re.findall(r"`([^`]+)`", prose)
+             for match in pattern.finditer(span)}
+    assert named, "the README names no setting"
+    stale = sorted(f"{section}.{name}" for section, name in named
+                   if name not in {f.name for f in dataclasses.fields(SECTIONS[section])}
+                   and (name.startswith("_")
+                        or not hasattr(getattr(posehar, section, None), name)))
+    assert stale == [], f"the README names what the code lacks: {stale}"
