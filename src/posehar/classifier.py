@@ -259,10 +259,12 @@ def _bn_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndar
     return dx * mask3, dgamma, dbeta
 
 
-def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
-    """LSTM over (B, C, T) input, giving the hidden states (B, T, U). The
-    cache holds the input, the gates ``act`` (T, 4, B, U; i, f, g, o), the
-    cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new cell.
+def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
+                  train: bool):
+    """LSTM over (B, C, T) input, giving the hidden states (B, T, U). When
+    ``train``, the cache holds the input, the gates ``act`` (T, 4, B, U; i, f,
+    g, o), the cells (T + 1, B, U; ``cells[0]`` zero) and tanh of each new
+    cell; otherwise every step reuses one buffer of each and the cache is None.
 
     Every step updates the state. Padding follows each sample's valid steps,
     so a valid step's state never depends on a padded one."""
@@ -276,17 +278,23 @@ def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     # round differently where a product is subnormal.
     s = np.repeat([0.5, 0.5, 1.0, 0.5], units)
     s_gates, s1_gates = s.reshape(4, 1, units), (1.0 - s).reshape(4, 1, units)
-    act = np.empty((T, 4, B, units))
-    cells = np.zeros((T + 1, B, units))
-    tcs = np.empty((T, B, units))
+    if train:
+        act = np.empty((T, 4, B, units))
+        cells = np.zeros((T + 1, B, units))
+        tcs = np.empty((T, B, units))
+        steps = zip(act, cells[:-1], cells[1:], tcs)
+    else:
+        # The cell is updated in place: each element reads only itself.
+        cell = np.zeros((B, units))
+        steps = [(np.empty((4, B, units)), cell, cell, np.empty((B, units)))] * T
     hidden = np.empty((B, T, units))
     # Each step's pre-activations, and the same memory seen gate-major.
     z = np.empty((B, 4 * units))
     z_gates = z.reshape(B, 4, units).swapaxes(0, 1)
     gi_gg = np.empty((B, units))
     h = np.zeros((B, units))
-    for xw_t, gates, cell, new_cell, tc, h_new in zip(
-            xw.swapaxes(0, 1), act, cells[:-1], cells[1:], tcs, hidden.swapaxes(0, 1)):
+    for xw_t, (gates, cell, new_cell, tc), h_new in zip(
+            xw.swapaxes(0, 1), steps, hidden.swapaxes(0, 1)):
         np.matmul(h, wh, out=z)
         z += xw_t
         z *= s
@@ -300,7 +308,7 @@ def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
         np.tanh(new_cell, out=tc)
         np.multiply(go, tc, out=h_new)
         h = h_new
-    return hidden, (x, act, cells, tcs)
+    return hidden, (x, act, cells, tcs) if train else None
 
 
 def _lstm_backward(d_hidden: np.ndarray, hidden: np.ndarray, cache, wh: np.ndarray):
@@ -348,6 +356,10 @@ def _masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
              dropout_rng: np.random.Generator | None):
+    """Class probabilities and, when ``train``, the cache the backward pass
+    reads (batch-norm uses batch statistics, dropout is applied). Inference
+    keeps only what the next layer reads, returns no cache, and masks
+    ``batch.series`` in place, so its caller must own the batch."""
     config = model.config
     params = model.params
     x = batch.series
@@ -362,26 +374,30 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
     mask3 = mask[:, None, :]
     count = float(mask.sum())
 
-    cache: dict = {"blocks": [], "batch_stats": []}
-    x = x * mask3
+    x = x * mask3 if train else np.multiply(x, mask3, out=x)
+    blocks, batch_stats = [], []
     a = x
     for i in range(len(config.conv_blocks)):
         z, xp = _conv_same(a, params[f"conv{i}_w"])
         if train:
             u, bn_cache, stats = _bn_train(z, params[f"bn{i}_gamma"],
                                            params[f"bn{i}_beta"], mask3, count)
-            cache["batch_stats"].append(stats)
+            batch_stats.append(stats)
         else:
+            del xp   # inference frees each array as soon as nothing reads it
             u = _bn_eval(z, params[f"bn{i}_gamma"], params[f"bn{i}_beta"],
                          model.running[f"bn{i}_mean"], model.running[f"bn{i}_var"])
+        del z
         relu_mask = u > 0
         a = np.where(relu_mask, u, 0.0) * mask3
         if train:
-            cache["blocks"].append((xp, bn_cache, relu_mask))
+            blocks.append((xp, bn_cache, relu_mask))
+        del u, relu_mask
     pooled = a.sum(axis=2) / counts[:, None]   # a is already masked
+    del a
 
     hidden, lstm_cache = _lstm_forward(x, params["lstm_wx"], params["lstm_wh"],
-                                       params["lstm_b"])
+                                       params["lstm_b"], train)
     alpha = _masked_softmax(hidden @ params["attn_v"], mask)
     context = (alpha[:, :, None] * hidden).sum(axis=1)
 
@@ -397,10 +413,11 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
-
-    cache.update(mask=mask, counts=counts, hidden=hidden, lstm=lstm_cache,
-                 alpha=alpha, features=features, drop_mask=drop_mask, pooled_dim=pooled.shape[1])
-    return probs, cache
+    if not train:
+        return probs, None
+    return probs, dict(blocks=blocks, batch_stats=batch_stats, mask=mask, counts=counts,
+                       hidden=hidden, lstm=lstm_cache, alpha=alpha, features=features,
+                       drop_mask=drop_mask, pooled_dim=pooled.shape[1])
 
 
 def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

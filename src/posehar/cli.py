@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -56,11 +58,16 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"bad config: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = sorted(set(payload) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"config {path}: unknown key(s) {', '.join(map(repr, unknown))}; "
-                          f"expected {', '.join(_CONFIG_KEYS)}")
+    _refuse_unknown(f"config {path}", payload, _CONFIG_KEYS)
     return payload
+
+
+def _refuse_unknown(where: str, keys, expected: Sequence[str]) -> None:
+    """A ConfigError naming every key outside ``expected``."""
+    unknown = sorted(set(keys) - set(expected))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+                          f"expected {', '.join(expected)}")
 
 
 def _seed(args, config: dict) -> int:
@@ -90,7 +97,10 @@ def _section(config: dict, name: str, args=None, flags: tuple[str, ...] = ()) ->
 
 def _settings(build, what: str, section: dict, **fixed):
     """``build(**fixed, **section)``: one settings dataclass, or one checked
-    value; a bad key, type or value is a ConfigError."""
+    value; unknown keys (every one named), a bad type or value are a
+    ConfigError."""
+    _refuse_unknown(f"bad {what} settings", section,
+                    [name for name in inspect.signature(build).parameters if name not in fixed])
     try:
         return build(**fixed, **section)
     except (TypeError, ValueError) as exc:
@@ -108,10 +118,13 @@ def _pipeline_config(args, config: dict) -> eval_mod.PipelineConfig:
     seed = _seed(args, config)
     section = _section(config, "som", args, ("q", "m", "epochs"))
     som = _settings(som_mod.SomConfig, "som", {"rng_seed": seed, **section})
+    classifier = _section(config, "classifier")
+    _settings(clf.ClassifierConfig, "classifier", classifier,
+              channels=1, classes=2)   # stand-in sizes, as train checks it
     return _settings(eval_mod.PipelineConfig, "pipeline", {
         "mode": _mode(args, config), "augment": _augment_config(args, config, seed),
         "som": som, "pca_components": config.get("pca_components", som.m),
-        "classifier": _section(config, "classifier"), "seed": seed})
+        "classifier": classifier, "seed": seed})
 
 
 def _protocol(args, config: dict) -> eval_mod.Protocol:

@@ -156,10 +156,6 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
     if data.ndim != 2 or data.shape[0] < 1:
         raise ValueError(f"expected (N, d) training data, got {data.shape}")
     grid = lattice(config.q, config.m)
-    grid_d2 = np.zeros((grid.shape[0], grid.shape[0]))   # squared lattice distances
-    for axis in grid.T:
-        diff = axis[:, None] - axis[None, :]
-        grid_d2 += diff * diff
     weights = _init_weights(data, grid, config)
     initial = weights.copy()
     for epoch in range(config.epochs):
@@ -167,7 +163,13 @@ def train_som(data: np.ndarray, config: SomConfig) -> SomFit:
         best = _squared_distances(data, weights).argmin(axis=1)
         won, sums, counts = _unit_sums(best, data, config.n_units)
         totals = np.column_stack([sums, counts])   # (K, d + 1), K <= min(U, N)
-        kernel = np.exp(grid_d2[won] / (-2.0 * radius * radius))   # (K, U)
+        # Squared lattice distances from the winners only: a (U, U) table
+        # would take 128 MiB at q 4, m 6. Sums of squared integers are exact.
+        won_d2 = np.zeros((won.size, grid.shape[0]))
+        for axis in grid.T:
+            diff = axis[won, None] - axis[None, :]
+            won_d2 += diff * diff
+        kernel = np.exp(won_d2 / (-2.0 * radius * radius))   # (K, U)
         # Added winner by winner along the outer axis rather than by a BLAS
         # product, whose rounding depends on its kernels: units can tie
         # exactly (two winners, a symmetric lattice), and rounding then picks

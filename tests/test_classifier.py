@@ -1,6 +1,7 @@
 """Classifier mechanics: gradients against finite differences, masking,
 training behavior, persistence."""
 
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_lstm_matches_the_per_step_oracle():
     d_hidden = rng.normal(0.0, 1.0, (B, T, units)) * mask[:, :, None]
     d_hidden[np.arange(B), np.array(lengths) - 1] = rng.normal(0.0, 1.0, (B, units))
 
-    hidden, cache = _lstm_forward(x, wx, wh, b)
+    hidden, cache = _lstm_forward(x, wx, wh, b, train=True)
     grads = _lstm_backward(d_hidden, hidden, cache, wh)
     ref_hidden, ref_grads = reference_lstm(x, mask, wx, wh, b, d_hidden)
 
@@ -298,9 +299,12 @@ def test_kernels_are_bit_identical_to_the_carry_oracle(kind, B, T):
     # given no gradient arrives after it.
     valid = np.cumprod(mask, axis=1) == 1.0
     d_hidden = rng.normal(0.0, 1.0, (B, T, units)) * valid[:, :, None]
-    hidden, cache = _lstm_forward(x, wx, wh, b)
+    hidden, cache = _lstm_forward(x, wx, wh, b, train=True)
     want_hidden, want_cache = carry_lstm_forward(x, mask, wx, wh, b)
     assert np.array_equal(hidden[valid], want_hidden[valid])
+    # inference reuses one buffer per step quantity and keeps no cache
+    inferred, no_cache = _lstm_forward(x, wx, wh, b, train=False)
+    assert np.array_equal(inferred, hidden) and no_cache is None
     assert np.array_equal(cache[0], want_cache[0])
     # gates (T, 4, B, U), new cells and their tanh (T, B, U), by sample and step
     for got, want in zip((cache[1], cache[2][1:], cache[3]),
@@ -338,18 +342,22 @@ def test_training_step_is_bit_identical_to_the_carry_oracle(monkeypatch, kind, B
         with pytest.raises(ShapeMismatch, match="ones followed by zeros"):
             loss_and_grad(model, batch, np.random.default_rng(1))
         return
+    # predict_proba pads these again; the longest is T, so its mask is this one
+    series = [s[:, : int(n)] for s, n in zip(batch.series, mask.sum(axis=1))]
     loss, grads, stats = loss_and_grad(model, batch, np.random.default_rng(1))
     probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
+    served = predict_proba(model, series)
     with monkeypatch.context() as patched:
         patched.setattr(clf, "_conv_backward",
                         lambda dy, xp, w, input_grad: carry_conv_backward(dy, xp, w))
         patched.setattr(clf, "_lstm_forward",
-                        lambda x, wx, wh, b: carry_lstm_forward(x, mask, wx, wh, b))
+                        lambda x, wx, wh, b, train: carry_lstm_forward(x, mask, wx, wh, b))
         patched.setattr(clf, "_lstm_backward", lambda d_hidden, hidden, cache, wh:
                         carry_lstm_backward(d_hidden, mask, hidden, cache, wh))
         want_loss, want_grads, want_stats = loss_and_grad(model, batch,
                                                           np.random.default_rng(1))
         want_probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
+        want_served = predict_proba(model, series)
     assert loss == want_loss
     assert grads.keys() == want_grads.keys()
     for key in grads:
@@ -357,6 +365,7 @@ def test_training_step_is_bit_identical_to_the_carry_oracle(monkeypatch, kind, B
     for got, want in zip(stats, want_stats):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     assert np.array_equal(probs, want_probs)
+    assert np.array_equal(served, want_served) and np.array_equal(served, probs)
 
 
 def test_block_zero_input_gradient_is_never_computed(monkeypatch):
@@ -533,6 +542,23 @@ def test_predict_and_accuracy():
     assert predict(model, []).shape == (0,)
     with pytest.raises(ShapeMismatch):
         predict_proba(model, [rng.normal(0.0, 1.0, (4, 5))])
+
+
+def test_predict_proba_keeps_no_training_state():
+    # The serving model's shape: 106 channels, 16 clips of 240 frames. The
+    # forward must not hold the LSTM's step histories, a masked copy of the
+    # batch or every block's padded input, which training alone reads.
+    rng = np.random.default_rng(89)
+    model = init_model(ClassifierConfig(channels=106, classes=8,
+                                        conv_blocks=((32, 7), (32, 3)), recurrent_units=16))
+    series = [rng.normal(0.0, 1.0, (106, 240)) for _ in range(16)]
+    tracemalloc.start()
+    try:
+        predict_proba(model, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 106 * 240 * 8, f"peak {peak} bytes"
 
 
 def test_predict_proba_rejects_non_finite_series():

@@ -479,9 +479,9 @@ def test_build_libraries_rejects_bad_som_schedule(workdir, tmp_path, caplog, som
                  "--manifest", str(workdir / "norm/manifest.json"),
                  "--out", str(tmp_path / "b.npz")]) == 2
     assert not (tmp_path / "b.npz").exists()
-    # A constructor names only its first unexpected keyword.
-    assert ("lr0" in caplog.text) == ("lr0" in som)
-    assert ("radius0" in caplog.text) == (next(iter(som)) == "radius0")
+    # Every unknown key is named, not only the first.
+    for key in ("lr0", "radius0"):
+        assert (repr(key) in caplog.text) == (key in som)
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -498,6 +498,16 @@ def test_config_refuses_a_deleted_setting(workdir, tmp_path, capsys, caplog, sec
     assert capsys.readouterr().out == ""
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and repr(key) in errors[0]
+
+
+@pytest.mark.parametrize("section", ["augment", "som", "classifier", "protocol"])
+def test_config_section_names_every_unknown_key(workdir, tmp_path, caplog, section):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {"zeta": 1, "alpha": 2}}))
+    assert main(["--config", str(config), "evaluate", "--protocol", "loao",
+                 "--manifest", str(workdir / "raw/manifest.json")]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "unknown key(s) 'alpha', 'zeta'" in errors[0]
 
 
 def test_evaluate_rejects_mismatched_components_before_any_work(workdir, tmp_path, capsys):

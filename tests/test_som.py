@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from posehar.som import (
     SomConfig,
     SomFit,
     _init_weights,
+    _squared_distances,
+    _unit_sums,
     build_bundle,
     build_library,
     lattice,
@@ -183,6 +186,51 @@ def test_train_som_matches_batch_map_loops(init, q, m):
         np.testing.assert_allclose(fit.weights, loops.weights, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(fit.initial_weights, loops.initial_weights)
         np.testing.assert_array_equal(fit.assignments, loops.assignments)
+
+
+def batch_map_with_full_table(data, config):
+    """train_som with the whole (U, U) table of squared lattice distances
+    built before the first epoch: the reference for its winner rows."""
+    grid = lattice(config.q, config.m)
+    grid_d2 = np.zeros((grid.shape[0], grid.shape[0]))
+    for axis in grid.T:
+        diff = axis[:, None] - axis[None, :]
+        grid_d2 += diff * diff
+    weights = _init_weights(data, grid, config)
+    for epoch in range(config.epochs):
+        radius = config.q / 2.0 * np.exp(-(epoch + 1) / config.epochs)
+        best = _squared_distances(data, weights).argmin(axis=1)
+        won, sums, counts = _unit_sums(best, data, config.n_units)
+        totals = np.column_stack([sums, counts])
+        kernel = np.exp(grid_d2[won] / (-2.0 * radius * radius))
+        reached = np.stack([(kernel * total[:, None]).sum(axis=0) for total in totals.T],
+                           axis=1)
+        weights = reached[:, :-1] / reached[:, -1:]
+    return weights
+
+
+@pytest.mark.parametrize("q, m", [(4, 3), (3, 2), (2, 4)])
+def test_winner_rows_equal_the_full_lattice_table(q, m):
+    rng = np.random.default_rng([57, q, m])
+    config = SomConfig(q=q, m=m, epochs=4, init="random", rng_seed=5)
+    for n in (1, 9, 120):
+        data = rng.normal(0.0, 1.0, (n, 3))
+        assert np.array_equal(train_som(data, config).weights,
+                              batch_map_with_full_table(data, config))
+
+
+def test_largest_lattice_needs_no_unit_by_unit_table():
+    # A (U, U) table at q 4, m 6 (4096 units) is 128 MiB; the winners' rows
+    # of 9 rows are at most 9 x 4096.
+    config = SomConfig(q=4, m=6, epochs=2, init="random", rng_seed=3)
+    data = np.random.default_rng(58).normal(0.0, 1.0, (9, 6))
+    tracemalloc.start()
+    try:
+        train_som(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"peak {peak} bytes"
 
 
 def test_train_som_rejects_empty_data():
