@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import check_settings
-from .pose import FLIP_VIEWPOINT, MIRROR, N_LANDMARKS, ROOT, Sample
+from .pose import FLIP_VIEWPOINT, MIRROR, N_LANDMARKS, ROOT
 from .preprocess import LabeledSequence, NormalizedSequence
 
 log = logging.getLogger(__name__)
@@ -84,23 +84,6 @@ def noise(item: LabeledSequence, config: AugmentConfig,
         noised = NormalizedSequence(seq.xy + delta, seq.persistent_missing)
         out.append(LabeledSequence(noised, item.action, item.viewpoint,
                                    item.actor, item.dataset))
-    return out
-
-
-def noise_sample(sample: Sample, config: AugmentConfig,
-                 sample_index: int = 0) -> list[Sample]:
-    """Noised copies of a raw sample, for pipelines that skip normalization.
-
-    Only coordinates of landmarks present in the frame are perturbed; here
-    sigma is in the raw coordinate units (pixels, usually).
-    """
-    out: list[Sample] = []
-    for copy_index in range(config.z):
-        rng = np.random.default_rng([config.rng_seed, sample_index, copy_index])
-        delta = rng.normal(0.0, config.sigma, sample.xy.shape)
-        delta[~sample.present] = 0.0
-        out.append(Sample(sample.xy + delta, sample.present, sample.action,
-                          sample.viewpoint, sample.actor, sample.dataset))
     return out
 
 

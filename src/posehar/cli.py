@@ -46,7 +46,7 @@ from .preprocess import preprocess_sample
 log = logging.getLogger(__name__)
 
 # The top-level keys a config file may hold.
-_CONFIG_KEYS = ("seed", "mode", "pca_components", "augment", "som", "classifier", "protocol")
+_CONFIG_KEYS = ("seed", "mode", "augment", "som", "classifier", "protocol")
 
 
 def _load_config(path: str | None) -> dict:
@@ -112,18 +112,21 @@ def _augment_config(args, config: dict, seed: int) -> augment_mod.AugmentConfig:
     return _settings(augment_mod.AugmentConfig, "augment", {"rng_seed": seed, **section})
 
 
-def _pipeline_config(args, config: dict) -> eval_mod.PipelineConfig:
-    """Every setting of an experiment; ``pca_components`` defaults to, and
-    must equal, the lattice dimension ``som.m``."""
-    seed = _seed(args, config)
+def _som_config(args, config: dict, seed: int) -> som_mod.SomConfig:
     section = _section(config, "som", args, ("q", "m", "epochs"))
-    som = _settings(som_mod.SomConfig, "som", {"rng_seed": seed, **section})
+    return _settings(som_mod.SomConfig, "som", {"rng_seed": seed, **section})
+
+
+def _pipeline_config(args, config: dict) -> eval_mod.PipelineConfig:
+    """Every setting of an experiment."""
+    seed = _seed(args, config)
+    som = _som_config(args, config, seed)
     classifier = _section(config, "classifier")
     _settings(clf.ClassifierConfig, "classifier", classifier,
               channels=1, classes=2)   # stand-in sizes, as train checks it
     return _settings(eval_mod.PipelineConfig, "pipeline", {
         "mode": _mode(args, config), "augment": _augment_config(args, config, seed),
-        "som": som, "pca_components": config.get("pca_components", som.m),
+        "som": som, "pca_components": som.m,
         "classifier": classifier, "seed": seed})
 
 
@@ -194,9 +197,9 @@ def cmd_augment(args, config: dict) -> int:
 
 
 def cmd_build_libraries(args, config: dict) -> int:
-    pipeline = _pipeline_config(args, config)
+    som = _som_config(args, config, _seed(args, config))
     items, _ = io_mod.load_normalized_dataset(args.manifest)
-    bundle = som_mod.build_bundle(items, pipeline.pca_components, pipeline.som)
+    bundle = som_mod.build_bundle(items, som.m, som)
     som_mod.save_bundle(args.out, bundle)
     sizes = {a: len(lib) for a, lib in bundle.spatial.items()}
     print(f"bundle written to {args.out}; spatial prototypes per action: {sizes}")
@@ -258,20 +261,13 @@ def _channels_for_input(path: Path, mode: str, bundle_path: str | None,
         record = Sample(xy, present, "unknown", "front", "unknown", "")
     else:
         record = io_mod.read_record(path)
-    if isinstance(record, Sample):
-        if mode == "baseline":
-            return embed_mod.baseline_channels(record).values
-        labeled, _ = preprocess_sample(record)
-    else:
-        if mode == "baseline":
-            raise ConfigError("baseline mode needs a raw record, not a normalized one")
-        labeled = record
+    labeled = preprocess_sample(record)[0] if isinstance(record, Sample) else record
     spatial, temporal = _libraries(mode, bundle_path)
     return embed_mod.embed_sequence(labeled.seq, spatial, temporal, mode).values
 
 
 def cmd_predict(args, config: dict) -> int:
-    mode = _mode(args, config)
+    mode = _mode(args, config, embed_mod.EMBED_MODES)
     model, actions = clf.load_model(args.model)
     series = _channels_for_input(Path(args.input), mode, args.bundle, args.threshold)
     probs = clf.predict_proba(model, [series])[0]
@@ -366,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("predict", cmd_predict, "--model", "--input",
                    help="classify one clip or record")
     p.add_argument("--bundle")
-    p.add_argument("--mode", choices=embed_mod.MODES)
+    p.add_argument("--mode", choices=embed_mod.EMBED_MODES)
     p.add_argument("--threshold", type=float, default=0.0)
 
     p = add_parser("evaluate", cmd_evaluate, "--manifest",

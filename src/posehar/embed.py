@@ -37,7 +37,8 @@ from .som import PoseLibrary
 MISSING_SENTINEL = -1.0
 EMPTY_SUBSET_SENTINEL = 99.0
 
-# The layouts embed_sequence builds, and every layout a model can be fed.
+# The layouts embed_sequence builds, which train and predict take; evaluate
+# also takes the raw-coordinate baseline.
 EMBED_MODES = ("basic", "advanced")
 MODES = (*EMBED_MODES, "baseline")
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_set, noise_sample
+from .augment import AugmentConfig, augment_set
 from .classifier import ClassifierConfig, init_model, predict, train
 from .embed import MODES, baseline_channels, channel_names, embed_sequence
 from .errors import TooFewSamples, check_settings
@@ -370,17 +370,10 @@ def _scored_test(samples: Sequence[Sample], fold: Fold, f: int) -> list[int]:
 
 
 def _baseline_fold(samples, train_idx, val_idx, test_idx, pipeline, class_of):
-    augment = pipeline.augment
-    if augment.flip:
-        log.warning("baseline mode works on raw coordinates; flip augmentation skipped")
-    train_samples = [samples[i] for i in train_idx]
-    if augment.z > 0:
-        extra = []
-        for n, s in enumerate(train_samples):
-            extra.extend(noise_sample(s, augment, n))
-        train_samples = train_samples + extra
-    train_pairs = [(baseline_channels(s).values, class_of[s.action])
-                   for s in train_samples]
+    if pipeline.augment.flip or pipeline.augment.z > 0:
+        log.warning("baseline mode works on raw coordinates; augmentation skipped")
+    train_pairs = [(baseline_channels(samples[i]).values, class_of[samples[i].action])
+                   for i in train_idx]
     val_pairs = [(baseline_channels(samples[i]).values, class_of[samples[i].action])
                  for i in val_idx]
     test_series = [baseline_channels(samples[i]).values for i in test_idx]

@@ -235,12 +235,16 @@ def write_sample(path: str | os.PathLike, sample: Sample) -> None:
     _write_record(path, header, map(_format_frame, sample.xy, sample.present))
 
 
+def _normalized_present(missing: list[int]) -> np.ndarray:
+    """The presence flags of every frame of a normalized record."""
+    return ~np.isin(np.arange(1, N_LANDMARKS + 1), missing)
+
+
 def write_normalized(path: str | os.PathLike, item: LabeledSequence) -> None:
     """Write a preprocessed sample as a sequence record."""
     missing = sorted(item.seq.persistent_missing)
     header = dict(_labels(item), normalized=True, persistent_missing=missing)
-    present = np.ones(N_LANDMARKS, dtype=bool)
-    present[[j - 1 for j in missing]] = False
+    present = _normalized_present(missing)
     _write_record(path, header, (_format_frame(frame, present) for frame in item.seq.xy))
 
 
@@ -265,6 +269,10 @@ def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
     labels = [header.get(key, "") for key in LABELS]
     xy = triples[:, :, :2]
     if normalized:
+        agree = ((triples[:, :, 2] != 0) == _normalized_present(missing)).all(axis=1)
+        if not agree.all():
+            raise ParseError(f"{path}, frame {int(np.argmin(agree))}: presence flags "
+                             f"disagree with persistent_missing {sorted(missing)}")
         seq = NormalizedSequence(xy, frozenset(missing))
         return LabeledSequence(seq, *labels)
     return Sample(xy, triples[:, :, 2] != 0, *labels)

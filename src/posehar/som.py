@@ -271,12 +271,11 @@ class ModelBundle:
     config: dict
 
 
-def build_bundle(items: Sequence[LabeledSequence], n_components: int = 3,
-                 som_config: SomConfig | None = None) -> ModelBundle:
+def build_bundle(items: Sequence[LabeledSequence], n_components: int,
+                 som_config: SomConfig) -> ModelBundle:
     """Per kind, fit a PCA model on every frame of that kind and build the
     libraries with it. The models are not kept: embedding compares frames
     with the prototypes' landmarks, never with their projections."""
-    som_config = som_config or SomConfig(m=n_components)
     if som_config.m != n_components:
         raise ValueError("som lattice dimensionality must equal the reduced dimension")
     libraries = {}

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from posehar.augment import AugmentConfig, augment_set, flip, noise, noise_sample
-from posehar.pose import MIRROR, N_LANDMARKS, ROOT, Sample
+from posehar.augment import AugmentConfig, augment_set, flip, noise
+from posehar.pose import MIRROR, N_LANDMARKS, ROOT
 from posehar.preprocess import LabeledSequence, NormalizedSequence
 
 
@@ -78,44 +78,6 @@ def test_noise_magnitude_tracks_sigma():
     delta = copy.seq.xy - item.seq.xy
     moved = np.delete(delta, ROOT - 1, axis=1)
     assert abs(moved.std() - 0.02) < 0.002
-
-
-def test_noise_sample_perturbs_present_coordinates_only():
-    rng = np.random.default_rng(25)
-    xy = rng.normal(200.0, 30.0, (4, N_LANDMARKS, 2))
-    present = np.ones((4, N_LANDMARKS), dtype=bool)
-    present[:, 6] = False
-    sample = Sample(xy, present, "wave", "front", "a1", "demo")
-    config = AugmentConfig(z=2, sigma=1.5, rng_seed=2)
-    copies = noise_sample(sample, config)
-    assert len(copies) == 2
-    for copy in copies:
-        for t in range(4):
-            np.testing.assert_array_equal(copy.xy[t, 6], xy[t, 6])
-            assert not np.array_equal(copy.xy[t, 0], xy[t, 0])
-            np.testing.assert_array_equal(copy.present[t], present[t])
-
-
-def test_noise_sample_matches_per_frame_draws():
-    rng = np.random.default_rng(27)
-    xy = rng.normal(200.0, 30.0, (37, N_LANDMARKS, 2))
-    present = rng.random((37, N_LANDMARKS)) > 0.2
-    sample = Sample(xy, present, "wave", "front", "a1", "demo")
-    config = AugmentConfig(z=3, sigma=2.5, rng_seed=9)
-    copies = noise_sample(sample, config, sample_index=4)
-    assert len(copies) == 3
-    for copy_index, copy in enumerate(copies):
-        # reference: one (14, 2) draw per frame, in frame order
-        draws = np.random.default_rng([9, 4, copy_index])
-        expected = np.empty_like(xy)
-        for t in range(xy.shape[0]):
-            delta = draws.normal(0.0, 2.5, (N_LANDMARKS, 2))
-            delta[~present[t]] = 0.0
-            expected[t] = xy[t] + delta
-        assert np.array_equal(copy.xy, expected)
-        assert np.array_equal(copy.present, present)
-        assert (copy.action, copy.viewpoint, copy.actor, copy.dataset) == (
-            "wave", "front", "a1", "demo")
 
 
 def test_augment_set_counts_and_order():

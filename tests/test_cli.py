@@ -22,7 +22,6 @@ from posehar.synth import generate_corpus
 CONFIG = {
     "seed": 11,
     "mode": "basic",
-    "pca_components": 2,
     "som": {"q": 2, "m": 2, "epochs": 3},
     "augment": {"z": 1, "sigma": 0.01},
     "classifier": {"conv_blocks": [[6, 3]], "recurrent_units": 6,
@@ -107,6 +106,41 @@ def test_predict_accepts_raw_and_normalized(workdir, capsys):
         assert total == pytest.approx(1.0, abs=1e-9)
     # raw and normalized go through the same preprocessing, so they agree
     assert results[0] == results[1]
+
+
+def test_predict_reads_a_detector_clip_as_ingest_writes_it(workdir, tmp_path, capsys):
+    # The wrists fall below the threshold in odd frames, so it decides what
+    # is present; the clip and the record ingest writes from it must agree.
+    det = write_detector_dataset(tmp_path / "det", frames=8)
+    assert main(["ingest", "--manifest", str(det / "manifest.json"),
+                 "--out", str(tmp_path / "raw"), "--threshold", "0.1"]) == 0
+    capsys.readouterr()
+    record = sorted((tmp_path / "raw").glob("*.seq"))[0]
+    for mode, model in (("basic", "model.npz"), ("advanced", "model-advanced.npz")):
+        printed = []
+        for target in (det / "clip", record):
+            assert main(["predict", "--model", str(workdir / model), "--input", str(target),
+                         "--mode", mode, "--bundle", str(workdir / "bundle.npz"),
+                         "--threshold", "0.1"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and json.loads(printed[0])["label"]
+
+
+def test_predict_refuses_baseline_mode(workdir, tmp_path, capsys, caplog):
+    # No model takes the 28 raw-coordinate channels: train makes only basic
+    # and advanced ones.
+    raw = sorted((workdir / "raw").glob("*.seq"))[0]
+    command = ["predict", "--model", str(workdir / "model.npz"), "--input", str(raw)]
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--mode", "baseline"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'baseline'" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "baseline"}))
+    assert main(["--config", str(config), *command]) == 2
+    assert capsys.readouterr().out == ""
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "must be one of basic, advanced" in errors[0]
 
 
 def test_predict_rejects_non_finite_record(workdir, tmp_path, capsys, caplog):
@@ -259,7 +293,7 @@ def test_predict_rejects_a_pca_entry_in_a_current_bundle(workdir, tmp_path, caps
     assert "unexpected entries pca/spatial/mean" in caplog.text
 
 
-def test_evaluate_writes_report(workdir, capsys):
+def test_evaluate_writes_report(workdir, capsys, caplog):
     out = workdir / "report.json"
     code = main(["--config", str(workdir / "config.json"), "evaluate",
                  "--manifest", str(workdir / "raw/manifest.json"),
@@ -272,6 +306,9 @@ def test_evaluate_writes_report(workdir, capsys):
     assert report["actions"] == ["squat", "wave-one-arm"]
     assert report["config"]["mode"] == "baseline"
     assert len(report["per_fold"]) == 3
+    # the config's noise and flip do not apply to raw coordinates
+    assert {r.getMessage() for r in caplog.records if r.levelname == "WARNING"} == {
+        "baseline mode works on raw coordinates; augmentation skipped"}
     assert sum(f["test_samples"] for f in report["per_fold"]) == 6
 
 
@@ -456,13 +493,30 @@ def test_advanced_train_requires_bundle(tmp_path, capsys, caplog):
     assert "absent.json" not in caplog.text
 
 
-def test_mismatched_lattice_and_components(workdir, tmp_path):
+def refused_for_pca_components(caplog) -> bool:
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    return len(errors) == 1 and "unknown key(s) 'pca_components'" in errors[0]
+
+
+def no_reading(*args, **kwargs):
+    raise AssertionError("read data before the config was checked")
+
+
+def test_mismatched_lattice_and_components(workdir, tmp_path, capsys, caplog, monkeypatch):
+    # The reduced dimension is always som.m, so a config naming
+    # pca_components is refused, whether it matches the lattice or not.
+    monkeypatch.setattr("posehar.io.load_normalized_dataset", no_reading)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"som": {"q": 2, "m": 2, "epochs": 2},
-                                  "pca_components": 3}))
-    assert main(["--config", str(config), "build-libraries",
-                 "--manifest", str(workdir / "norm/manifest.json"),
-                 "--out", str(tmp_path / "b.npz")]) == 2
+    for components in (3, 2):
+        caplog.clear()
+        config.write_text(json.dumps({"som": {"q": 2, "m": 2, "epochs": 2},
+                                      "pca_components": components}))
+        assert main(["--config", str(config), "build-libraries",
+                     "--manifest", str(workdir / "norm/manifest.json"),
+                     "--out", str(tmp_path / "b.npz")]) == 2
+        assert capsys.readouterr().out == ""
+        assert refused_for_pca_components(caplog)
+    assert not (tmp_path / "b.npz").exists()
 
 
 # The batch map has no learning rate and its start radius is fixed at q / 2:
@@ -510,21 +564,28 @@ def test_config_section_names_every_unknown_key(workdir, tmp_path, caplog, secti
     assert len(errors) == 1 and "unknown key(s) 'alpha', 'zeta'" in errors[0]
 
 
-def test_evaluate_rejects_mismatched_components_before_any_work(workdir, tmp_path, capsys):
+def test_evaluate_rejects_mismatched_components_before_any_work(workdir, tmp_path, capsys,
+                                                               caplog, monkeypatch):
+    monkeypatch.setattr("posehar.io.load_dataset", no_reading)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"pca_components": 2}))   # som.m defaults to 3
-    # an absent manifest shows that the settings are checked before any data
-    for manifest in (workdir / "raw/manifest.json", tmp_path / "absent.json"):
+    for components in (2, 3):   # som.m defaults to 3
+        caplog.clear()
+        config.write_text(json.dumps({"pca_components": components}))
         assert main(["--config", str(config), "evaluate", "--protocol", "loao",
-                     "--manifest", str(manifest)]) == 2
-    assert capsys.readouterr().out == ""
+                     "--manifest", str(workdir / "raw/manifest.json")]) == 2
+        assert capsys.readouterr().out == ""
+        assert refused_for_pca_components(caplog)
 
 
-def write_detector_dataset(root: Path) -> Path:
+def write_detector_dataset(root: Path, frames: int = 1) -> Path:
+    """One clip of one moving person; both wrists (keypoints 4 and 7) have
+    confidence 0.05 in odd frames, 0.9 like every other keypoint otherwise."""
     (root / "clip").mkdir(parents=True)
-    keypoints = [[10.0 * i, 5.0 * i, 0.9] for i in range(18)]
-    payload = {"people": [{"pose_keypoints_2d": sum(keypoints, [])}]}
-    (root / "clip" / "frame_0000.json").write_text(json.dumps(payload))
+    for t in range(frames):
+        keypoints = [[10.0 * i + 3.0 * t, 5.0 * i + 2.0 * (t % 3),
+                      0.05 if i in (4, 7) and t % 2 else 0.9] for i in range(18)]
+        payload = {"people": [{"pose_keypoints_2d": sum(keypoints, [])}]}
+        (root / "clip" / f"frame_{t:04d}.json").write_text(json.dumps(payload))
     write_manifest(root / "manifest.json", ["wave"], ["front"],
                    [{"path": "clip", "action": "wave", "viewpoint": "front", "actor": "a0"}])
     return root
@@ -781,7 +842,7 @@ def test_lattice_wider_than_the_pose_vector_is_a_config_error(tmp_path, capsys, 
 @pytest.mark.parametrize("command", [["build-libraries"], ["evaluate"]])
 def test_lattice_above_the_unit_cap_is_a_config_error(tmp_path, capsys, caplog, command):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"som": {"q": 4, "m": 20}, "pca_components": 20}))
+    path.write_text(json.dumps({"som": {"q": 4, "m": 20}}))
     # the manifest does not exist: the lattice is refused before any data is read
     assert main(["--config", str(path), *command, "--out", str(tmp_path / "out"),
                  "--manifest", str(tmp_path / "absent.json")]) == 2

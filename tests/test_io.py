@@ -71,6 +71,28 @@ def test_normalized_roundtrip_recomputes_derivatives(tmp_path):
     assert (back.action, back.viewpoint, back.actor) == ("squat", "rear", "a7")
 
 
+# (frame, landmark, flag) edits of a record with landmark 8 persistently
+# missing, and the first frame each leaves disagreeing with that header.
+@pytest.mark.parametrize("edits, first", [
+    ([(t, 5, "0") for t in range(6)], 0),
+    ([(4, 5, "0"), (2, 8, "1")], 2),
+    ([(5, 1, "0")], 5),
+], ids=["landmark 5 absent throughout", "two frames", "root absent"])
+def test_normalized_presence_flags_must_match_persistent_missing(tmp_path, edits, first):
+    # Such flags were once ignored: landmark 5 flagged absent in every frame
+    # read back as present, and train fitted on it.
+    path = tmp_path / "n.seq"
+    write_normalized(path, random_normalized(np.random.default_rng(13), missing=frozenset({8})))
+    header, *rows = path.read_text().splitlines()
+    rows = [row.split() for row in rows]
+    for t, j, flag in edits:
+        rows[t][3 * (j - 1) + 2] = flag
+    path.write_text("\n".join([header, *map(" ".join, rows)]) + "\n")
+    with pytest.raises(ParseError, match=f"n.seq, frame {first}: presence flags disagree "
+                                         r"with persistent_missing \[8\]"):
+        read_record(path)
+
+
 def test_read_record_dispatches_on_header(tmp_path):
     rng = np.random.default_rng(12)
     raw, norm = tmp_path / "raw.seq", tmp_path / "norm.seq"

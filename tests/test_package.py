@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import posehar
+from posehar.cli import _CONFIG_KEYS
 from posehar.pose import N_LANDMARKS, ROOT
 from posehar.preprocess import LabeledSequence, NormalizedSequence
 
@@ -147,3 +148,14 @@ def test_readme_names_only_settings_and_names_that_exist():
                    and (name.startswith("_")
                         or not hasattr(getattr(posehar, section, None), name)))
     assert stale == [], f"the README names what the code lacks: {stale}"
+
+
+def test_readme_config_keys_are_the_command_lines():
+    """The backticked top-level keys the README's ``--config`` paragraph
+    lists are the keys a config file may hold, so a deleted key cannot stay
+    documented."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"`--config file\.json` supplies option defaults \(([^)]*)\)", readme)
+    assert listed, "the README has no --config paragraph"
+    keys = re.findall(r"`([^`]+)`", listed.group(1))
+    assert sorted(keys) == sorted(_CONFIG_KEYS)
