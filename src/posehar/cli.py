@@ -236,8 +236,8 @@ def cmd_train(args, config: dict) -> int:
         raise TooFewSamples(f"{args.manifest}: training needs at least two actions, "
                             f"the records hold only {actions}")
     class_of = {a: i for i, a in enumerate(actions)}
-    pairs = [(embed_mod.embed_sequence(item.seq, spatial, temporal, mode).values,
-              class_of[item.action]) for item in items]
+    embedded = embed_mod.embed_sequences([item.seq for item in items], spatial, temporal, mode)
+    pairs = [(channels.values, class_of[item.action]) for channels, item in zip(embedded, items)]
     train_idx, val_idx = eval_mod._carve_validation(
         list(range(len(pairs))), [item.action for item in items],
         val_fraction, np.random.default_rng([seed, 5]))

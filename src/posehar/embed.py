@@ -37,15 +37,15 @@ from .som import PoseLibrary
 MISSING_SENTINEL = -1.0
 EMPTY_SUBSET_SENTINEL = 99.0
 
-# The layouts embed_sequence builds, which train and predict take; evaluate
+# The layouts embed_sequences builds, which train and predict take; evaluate
 # also takes the raw-coordinate baseline.
 EMBED_MODES = ("basic", "advanced")
 MODES = (*EMBED_MODES, "baseline")
 
-# Frames per pass of the distance kernel. Its (frames, prototypes) rows stay
-# cache-sized; at serving widths 64 measured as fast as 32, and faster than
-# 16 or 128.
-_CHUNK = 64
+# Frames per pass of the distance kernel. Its four live (frames, prototypes)
+# arrays stay cache-sized: at serving widths 32, 48 and 64 measured alike,
+# and 48 was the fastest on evaluation folds; 96 and 128 were slower.
+_CHUNK = 48
 
 
 @dataclass(frozen=True)
@@ -72,20 +72,61 @@ def _available_rows(subset: str, missing: frozenset[int]) -> list[int]:
     return [j - 1 for j in SUBSETS[subset] if j not in missing]
 
 
+def _sum_plan(summed: list[list[int]]) -> tuple[list[tuple], int]:
+    """The per-landmark steps of the distance kernel, and its sum-buffer count.
+
+    ``summed[s]`` lists the ascending rows subset s sums. Each step is
+    ``(row, starts, adds, closes)``: the buffer slots the row's distances
+    start, the slots they are added into, and the ``(subset, slot)`` pairs
+    whose sums are complete after the row. A slot is taken at a subset's
+    first row and freed after its last, so the slot count is the largest
+    number of subsets open at once; a subset of one row reads the distance
+    row itself (slot None) and takes no slot.
+    """
+    plan = []
+    free: list[int] = []
+    slot_of: dict[int, int] = {}
+    n_slots = 0
+    for r in range(N_LANDMARKS):
+        holding = [s for s, rows in enumerate(summed) if r in rows]
+        if not holding:
+            continue
+        opening = [s for s in holding if summed[s][0] == r and len(summed[s]) > 1]
+        for s in opening:
+            if not free:
+                free.append(n_slots)
+                n_slots += 1
+            slot_of[s] = free.pop()
+        adds = [slot_of[s] for s in holding if summed[s][0] != r]
+        closes = [(s, slot_of.get(s)) for s in holding if summed[s][-1] == r]
+        free.extend(slot for _, slot in closes if slot is not None)
+        plan.append((r, [slot_of[s] for s in opening], adds, closes))
+    return plan, n_slots
+
+
 def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
                        missing: frozenset[int]) -> np.ndarray:
     """Subset distances of (F, 14, 2) frames to the nearest prototype of each
     (P_i, 14, 2) prototype block, as (blocks, 5, F).
 
     The blocks are stacked into one (sum P_i) prototype axis with per-block
-    start offsets, and the frames are walked in chunks. Per landmark, in
-    ascending order, one contiguous (chunk, sum P_i) row of Euclidean
-    distances is added into the running sum of every subset holding that
-    landmark; the row is written straight into the sum of a subset it
-    starts. ``np.minimum.reduceat`` takes each block's minimum of a subset's
-    sums, which is then divided by the subset's landmark count. This keeps
-    the float operations of the per-prototype double loop, so every channel
-    equals it bit for bit: keep ``dx**2 + dy**2`` under ``sqrt`` in float64.
+    start offsets, and the frames are walked in chunks. The frames of many
+    sequences can be stacked on the frame axis: each frame's distances are
+    computed on their own, and whether the root gets a pass (below) changes
+    no bit. Per landmark, in ascending order,
+    one contiguous (chunk, sum P_i) row of Euclidean distances is made in
+    place in the first plane of the difference buffer: its ``dx**2`` gets
+    ``dy**2`` added and then its square root taken. The row is copied into
+    the running sum of every subset it starts and added into the sum of
+    every other subset holding that landmark. Once a subset's last landmark
+    is summed, ``np.minimum.reduceat`` takes each block's minimum of its
+    sums, which is then divided by the subset's landmark count, and its sum
+    buffer is reused by the next subset to start (see :func:`_sum_plan`).
+    With the whole body and four disjoint limbs that leaves four
+    (chunk, sum P_i) arrays live: the two difference planes and two sums.
+    This keeps the float operations of the per-prototype double loop, so
+    every channel equals it bit for bit: keep ``dx**2 + dy**2`` under
+    ``sqrt`` in float64, and each subset's landmarks in ascending order.
 
     Three steps are exact rewrites, not approximations:
 
@@ -109,11 +150,9 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
     protos = np.concatenate(blocks, dtype=np.float64)
     offsets = np.cumsum([0] + [len(block) for block in blocks[:-1]])
     n_frames, width = frames.shape[0], protos.shape[0]
-    # For axis a (x or y) of landmark r: left[a, r] holds rows [p, 1], and
-    # right[r, a] the rows [1, ...] and [-q, ...]. One stacked product takes
-    # both axes' differences of a landmark.
-    left = np.ones((2, N_LANDMARKS, n_frames, 2))
-    left[..., 0] = frames.transpose(2, 1, 0)
+    # right[r, a] holds the rows [1, ...] and [-q, ...] of axis a (x or y)
+    # of landmark r, and each chunk's left[a, r] the rows [p, 1]. One
+    # stacked product takes both axes' differences of a landmark.
     right = np.ones((N_LANDMARKS, 2, 2, width))
     np.negative(protos.transpose(1, 2, 0), out=right[:, :, 1])
 
@@ -122,39 +161,34 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
     root_at_origin = not (frames[:, ROOT - 1].any() or protos[:, ROOT - 1].any())
     summed = [[r for r in subset_rows if not (root_at_origin and r == ROOT - 1)]
               for subset_rows in rows]
-    live = [s for s in range(len(SUBSET_NAMES)) if summed[s]]
     for s in range(len(SUBSET_NAMES)):
         if rows[s] and not summed[s]:
             out[:, s] = 0.0
-    # Per landmark: the subsets it starts, then the subsets it adds to.
-    plan = []
-    for r in range(N_LANDMARKS):
-        holding = [s for s in live if r in summed[s]]
-        starts = [s for s in holding if summed[s][0] == r]
-        if holding:
-            plan.append((r, starts, [s for s in holding if s not in starts]))
+    plan, n_slots = _sum_plan(summed)
 
     chunk = min(_CHUNK, n_frames)
+    left = np.ones((2, N_LANDMARKS, chunk, 2))
     diff_buffer = np.empty((2, chunk, width))
-    dist_buffer = np.empty((chunk, width))
-    sums = np.empty((len(SUBSET_NAMES), chunk, width))
+    sums = np.empty((n_slots, chunk, width))
     for start in range(0, n_frames, _CHUNK):
         stop = min(start + _CHUNK, n_frames)
         n = stop - start
+        left[:, :, :n, 0] = frames[start:stop].transpose(2, 1, 0)
         diff = diff_buffer[:, :n]
-        for r, starts, adds in plan:
-            np.matmul(left[:, r, start:stop], right[r], out=diff)
+        dist = diff[0]
+        for r, starts, adds, closes in plan:
+            np.matmul(left[:, r, :n], right[r], out=diff)
             np.square(diff, out=diff)
-            dist = sums[starts[0], :n] if starts else dist_buffer[:n]
-            np.add(diff[0], diff[1], out=dist)
+            np.add(dist, diff[1], out=dist)
             np.sqrt(dist, out=dist)
-            for s in starts[1:]:
-                sums[s, :n] = dist
-            for s in adds:
-                sums[s, :n] += dist
-        for s in live:
-            nearest = np.minimum.reduceat(sums[s, :n], offsets, axis=1)
-            np.divide(nearest.T, len(rows[s]), out=out[:, s, start:stop])
+            for slot in starts:
+                sums[slot, :n] = dist
+            for slot in adds:
+                sums[slot, :n] += dist
+            for s, slot in closes:
+                total = dist if slot is None else sums[slot, :n]
+                nearest = np.minimum.reduceat(total, offsets, axis=1)
+                np.divide(nearest.T, len(rows[s]), out=out[:, s, start:stop])
     return out
 
 
@@ -205,12 +239,9 @@ def channel_names(mode: str, actions: Sequence[str] = ()) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _coordinate_channels(frames: np.ndarray, missing: frozenset[int]) -> np.ndarray:
-    """(T, 14, 2) coordinates to (28, T) channels with missing sentinels."""
-    channels = frames.transpose(1, 2, 0).reshape(2 * N_LANDMARKS, -1).copy()
-    for j in missing:
-        channels[2 * (j - 1) : 2 * j] = MISSING_SENTINEL
-    return channels
+def _coordinates(frames: np.ndarray) -> np.ndarray:
+    """(T, 14, 2) coordinates as a (28, T) channel view."""
+    return frames.transpose(1, 2, 0).reshape(2 * N_LANDMARKS, -1)
 
 
 def _derivative_frames(seq: NormalizedSequence) -> np.ndarray:
@@ -220,31 +251,28 @@ def _derivative_frames(seq: NormalizedSequence) -> np.ndarray:
     return np.zeros((1, N_LANDMARKS, 2))
 
 
-def _front_pad(channels: np.ndarray, length: int) -> np.ndarray:
-    """Repeat the first column until the channel matrix has ``length`` cols."""
-    pad = length - channels.shape[1]
-    if pad <= 0:
-        return channels
-    return np.concatenate([np.repeat(channels[:, :1], pad, axis=1), channels], axis=1)
+def _fill(dest: np.ndarray, channels: np.ndarray) -> None:
+    """Write ``channels`` into the last columns of ``dest``, repeating their
+    first column in front: the front padding of derivative-based channels."""
+    pad = dest.shape[1] - channels.shape[1]
+    dest[:, pad:] = channels
+    dest[:, :pad] = channels[:, :1]
 
 
-def embed_sequence(seq: NormalizedSequence,
-                   spatial: Mapping[str, PoseLibrary] | None = None,
-                   temporal: Mapping[str, PoseLibrary] | None = None,
-                   mode: str = "advanced") -> EmbeddingChannels:
-    """Build the channel stack of one preprocessed sequence.
+def embed_sequences(seqs: Sequence[NormalizedSequence],
+                    spatial: Mapping[str, PoseLibrary] | None = None,
+                    temporal: Mapping[str, PoseLibrary] | None = None,
+                    mode: str = "advanced") -> list[EmbeddingChannels]:
+    """Build the channel stack of each preprocessed sequence, in order.
 
-    In advanced mode both library mappings must provide every action they
-    declare, and at least one; a missing action raises MissingLibrary.
+    In advanced mode the frames of all sequences that share a persistently
+    missing set go through one distance-kernel call per library kind; each
+    channel equals that of embedding the sequence alone, bit for bit. Both
+    library mappings must provide every action they declare, and at least
+    one; a missing action raises MissingLibrary.
     """
     if mode not in EMBED_MODES:
-        raise ValueError(f"embed_sequence handles {'/'.join(EMBED_MODES)}, not {mode!r}")
-    missing = seq.persistent_missing
-    T = len(seq)
-    deriv = _derivative_frames(seq)
-
-    rows = [_coordinate_channels(seq.xy, missing),
-            _front_pad(_coordinate_channels(deriv, missing), T)]
+        raise ValueError(f"embedding handles {'/'.join(EMBED_MODES)}, not {mode!r}")
     actions: tuple[str, ...] = ()
     if mode == "advanced":
         if spatial is None or temporal is None:
@@ -252,17 +280,47 @@ def embed_sequence(seq: NormalizedSequence,
         actions = tuple(sorted(set(spatial) | set(temporal)))
         if not actions:
             raise MissingLibrary("advanced mode needs a library for at least one action")
-        for kind, libraries, frames in (("spatial", spatial, seq.xy),
-                                        ("temporal", temporal, deriv)):
+        for kind, libraries in (("spatial", spatial), ("temporal", temporal)):
             for action in actions:
                 if action not in libraries:
                     raise MissingLibrary(f"no {kind} library for action {action!r}")
-            values = _nearest_distances(
-                frames, [libraries[action].landmarks for action in actions], missing)
-            rows.append(_front_pad(values.reshape(-1, frames.shape[0]), T))
-    values = np.vstack(rows)
     names = channel_names(mode, actions)
-    return EmbeddingChannels(values, names)
+    derivs = [_derivative_frames(seq) for seq in seqs]
+    out = [np.empty((len(names), len(seq))) for seq in seqs]
+    width = 2 * N_LANDMARKS
+    for seq, deriv, values in zip(seqs, derivs, out):
+        values[:width] = _coordinates(seq.xy)
+        _fill(values[width:2 * width], _coordinates(deriv))
+        for j in seq.persistent_missing:
+            values[2 * (j - 1) : 2 * j] = MISSING_SENTINEL
+            values[width + 2 * (j - 1) : width + 2 * j] = MISSING_SENTINEL
+
+    if mode == "advanced":
+        groups: dict[frozenset[int], list[int]] = {}
+        for i, seq in enumerate(seqs):
+            groups.setdefault(seq.persistent_missing, []).append(i)
+        kind_rows = len(SUBSET_NAMES) * len(actions)
+        for k, (libraries, frames) in enumerate(((spatial, [seq.xy for seq in seqs]),
+                                                 (temporal, derivs))):
+            rows = slice(2 * width + k * kind_rows, 2 * width + (k + 1) * kind_rows)
+            blocks = [libraries[action].landmarks for action in actions]
+            for missing, members in groups.items():
+                distances = _nearest_distances(
+                    np.concatenate([frames[i] for i in members]), blocks, missing)
+                stop = 0
+                for i in members:
+                    start, stop = stop, stop + len(frames[i])
+                    _fill(out[i][rows], distances[..., start:stop].reshape(kind_rows, -1))
+    return [EmbeddingChannels(values, names) for values in out]
+
+
+def embed_sequence(seq: NormalizedSequence,
+                   spatial: Mapping[str, PoseLibrary] | None = None,
+                   temporal: Mapping[str, PoseLibrary] | None = None,
+                   mode: str = "advanced") -> EmbeddingChannels:
+    """Build the channel stack of one preprocessed sequence: the one-sequence
+    case of :func:`embed_sequences`."""
+    return embed_sequences([seq], spatial, temporal, mode)[0]
 
 
 def baseline_channels(sample: Sample) -> EmbeddingChannels:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_set
 from .classifier import ClassifierConfig, init_model, predict, train
-from .embed import MODES, baseline_channels, channel_names, embed_sequence
+from .embed import MODES, baseline_channels, channel_names, embed_sequences
 from .errors import TooFewSamples, check_settings
 from .pose import Sample
 from .preprocess import preprocess_sample
@@ -328,7 +328,7 @@ def run_experiment(samples: Sequence[Sample], protocol: Protocol,
                 samples, train_idx, val_idx, test_idx, pipeline, class_of)
         else:
             train_pairs, val_pairs, test_series = _pipeline_fold(
-                samples, prepped, train_idx, val_idx, test_idx, pipeline, class_of)
+                prepped, train_idx, val_idx, test_idx, pipeline, class_of)
 
         channels = train_pairs[0][0].shape[0]
         config = _classifier_config(pipeline, channels, len(actions), f)
@@ -380,20 +380,18 @@ def _baseline_fold(samples, train_idx, val_idx, test_idx, pipeline, class_of):
     return train_pairs, val_pairs, test_series
 
 
-def _pipeline_fold(samples, prepped, train_idx, val_idx, test_idx, pipeline, class_of):
-    train_items = [prepped(i) for i in train_idx]
-    augmented = augment_set(train_items, pipeline.augment)
+def _pipeline_fold(prepped, train_idx, val_idx, test_idx, pipeline, class_of):
+    augmented = augment_set([prepped(i) for i in train_idx], pipeline.augment)
     if pipeline.mode == "advanced":
         bundle = build_bundle(augmented, pipeline.pca_components, pipeline.som)
         spatial, temporal = bundle.spatial, bundle.temporal
     else:
         spatial = temporal = None
 
-    def channels_of(item):
-        return embed_sequence(item.seq, spatial, temporal, pipeline.mode).values
-
-    train_pairs = [(channels_of(it), class_of[it.action]) for it in augmented]
-    val_pairs = [(channels_of(prepped(i)), class_of[samples[i].action])
-                 for i in val_idx]
-    test_series = [channels_of(prepped(i)) for i in test_idx]
-    return train_pairs, val_pairs, test_series
+    # The fold's train, validation and test sequences, embedded in one call.
+    items = [*augmented, *map(prepped, val_idx), *map(prepped, test_idx)]
+    embedded = embed_sequences([item.seq for item in items], spatial, temporal, pipeline.mode)
+    pairs = [(channels.values, class_of[item.action]) for channels, item in zip(embedded, items)]
+    n_train, n_val = len(augmented), len(val_idx)
+    return (pairs[:n_train], pairs[n_train:n_train + n_val],
+            [values for values, _ in pairs[n_train + n_val:]])

@@ -267,15 +267,19 @@ def read_record(path: str | os.PathLike) -> Sample | LabeledSequence:
         raise ParseError(f"{path}: record has no frames")
     triples = _parse_rows(path, rows).reshape(-1, N_LANDMARKS, 3)
     labels = [header.get(key, "") for key in LABELS]
-    xy = triples[:, :, :2]
+    xy, present = triples[:, :, :2], triples[:, :, 2] != 0
+    # Every record flags its persistently missing landmarks absent in every
+    # frame; a normalized record also flags every other landmark present.
     if normalized:
-        agree = ((triples[:, :, 2] != 0) == _normalized_present(missing)).all(axis=1)
-        if not agree.all():
-            raise ParseError(f"{path}, frame {int(np.argmin(agree))}: presence flags "
-                             f"disagree with persistent_missing {sorted(missing)}")
-        seq = NormalizedSequence(xy, frozenset(missing))
-        return LabeledSequence(seq, *labels)
-    return Sample(xy, triples[:, :, 2] != 0, *labels)
+        agree = (present == _normalized_present(missing)).all(axis=1)
+    else:
+        agree = ~present[:, [j - 1 for j in missing]].any(axis=1)
+    if not agree.all():
+        raise ParseError(f"{path}, frame {int(np.argmin(agree))}: presence flags "
+                         f"disagree with persistent_missing {sorted(missing)}")
+    if normalized:
+        return LabeledSequence(NormalizedSequence(xy, frozenset(missing)), *labels)
+    return Sample(xy, present, *labels)
 
 
 def read_sample(path: str | os.PathLike) -> Sample:

@@ -6,14 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import posehar.embed
+
 from posehar.embed import (
     EMPTY_SUBSET_SENTINEL,
     MISSING_SENTINEL,
     EmbeddingChannels,
     baseline_channels,
     channel_names,
+    _CHUNK,
+    _nearest_distances,
+    _sum_plan,
     embed_frame,
     embed_sequence,
+    embed_sequences,
 )
 from posehar.errors import MissingLibrary, ShapeMismatch
 from posehar.pose import N_LANDMARKS, ROOT, SUBSET_NAMES, SUBSETS, Sample
@@ -200,6 +206,103 @@ def test_embed_sequence_matches_oracle_across_chunks():
                     want = oracle_nearest(source[max(t - shift, 0)], landmarks, missing)
                     assert np.array_equal(values[row : row + 5, t], want), (frames, kind, action, t)
                 row += 5
+
+
+def layout_oracle(frame, protos, missing, layout):
+    """a03's double loop over a {name: landmarks} subset layout: per subset,
+    the mean per-landmark distance to the nearest of the (P, 14, 2)
+    prototypes, or the empty-subset sentinel."""
+    out = []
+    for subset in layout.values():
+        rows = [j - 1 for j in subset if j not in missing]
+        if not rows:
+            out.append(EMPTY_SUBSET_SENTINEL)
+            continue
+        best = np.inf
+        for proto in protos:
+            total = 0.0
+            for r in rows:
+                dx = frame[r, 0] - proto[r, 0]
+                dy = frame[r, 1] - proto[r, 1]
+                total += float(np.sqrt(dx * dx + dy * dy))
+            best = min(best, total / len(rows))
+        out.append(best)
+    return np.array(out)
+
+
+# Subset layouts other than the body and four disjoint limbs, each landmark
+# list ascending: a subset that starts inside another and ends after it, one
+# that starts where another ends, interleaved subsets, a one-landmark subset
+# and a subset of the root alone.
+LAYOUTS = {
+    "overlapping": {"A": (1, 3, 4, 5, 6), "B": (5, 6, 7, 8, 9), "C": (6, 10, 11),
+                    "D": (9, 12, 13, 14), "J": tuple(range(1, N_LANDMARKS + 1))},
+    "interleaved": {"odd": (1, 3, 5, 7, 9, 11, 13), "even": (2, 4, 6, 8, 10, 12, 14),
+                    "mid": (6, 7, 8, 9)},
+    "one landmark": {"wrist": (5,), "arm": (3, 4, 5), "knee": (10,), "leg": (9, 10, 11)},
+    "root alone": {"root": (ROOT,), "neck": (1, ROOT, 3, 6), "J": tuple(range(1, N_LANDMARKS + 1))},
+}
+
+
+@pytest.mark.parametrize("root", ["at origin", "frame off origin", "prototype off origin"])
+@pytest.mark.parametrize("name", list(LAYOUTS))
+def test_kernel_reuses_sum_buffers_exactly_on_other_layouts(monkeypatch, name, root):
+    """Sum buffers are taken at a subset's first landmark and reused after
+    its last; on overlapping and interleaved layouts every channel still
+    equals the double loop bit for bit, as do subsets the missing set
+    empties."""
+    layout = LAYOUTS[name]
+    monkeypatch.setattr(posehar.embed, "SUBSETS", layout)
+    monkeypatch.setattr(posehar.embed, "SUBSET_NAMES", tuple(layout))
+    rng = np.random.default_rng([74, len(name), len(root)])
+    frames = rng.normal(0.0, 1.0, (_CHUNK + 6, N_LANDMARKS, 2))
+    protos = rng.normal(0.0, 1.0, (30, N_LANDMARKS, 2))
+    frames[:, ROOT - 1] = protos[:, ROOT - 1] = 0.0
+    if root == "frame off origin":
+        frames[_CHUNK + 2, ROOT - 1] = (0.25, -0.5)
+    elif root == "prototype off origin":
+        protos[11, ROOT - 1] = (-0.75, 0.0)
+    blocks = [protos[:1], protos[1:19], protos[19:]]
+    everything = frozenset(range(1, N_LANDMARKS + 1)) - {ROOT}
+    for missing in (frozenset(), frozenset({5}), frozenset({3, 4, 5, 10}),
+                    frozenset({1, 3, 6}), frozenset({5, 6, 7, 8, 9}), everything):
+        got = _nearest_distances(frames, blocks, missing)
+        assert got.shape == (len(blocks), len(layout), len(frames))
+        for t in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 2, _CHUNK + 5):
+            want = [layout_oracle(frames[t], block, missing, layout) for block in blocks]
+            assert np.array_equal(got[:, :, t], np.array(want)), (missing, t)
+
+
+def test_body_and_limbs_take_two_sum_buffers():
+    """The body's sum stays open while each limb opens and closes in turn."""
+    summed = [[r for r in range(N_LANDMARKS) if r != ROOT - 1],
+              [2, 3, 4], [5, 6, 7], [8, 9, 10], [11, 12, 13]]
+    assert _sum_plan(summed)[1] == 2
+    assert _sum_plan([[0], [4], [0, 4]])[1] == 1   # one-landmark subsets take none
+
+
+@pytest.mark.parametrize("mode", ["basic", "advanced"])
+def test_many_sequences_embed_as_each_alone(mode):
+    """One call over sequences of mixed lengths and persistently missing
+    sets equals embed_sequence on each, bit for bit, names included."""
+    rng = np.random.default_rng(75)
+    sizes = {"spatial": {"a": 3, "b": 40}, "temporal": {"a": 41, "b": 2}}
+    libraries = {kind: {action: make_library(rng, action, kind, n)
+                        for action, n in counts.items()}
+                 for kind, counts in sizes.items()}
+    sets = [frozenset(), frozenset({1}), frozenset({3, 4, 5}), frozenset({1})]
+    lengths = (1, 2, 63, 64, 65, 130, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1)
+    seqs = [make_seq(rng, frames, sets[i % len(sets)]) for i, frames in enumerate(lengths)]
+    spatial, temporal = (libraries["spatial"], libraries["temporal"]) \
+        if mode == "advanced" else (None, None)
+    together = embed_sequences(seqs, spatial, temporal, mode)
+    assert len(together) == len(seqs)
+    for seq, channels in zip(seqs, together):
+        alone = embed_sequence(seq, spatial, temporal, mode)
+        assert channels.names == alone.names == channel_names(mode, ["a", "b"])
+        assert channels.values.shape == (len(alone.names), len(seq))
+        assert np.array_equal(channels.values, alone.values)
+    assert embed_sequences([], spatial, temporal, mode) == []
 
 
 def extreme_coordinates(rng, shape):

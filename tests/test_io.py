@@ -1,6 +1,7 @@
 """Record formats, detector parsing, and manifest loading."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,37 @@ def test_normalized_presence_flags_must_match_persistent_missing(tmp_path, edits
     with pytest.raises(ParseError, match=f"n.seq, frame {first}: presence flags disagree "
                                          r"with persistent_missing \[8\]"):
         read_record(path)
+
+
+def write_raw_listing(path, sample, listed):
+    """Write ``sample`` as a raw record whose header lists ``listed`` as
+    persistently missing."""
+    write_sample(path, sample)
+    header, *rows = path.read_text().splitlines()
+    header = header.replace('"persistent_missing":[]', f'"persistent_missing":{listed}')
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("listed, present_in, first", [
+    ([5], [0, 1, 2, 3, 4], 0),
+    ([5, 9], [3], 3),
+    ([14, 1], [4], 4),
+], ids=["landmark 5 present throughout", "one frame of two listed", "last frame"])
+def test_raw_record_listed_landmarks_must_be_absent(tmp_path, listed, present_in, first):
+    # A raw header's list was once read and then ignored: landmark 5 listed
+    # and flagged present in every frame read back through read_sample.
+    path = tmp_path / "r.seq"
+    sample = random_sample(np.random.default_rng(14), missing_prob=0.0)
+    present = sample.present.copy()
+    present[:, [j - 1 for j in listed]] = False
+    write_raw_listing(path, Sample(sample.xy, present, "wave", "front", "a3"), listed)
+    assert not read_sample(path).present[:, [j - 1 for j in listed]].any()
+    present[present_in, listed[-1] - 1] = True
+    write_raw_listing(path, Sample(sample.xy, present, "wave", "front", "a3"), listed)
+    with pytest.raises(ParseError, match=re.escape(
+            f"r.seq, frame {first}: presence flags disagree "
+            f"with persistent_missing {sorted(listed)}")):
+        read_sample(path)
 
 
 def test_read_record_dispatches_on_header(tmp_path):
