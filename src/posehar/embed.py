@@ -72,38 +72,6 @@ def _available_rows(subset: str, missing: frozenset[int]) -> list[int]:
     return [j - 1 for j in SUBSETS[subset] if j not in missing]
 
 
-def _sum_plan(summed: list[list[int]]) -> tuple[list[tuple], int]:
-    """The per-landmark steps of the distance kernel, and its sum-buffer count.
-
-    ``summed[s]`` lists the ascending rows subset s sums. Each step is
-    ``(row, starts, adds, closes)``: the buffer slots the row's distances
-    start, the slots they are added into, and the ``(subset, slot)`` pairs
-    whose sums are complete after the row. A slot is taken at a subset's
-    first row and freed after its last, so the slot count is the largest
-    number of subsets open at once; a subset of one row reads the distance
-    row itself (slot None) and takes no slot.
-    """
-    plan = []
-    free: list[int] = []
-    slot_of: dict[int, int] = {}
-    n_slots = 0
-    for r in range(N_LANDMARKS):
-        holding = [s for s, rows in enumerate(summed) if r in rows]
-        if not holding:
-            continue
-        opening = [s for s in holding if summed[s][0] == r and len(summed[s]) > 1]
-        for s in opening:
-            if not free:
-                free.append(n_slots)
-                n_slots += 1
-            slot_of[s] = free.pop()
-        adds = [slot_of[s] for s in holding if summed[s][0] != r]
-        closes = [(s, slot_of.get(s)) for s in holding if summed[s][-1] == r]
-        free.extend(slot for _, slot in closes if slot is not None)
-        plan.append((r, [slot_of[s] for s in opening], adds, closes))
-    return plan, n_slots
-
-
 def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
                        missing: frozenset[int]) -> np.ndarray:
     """Subset distances of (F, 14, 2) frames to the nearest prototype of each
@@ -113,28 +81,29 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
     start offsets, and the frames are walked in chunks. The frames of many
     sequences can be stacked on the frame axis: each frame's distances are
     computed on their own, and whether the root gets a pass (below) changes
-    no bit. Per landmark, in ascending order,
-    one contiguous (chunk, sum P_i) row of Euclidean distances is made in
-    place in the first plane of the difference buffer: its ``dx**2`` gets
-    ``dy**2`` added and then its square root taken. The row is copied into
-    the running sum of every subset it starts and added into the sum of
-    every other subset holding that landmark. Once a subset's last landmark
-    is summed, ``np.minimum.reduceat`` takes each block's minimum of its
-    sums, which is then divided by the subset's landmark count, and its sum
-    buffer is reused by the next subset to start (see :func:`_sum_plan`).
-    With the whole body and four disjoint limbs that leaves four
-    (chunk, sum P_i) arrays live: the two difference planes and two sums.
-    This keeps the float operations of the per-prototype double loop, so
-    every channel equals it bit for bit: keep ``dx**2 + dy**2`` under
-    ``sqrt`` in float64, and each subset's landmarks in ascending order.
+    no bit. Per landmark, in ascending order, one contiguous
+    (chunk, sum P_i) row of Euclidean distances is made in place in the
+    first plane of the difference buffer: its ``dx**2`` gets ``dy**2``
+    added and then its square root taken. The body J holds every landmark
+    and the four limbs follow one another, so the row is added into the
+    body's sum and, for a limb landmark, into one limb sum, which starts
+    at the limb's first available landmark. At its last one
+    ``np.minimum.reduceat`` takes each block's minimum of the limb's sums,
+    which is then divided by its landmark count; a limb with one available
+    landmark reads the distance row itself. The body is closed the same way
+    after its last landmark. That leaves four (chunk, sum P_i) arrays live:
+    the two difference planes and the two sums. This keeps the float
+    operations of the per-prototype double loop, so every channel equals it
+    bit for bit: keep ``dx**2 + dy**2`` under ``sqrt`` in float64, and each
+    subset's landmarks in ascending order.
 
     Three steps are exact rewrites, not approximations:
 
     * The root gets no pass when it is at the origin in every frame and
       every prototype, as root-centering leaves it. Its distances are all
       ``sqrt(+0) = +0``, and ``x + 0 == x`` for every sum ``x >= 0``. If it
-      would start a subset's sum, the next landmark starts it, as the
-      loop's ``0.0 + d`` is ``d``; a subset left with nothing to sum reads
+      would start the body's sum, the next landmark starts it, as the
+      loop's ``0.0 + d`` is ``d``; a body left with nothing to sum reads
       0.0. The divisor stays the subset's available landmark count. Every
       other available landmark is summed, zeros included.
     * The differences ``p - q`` of one landmark's frame coordinates p and
@@ -164,31 +133,46 @@ def _nearest_distances(frames: np.ndarray, blocks: Sequence[np.ndarray],
     for s in range(len(SUBSET_NAMES)):
         if rows[s] and not summed[s]:
             out[:, s] = 0.0
-    plan, n_slots = _sum_plan(summed)
+    body_rows = summed[0]
+    limb_of = {r: s for s in range(1, len(SUBSET_NAMES)) for r in summed[s]}
+
+    def close(s: int, total: np.ndarray, at: slice) -> None:
+        nearest = np.minimum.reduceat(total, offsets, axis=1)
+        np.divide(nearest.T, len(rows[s]), out=out[:, s, at])
 
     chunk = min(_CHUNK, n_frames)
     left = np.ones((2, N_LANDMARKS, chunk, 2))
     diff_buffer = np.empty((2, chunk, width))
-    sums = np.empty((n_slots, chunk, width))
+    sum_buffer = np.empty((2, chunk, width))
     for start in range(0, n_frames, _CHUNK):
-        stop = min(start + _CHUNK, n_frames)
-        n = stop - start
-        left[:, :, :n, 0] = frames[start:stop].transpose(2, 1, 0)
+        at = slice(start, min(start + _CHUNK, n_frames))
+        n = at.stop - start
+        left[:, :, :n, 0] = frames[at].transpose(2, 1, 0)
         diff = diff_buffer[:, :n]
         dist = diff[0]
-        for r, starts, adds, closes in plan:
+        body, limb = sum_buffer[:, :n]
+        for r in body_rows:
             np.matmul(left[:, r, :n], right[r], out=diff)
             np.square(diff, out=diff)
             np.add(dist, diff[1], out=dist)
             np.sqrt(dist, out=dist)
-            for slot in starts:
-                sums[slot, :n] = dist
-            for slot in adds:
-                sums[slot, :n] += dist
-            for s, slot in closes:
-                total = dist if slot is None else sums[slot, :n]
-                nearest = np.minimum.reduceat(total, offsets, axis=1)
-                np.divide(nearest.T, len(rows[s]), out=out[:, s, start:stop])
+            if r == body_rows[0]:
+                body[...] = dist
+            else:
+                body += dist
+            s = limb_of.get(r)
+            if s is None:
+                continue
+            if len(summed[s]) == 1:
+                close(s, dist, at)
+            elif r == summed[s][0]:
+                limb[...] = dist
+            else:
+                limb += dist
+                if r == summed[s][-1]:
+                    close(s, limb, at)
+        if body_rows:
+            close(0, body, at)
     return out
 
 

@@ -40,10 +40,10 @@ from .preprocess import LabeledSequence
 log = logging.getLogger(__name__)
 
 BUNDLE_FORMAT = "posehar-bundle/3"
-# Largest lattice, q ** m units: 64 times the default 4 ** 3. Training keeps
-# a (U, U) float64 table of lattice distances, 128 MiB at this size, next to
-# (N, U) sample-to-unit distances; each epoch's neighborhood kernel spans
-# only the winning units, (min(U, N), U).
+# Largest lattice, q ** m units: 64 times the default 4 ** 3. The cap bounds
+# each training epoch's (N, U) float64 sample-to-unit distances and its
+# (K, U) lattice distances and neighborhood kernel from the K <= min(U, N)
+# winning units: 32 KiB per sample and per winner at this size.
 MAX_UNITS = 4096
 LIBRARY_KINDS = ("spatial", "temporal")
 LIBRARY_ARRAYS = ("landmarks", "weight", "viewpoint")
