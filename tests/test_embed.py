@@ -205,13 +205,28 @@ def test_embed_sequence_matches_oracle_across_chunks():
                 row += 5
 
 
+# Missing sets that leave the paper's subsets in other layouts, keyed by the
+# layout they leave: limbs inside the body, whole or cut short at either end
+# or emptied; missing landmarks interleaved with available ones; a limb of
+# one landmark; and a body of the root alone.
+EVERYTHING_BUT_ROOT = frozenset(range(1, N_LANDMARKS + 1)) - {ROOT}
+LAYOUTS_LEFT = {
+    "overlapping": (frozenset(), frozenset({5}), frozenset({5, 6, 7, 8, 9})),
+    "interleaved": (frozenset({4}), frozenset({1, 3, 6}), frozenset({3, 4, 5, 10})),
+    "one landmark": (frozenset({3, 4}),),
+    "root alone": (EVERYTHING_BUT_ROOT,),
+}
+
+
 @pytest.mark.parametrize("root", ["at origin", "frame off origin", "prototype off origin"])
-def test_kernel_sums_the_paper_subsets_exactly(root):
+@pytest.mark.parametrize("name", list(LAYOUTS_LEFT))
+def test_kernel_reuses_sum_buffers_exactly_on_other_layouts(name, root):
     """The body's sum and one limb sum at a time give every channel of the
-    double loop bit for bit, across a chunk edge, whether or not the root
-    gets a pass, when a limb loses its middle landmark or all but one, and
-    for subsets the missing set empties."""
-    rng = np.random.default_rng([74, len(root)])
+    double loop on ``pose.SUBSETS`` bit for bit, across a chunk edge,
+    whether or not the root gets a pass, for every layout a missing set
+    leaves: a limb cut short, missing its middle landmark or all but one,
+    and subsets the missing set empties."""
+    rng = np.random.default_rng([74, len(name), len(root)])
     frames = rng.normal(0.0, 1.0, (_CHUNK + 6, N_LANDMARKS, 2))
     protos = rng.normal(0.0, 1.0, (30, N_LANDMARKS, 2))
     frames[:, ROOT - 1] = protos[:, ROOT - 1] = 0.0
@@ -220,10 +235,7 @@ def test_kernel_sums_the_paper_subsets_exactly(root):
     elif root == "prototype off origin":
         protos[11, ROOT - 1] = (-0.75, 0.0)
     blocks = [protos[:1], protos[1:19], protos[19:]]
-    everything = frozenset(range(1, N_LANDMARKS + 1)) - {ROOT}
-    for missing in (frozenset(), frozenset({5}), frozenset({4}), frozenset({3, 4}),
-                    frozenset({3, 4, 5, 10}), frozenset({1, 3, 6}),
-                    frozenset({5, 6, 7, 8, 9}), everything):
+    for missing in LAYOUTS_LEFT[name]:
         got = _nearest_distances(frames, blocks, missing)
         assert got.shape == (len(blocks), len(SUBSET_NAMES), len(frames))
         for t in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 2, _CHUNK + 5):
