@@ -11,12 +11,14 @@ The two summaries are concatenated, passed through dropout (training only,
 inverted scaling) and one affine layer, and normalized by softmax.
 
 Variable-length batches are padded after each sample's valid steps and carry
-a validity mask. Every part of the network is masked so that padding cannot
-influence any output: block activations are multiplied by the mask,
-batch-norm statistics cover valid positions only, pooling divides by the true
-length, and attention gives the LSTM's padded steps zero weight. Training
-runs Adam on softmax cross-entropy with early stopping on validation
-accuracy.
+a validity mask. A batch is held once, already laid out as the first
+convolution's zero-padded input, and the LSTM reads its interior; each block
+writes its output straight into the next block's padded input. Every part of
+the network is masked so that padding cannot influence any output: block
+activations are multiplied by the mask, batch-norm statistics cover valid
+positions only, pooling divides by the true length, and attention gives the
+LSTM's padded steps zero weight. Training runs Adam on softmax cross-entropy
+with early stopping on validation accuracy.
 
 All arithmetic is float64.
 """
@@ -31,7 +33,7 @@ import numpy as np
 
 from .archive import entry, no_more, read_archive, write_archive
 from .errors import (ConfigError, Diverged, NonFiniteInput, NonFiniteLoss, ParseError,
-                     ShapeMismatch, check_settings, is_integer)
+                     ShapeMismatch, UnknownLabel, check_settings, is_integer)
 
 MODEL_FORMAT = "posehar-classifier/3"
 BN_EPS = 1e-5
@@ -106,16 +108,34 @@ class PaddedBatch:
     labels: np.ndarray | None   # (B,) int or None
 
 
-def pad_batch(series: Sequence[np.ndarray],
-              labels: Sequence[int] | None = None) -> PaddedBatch:
-    """Stack (C, T_i) arrays into one zero-padded batch.
+@dataclass(frozen=True)
+class _ConvInput(PaddedBatch):
+    """A batch that :func:`_pad` wrote straight into ``padded``, the
+    zero-padded input of a convolution: ``series`` is its interior view, and
+    its margins and padding hold zeros because nothing else writes to it."""
 
-    Raises NonFiniteInput, naming the series' position in the batch, when a
-    series holds a nan or inf value.
+    padded: np.ndarray          # (B, C, T + K - 1)
+
+
+def _zero_padded(B: int, C: int, T: int, kernel: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero input (B, C, T + kernel - 1) of a same-padded convolution of
+    width ``kernel``, and its (B, C, T) interior view, which starts
+    (kernel - 1) // 2 steps in (even widths pad one step more on the right)."""
+    padded = np.zeros((B, C, T + kernel - 1))
+    left = (kernel - 1) // 2
+    return padded, padded[:, :, left : left + T]
+
+
+def _pad(series: Sequence[np.ndarray], labels: Sequence[int] | None, channels: int,
+         kernel: int) -> _ConvInput:
+    """Write (C, T_i) series, in one pass, into the zero-padded input of a
+    same-padded convolution of width ``kernel`` (see :func:`_zero_padded`).
+    Width 1 leaves no margin.
+
+    Raises NonFiniteInput, naming the series' position in ``series``, when a
+    series holds a nan or inf value, and ValueError when ``labels`` does not
+    hold one label per series.
     """
-    if not series:
-        raise ValueError("empty batch")
-    channels = series[0].shape[0]
     length = 0
     for b, s in enumerate(series):
         if s.ndim != 2 or s.shape[0] != channels:
@@ -125,13 +145,30 @@ def pad_batch(series: Sequence[np.ndarray],
         if not np.isfinite(s).all():
             raise NonFiniteInput(f"batch series {b} holds a non-finite value")
         length = max(length, s.shape[1])
-    out = np.zeros((len(series), channels, length))
+    y = None if labels is None else np.asarray(labels)
+    if y is not None and y.shape != (len(series),):
+        raise ValueError(f"need one label per series: {len(series)} series, "
+                         f"labels of shape {y.shape}")
+    padded, interior = _zero_padded(len(series), channels, length, kernel)
     mask = np.zeros((len(series), length))
     for b, s in enumerate(series):
-        out[b, :, : s.shape[1]] = s
+        interior[b, :, : s.shape[1]] = s
         mask[b, : s.shape[1]] = 1.0
-    y = None if labels is None else np.asarray(labels, dtype=np.intp)
-    return PaddedBatch(out, mask, y)
+    return _ConvInput(interior, mask, y, padded)
+
+
+def pad_batch(series: Sequence[np.ndarray],
+              labels: Sequence[int] | None = None) -> PaddedBatch:
+    """Stack (C, T_i) arrays into one zero-padded batch.
+
+    Raises NonFiniteInput, naming the series' position in the batch, when a
+    series holds a nan or inf value, and ValueError when ``labels`` does not
+    hold one label per series.
+    """
+    if not series:
+        raise ValueError("empty batch")
+    batch = _pad(series, labels, series[0].shape[0], 1)
+    return PaddedBatch(batch.series, batch.mask, batch.labels)
 
 
 # --------------------------------------------------------------------------
@@ -192,22 +229,21 @@ def init_model(config: ClassifierConfig) -> ClassifierModel:
 # Forward pieces
 
 
-def _conv_same(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded 1D convolution of (B, C, T) with (F, C, K) weights.
+def _conv_same(xp: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded 1D convolution with (F, C, K) weights of an input that is
+    already zero-padded to (B, C, T + K - 1), as :func:`_zero_padded` lays
+    it out. Gives (B, F, T).
 
-    Returns the output and the padded input (kept for the backward pass).
     There is no bias: batch norm follows every convolution and subtracts
     any per-filter constant again.
     """
     kernel = w.shape[2]
-    left = (kernel - 1) // 2
-    B, C, T = x.shape
-    xp = np.zeros((B, C, T + kernel - 1))
-    xp[:, :, left : left + T] = x
+    B, _, width = xp.shape
+    T = width - kernel + 1
     y = np.zeros((B, w.shape[0], T))
     for k in range(kernel):
         y += np.matmul(w[:, :, k], xp[:, :, k : k + T])
-    return y, xp
+    return y
 
 
 def _conv_backward(dy: np.ndarray, xp: np.ndarray, w: np.ndarray, input_grad: bool
@@ -354,31 +390,50 @@ def _masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
-def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
-             dropout_rng: np.random.Generator | None):
-    """Class probabilities and, when ``train``, the cache the backward pass
-    reads (batch-norm uses batch statistics, dropout is applied). Inference
-    keeps only what the next layer reads, returns no cache, and masks
-    ``batch.series`` in place, so its caller must own the batch."""
+def _conv_input(model: ClassifierModel, batch: PaddedBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Conv block 0's zero-padded input for ``batch``, and the batch's mask.
+
+    A batch that :func:`_pad` laid out for block 0 is used as it is. Any
+    other is written through its mask into a new buffer, so values a
+    hand-built batch holds on its padding are read as zeros.
+    """
     config = model.config
-    params = model.params
-    x = batch.series
-    if x.shape[1] != config.channels:
-        raise ShapeMismatch(
-            f"model expects {config.channels} channels, series has {x.shape[1]}")
-    mask = batch.mask
+    x, mask = batch.series, batch.mask
+    if x.ndim != 3 or x.shape[1] != config.channels:
+        raise ShapeMismatch(f"model expects {config.channels} channels, series are {x.shape}")
+    B, C, T = x.shape
+    if mask.shape != (B, T):
+        raise ShapeMismatch(f"mask is {mask.shape}, series are {x.shape}")
     counts = mask.sum(axis=1)
-    valid_first = np.arange(mask.shape[1]) < counts[:, None]
+    valid_first = np.arange(T) < counts[:, None]
     if (counts < 1).any() or not np.array_equal(mask, valid_first):
         raise ShapeMismatch("every mask row must be one or more ones followed by zeros")
+    kernel = config.conv_blocks[0][1]
+    if isinstance(batch, _ConvInput) and batch.padded.shape[2] == T + kernel - 1:
+        return batch.padded, mask
+    padded, interior = _zero_padded(B, C, T, kernel)
+    np.multiply(x, mask[:, None, :], out=interior)
+    return padded, mask
+
+
+def _forward(model: ClassifierModel, padded: np.ndarray, mask: np.ndarray, train: bool,
+             dropout_rng: np.random.Generator | None):
+    """Class probabilities for conv block 0's zero-padded input ``padded``
+    (see :func:`_conv_input`) and the batch's (B, T) mask and, when
+    ``train``, the cache the backward pass reads (batch-norm uses batch
+    statistics, dropout is applied). Inference keeps only what the next
+    layer reads and returns no cache."""
+    config = model.config
+    params = model.params
+    B, T = mask.shape
+    counts = mask.sum(axis=1)
     mask3 = mask[:, None, :]
     count = float(mask.sum())
 
-    x = x * mask3 if train else np.multiply(x, mask3, out=x)
     blocks, batch_stats = [], []
-    a = x
-    for i in range(len(config.conv_blocks)):
-        z, xp = _conv_same(a, params[f"conv{i}_w"])
+    xp = padded
+    for i, (filters, _) in enumerate(config.conv_blocks):
+        z = _conv_same(xp, params[f"conv{i}_w"])
         if train:
             u, bn_cache, stats = _bn_train(z, params[f"bn{i}_gamma"],
                                            params[f"bn{i}_beta"], mask3, count)
@@ -389,15 +444,22 @@ def _forward(model: ClassifierModel, batch: PaddedBatch, train: bool,
                          model.running[f"bn{i}_mean"], model.running[f"bn{i}_var"])
         del z
         relu_mask = u > 0
-        a = np.where(relu_mask, u, 0.0) * mask3
         if train:
             blocks.append((xp, bn_cache, relu_mask))
+        # The masked ReLU output goes straight into the next block's padded
+        # input; the last block's is pooled.
+        if i + 1 < len(config.conv_blocks):
+            xp, a = _zero_padded(B, filters, T, config.conv_blocks[i + 1][1])
+        else:
+            a = np.empty((B, filters, T))
+        np.multiply(np.where(relu_mask, u, 0.0), mask3, out=a)
         del u, relu_mask
     pooled = a.sum(axis=2) / counts[:, None]   # a is already masked
     del a
 
-    hidden, lstm_cache = _lstm_forward(x, params["lstm_wx"], params["lstm_wh"],
-                                       params["lstm_b"], train)
+    left = (config.conv_blocks[0][1] - 1) // 2
+    hidden, lstm_cache = _lstm_forward(padded[:, :, left : left + T], params["lstm_wx"],
+                                       params["lstm_wh"], params["lstm_b"], train)
     alpha = _masked_softmax(hidden @ params["attn_v"], mask)
     context = (alpha[:, :, None] * hidden).sum(axis=1)
 
@@ -428,16 +490,39 @@ def _cross_entropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return float((-np.log(picked)).mean()), (probs - one_hot) / B
 
 
+def _class_indices(model: ClassifierModel, batch: PaddedBatch) -> np.ndarray:
+    """The batch's labels, one per series, each an integer in
+    0..classes - 1; any other label raises UnknownLabel naming it."""
+    if batch.labels is None:
+        raise ValueError("loss needs labels")
+    labels = np.asarray(batch.labels)
+    rows = batch.series.shape[0]
+    if labels.shape != (rows,):
+        raise ValueError(f"need one label per series: {rows} series, "
+                         f"labels of shape {labels.shape}")
+    classes = model.config.classes
+    if labels.dtype.kind in "iu":
+        bad = labels[(labels < 0) | (labels >= classes)].tolist()
+    else:
+        # No label of another dtype is a class index; name one whose value
+        # is off too, if there is one.
+        bad = [y for y in labels.tolist() if y not in range(classes)] or labels.tolist()
+    if bad:
+        raise UnknownLabel(f"label {bad[0]!r} is not a class index in 0..{classes - 1} "
+                           f"(labels are {labels.dtype})")
+    return labels
+
+
 def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
                   dropout_rng: np.random.Generator | None = None):
     """Training-mode loss, analytic gradients, and the batch-norm statistics
     of this batch (for the running-average update)."""
-    if batch.labels is None:
-        raise ValueError("loss needs labels")
+    labels = _class_indices(model, batch)
     config = model.config
     params = model.params
-    probs, cache = _forward(model, batch, train=True, dropout_rng=dropout_rng)
-    loss, dlogits = _cross_entropy(probs, batch.labels)
+    probs, cache = _forward(model, *_conv_input(model, batch), train=True,
+                            dropout_rng=dropout_rng)
+    loss, dlogits = _cross_entropy(probs, labels)
     if not np.isfinite(loss):
         raise NonFiniteLoss(f"loss is {loss!r}")
 
@@ -475,10 +560,9 @@ def loss_and_grad(model: ClassifierModel, batch: PaddedBatch,
 
 def batch_loss(model: ClassifierModel, batch: PaddedBatch) -> float:
     """Training-mode loss without gradients (used by finite differencing)."""
-    if batch.labels is None:
-        raise ValueError("loss needs labels")
-    probs, _ = _forward(model, batch, train=True, dropout_rng=None)
-    return _cross_entropy(probs, batch.labels)[0]
+    labels = _class_indices(model, batch)
+    probs, _ = _forward(model, *_conv_input(model, batch), train=True, dropout_rng=None)
+    return _cross_entropy(probs, labels)[0]
 
 
 # --------------------------------------------------------------------------
@@ -495,8 +579,12 @@ def predict_proba(model: ClassifierModel, series: Sequence[np.ndarray]) -> np.nd
     for i, s in enumerate(series):
         if not np.isfinite(s).all():
             raise NonFiniteInput(f"batch series {i} holds a non-finite value")
-    step = model.config.batch_size
-    out = [_forward(model, pad_batch(series[i : i + step]), train=False, dropout_rng=None)[0]
+    config = model.config
+    step, kernel = config.batch_size, config.conv_blocks[0][1]
+    # No name holds a chunk's buffer, so it is freed before the next is padded.
+    out = [_forward(model, *_conv_input(model, _pad(series[i : i + step], None,
+                                                    config.channels, kernel)),
+                    train=False, dropout_rng=None)[0]
            for i in range(0, len(series), step)]
     return np.vstack(out) if out else np.zeros((0, model.config.classes))
 
@@ -554,8 +642,9 @@ def train(config: ClassifierConfig,
             if s.shape[0] != config.channels:
                 raise ShapeMismatch(
                     f"series has {s.shape[0]} channels, model expects {config.channels}")
-            if not 0 <= y < config.classes:
-                raise ValueError(f"label {y} outside 0..{config.classes - 1}")
+            if not (is_integer(y) and 0 <= y < config.classes):
+                raise ValueError(f"{name}[{i}] label {y!r} is not an integer "
+                                 f"in 0..{config.classes - 1}")
             if not np.isfinite(s).all():
                 raise NonFiniteInput(f"{name}[{i}] holds a non-finite value")
 
@@ -573,9 +662,10 @@ def train(config: ClassifierConfig,
         losses = []
         for start in range(0, len(order), config.batch_size):
             picked = order[start : start + config.batch_size]
-            batch = pad_batch([train_set[i][0] for i in picked],
-                              [train_set[i][1] for i in picked])
+            batch = _pad([train_set[i][0] for i in picked], [train_set[i][1] for i in picked],
+                         config.channels, config.conv_blocks[0][1])
             loss, grads, stats = loss_and_grad(model, batch, dropout_rng=rng)
+            del batch   # freed before the next batch is padded
             optimizer.step(model.params, grads)
             for i, (mean, var) in enumerate(stats):
                 model.running[f"bn{i}_mean"] *= BN_MOMENTUM

@@ -27,7 +27,8 @@ from posehar.classifier import (
 from posehar import classifier as clf
 from posehar.archive import write_archive
 from posehar.augment import AugmentConfig
-from posehar.errors import DataError, NonFiniteInput, NumericError, ParseError, ShapeMismatch
+from posehar.errors import (DataError, NonFiniteInput, NumericError, ParseError, ShapeMismatch,
+                            UnknownLabel)
 from posehar.evaluate import PipelineConfig
 from posehar.som import SomConfig
 
@@ -57,6 +58,32 @@ def test_pad_batch_layout():
         pad_batch([a, rng.normal(0.0, 1.0, (4, 5))])
     with pytest.raises(ValueError):
         pad_batch([])
+
+
+def test_pad_batch_needs_one_label_per_series():
+    # One label for two series was broadcast to both rows.
+    rng = np.random.default_rng(90)
+    series = [rng.normal(0.0, 1.0, (3, 4)), rng.normal(0.0, 1.0, (3, 6))]
+    for labels in ([0], [0, 1, 2], [[0], [1]]):
+        with pytest.raises(ValueError, match="one label per series"):
+            pad_batch(series, labels)
+    batch = pad_batch(series)
+    with pytest.raises(ValueError, match="one label per series"):
+        loss_and_grad(init_model(ClassifierConfig(**TOY)),
+                      PaddedBatch(batch.series, batch.mask, np.array([0])))
+
+
+@pytest.mark.parametrize("label", [-1, 7, 1.5], ids=["negative", "past the classes",
+                                                   "fractional"])
+def test_loss_refuses_a_label_that_is_no_class_index(label):
+    # -1 was scored as the last class, 7 ended in a bare IndexError and 1.5
+    # was scored as class 1.
+    rng = np.random.default_rng(91)
+    model = init_model(ClassifierConfig(**TOY))
+    batch = pad_batch([rng.normal(0.0, 1.0, (3, 5)), rng.normal(0.0, 1.0, (3, 4))], [0, label])
+    for score in (loss_and_grad, batch_loss):
+        with pytest.raises(UnknownLabel, match=f"label {label!r} is not a class index in 0..2"):
+            score(model, batch)
 
 
 def test_init_model_is_seeded():
@@ -315,7 +342,8 @@ def test_kernels_are_bit_identical_to_the_carry_oracle(kind, B, T):
         assert np.array_equal(got, want)
 
     w = rng.normal(0.0, 0.5, (8, C, 7))
-    _, xp = clf._conv_same(x, w)
+    xp = np.zeros((B, C, T + 6))
+    xp[:, :, 3 : 3 + T] = x
     dy = rng.normal(0.0, 1.0, (B, 8, T))
     want_dw, want_dx = carry_conv_backward(dy, xp, w)
     dw, dx = clf._conv_backward(dy, xp, w, True)
@@ -345,7 +373,8 @@ def test_training_step_is_bit_identical_to_the_carry_oracle(monkeypatch, kind, B
     # predict_proba pads these again; the longest is T, so its mask is this one
     series = [s[:, : int(n)] for s, n in zip(batch.series, mask.sum(axis=1))]
     loss, grads, stats = loss_and_grad(model, batch, np.random.default_rng(1))
-    probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
+    probs = clf._forward(model, *clf._conv_input(model, batch), train=False,
+                         dropout_rng=None)[0]
     served = predict_proba(model, series)
     with monkeypatch.context() as patched:
         patched.setattr(clf, "_conv_backward",
@@ -356,7 +385,8 @@ def test_training_step_is_bit_identical_to_the_carry_oracle(monkeypatch, kind, B
                         carry_lstm_backward(d_hidden, mask, hidden, cache, wh))
         want_loss, want_grads, want_stats = loss_and_grad(model, batch,
                                                           np.random.default_rng(1))
-        want_probs = clf._forward(model, batch, train=False, dropout_rng=None)[0]
+        want_probs = clf._forward(model, *clf._conv_input(model, batch), train=False,
+                                  dropout_rng=None)[0]
         want_served = predict_proba(model, series)
     assert loss == want_loss
     assert grads.keys() == want_grads.keys()
@@ -395,6 +425,48 @@ def test_mask_rows_must_be_valid_steps_then_padding(mask):
     batch = PaddedBatch(np.ones((2, 3, 3)) * mask[:, None, :], mask, np.array([0, 1]))
     with pytest.raises(ShapeMismatch, match="ones followed by zeros"):
         loss_and_grad(init_model(ClassifierConfig(**TOY)), batch)
+
+
+GEOMETRIES = [(kernel, T) for kernel in (1, 2, 3, 4, 7)
+              for T in sorted({1, kernel - 1, kernel, 240}) if T >= 1]
+
+
+@pytest.mark.parametrize("B", [1, 16])
+@pytest.mark.parametrize("kernel, T", GEOMETRIES)
+def test_one_copy_batch_matches_the_pad_batch_path(kernel, T, B):
+    # train pads its batch straight into block 0's input, and predict_proba
+    # its chunks; a pad_batch batch is written there through its mask. Even
+    # widths pad one step more on the right than on the left.
+    rng = np.random.default_rng([94, kernel, T, B])
+    model = init_model(ClassifierConfig(channels=5, classes=3, conv_blocks=((4, kernel), (3, 2)),
+                                        recurrent_units=4, dropout=0.3))
+    lengths = rng.integers(1, T + 1, B)
+    lengths[0] = T
+    series = [rng.normal(0.0, 1.0, (5, int(n))) for n in lengths]
+    labels = rng.integers(0, 3, B)
+    public = pad_batch(series, labels)
+    one_copy = clf._pad(series, labels, 5, kernel)
+    left = (kernel - 1) // 2
+    assert np.array_equal(one_copy.padded, np.pad(public.series,
+                                                  ((0, 0), (0, 0), (left, kernel - 1 - left))))
+    assert clf._conv_input(model, one_copy)[0] is one_copy.padded
+    # a hand-built batch holding values on its padding reads as the masked one
+    junk = public.series + 1e6 * (1.0 - public.mask[:, None, :])
+    hand_built = PaddedBatch(junk, public.mask, labels)
+
+    want_probs = clf._forward(model, *clf._conv_input(model, public), train=False,
+                              dropout_rng=None)[0]
+    want_loss, want_grads, want_stats = loss_and_grad(model, public, np.random.default_rng(1))
+    for batch in (one_copy, hand_built):
+        probs = clf._forward(model, *clf._conv_input(model, batch), train=False,
+                             dropout_rng=None)[0]
+        loss, grads, stats = loss_and_grad(model, batch, np.random.default_rng(1))
+        assert np.array_equal(probs, want_probs) and loss == want_loss
+        for key in want_grads:
+            assert np.array_equal(grads[key], want_grads[key]), key
+        for got, want in zip(stats, want_stats):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(predict_proba(model, series), want_probs)
 
 
 def test_padding_cannot_change_anything():
@@ -504,6 +576,18 @@ def test_train_validates_inputs():
         train(config, [(data[0][0], 7)], data)
 
 
+@pytest.mark.parametrize("label", [1.5, np.float64(1.0), True])
+def test_train_refuses_a_label_that_is_no_integer_class(label):
+    # 1.5 was trained as class 1.
+    rng = np.random.default_rng(92)
+    data = separable_dataset(rng, n_per_class=2)
+    config = ClassifierConfig(**{**TOY, "max_epochs": 1})
+    poisoned = data[:3] + [(data[3][0], label)] + data[4:]
+    for train_set, val_set, name in ((poisoned, data, "train_set"), (data, poisoned, "val_set")):
+        with pytest.raises(ValueError, match=rf"{name}\[3\] label .* is not an integer"):
+            train(config, train_set, val_set)
+
+
 def test_non_finite_loss_is_reported():
     rng = np.random.default_rng(79)
     data = separable_dataset(rng, n_per_class=3)
@@ -559,6 +643,42 @@ def test_predict_proba_keeps_no_training_state():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 16 * 106 * 240 * 8, f"peak {peak} bytes"
+
+
+def test_predict_proba_holds_one_padded_batch():
+    # The same call holds the batch once, already padded for conv block 0,
+    # and writes each block's masked ReLU output into the next block's padded
+    # input; a second padded copy of the batch read 2.64 times the batch.
+    rng = np.random.default_rng(89)
+    model = init_model(ClassifierConfig(channels=106, classes=8,
+                                        conv_blocks=((32, 7), (32, 3)), recurrent_units=16))
+    series = [rng.normal(0.0, 1.0, (106, 240)) for _ in range(16)]
+    tracemalloc.start()
+    try:
+        predict_proba(model, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * 16 * 106 * 240 * 8, f"peak {peak} bytes"
+
+
+def test_training_step_holds_one_padded_batch():
+    # A step as train takes it: the batch padded straight into block 0's
+    # input, then loss_and_grad, which reads it there and keeps no masked
+    # copy. With both copies the step read 8.6 times the batch.
+    rng = np.random.default_rng(93)
+    config = ClassifierConfig(channels=96, classes=8, conv_blocks=((32, 7), (32, 3)),
+                              recurrent_units=16, dropout=0.3)
+    model = init_model(config)
+    series = [rng.normal(0.0, 1.0, (96, 40)) for _ in range(16)]
+    labels = [i % 8 for i in range(16)]
+    tracemalloc.start()
+    try:
+        loss_and_grad(model, clf._pad(series, labels, 96, 7), np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 16 * 96 * 40 * 8, f"peak {peak} bytes"
 
 
 def test_predict_proba_rejects_non_finite_series():
